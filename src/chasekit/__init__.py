@@ -20,7 +20,8 @@ from .arboreal import (ArboreousInfo, InvariantViolation, NullForest,
                        build_null_forest, build_term_tree, check_arboreous,
                        compute_position_order, is_path_guarded)
 from .treechase import (Apply, Break, GuidedResult, InvalidChoice,
-                        ReplayDivergence, SpaceProfile, TaskNode, TreeChaseRun,
+                        ReferenceCapExceeded, ReplayDivergence, SpaceProfile,
+                        TaskNode, TreeChaseRun,
                         build_task_tree, schedule_sequence, tree_chase_guided,
                         tree_chase_run, tree_chase_search)
 from .corpus import (CorpusInstance, QbfFormula, gen_counter, gen_dexp,

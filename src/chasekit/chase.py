@@ -10,6 +10,16 @@ embeds the head into the current interpretation.  An existential rule fires
 only while no existential-free rule has an unsatisfied match (Datalog
 first).  Fairness comes from per-rule FIFO match queues consumed round
 robin; the seeded strategy instead draws the next candidate at random.
+
+Satisfaction is decided when a candidate is popped, never when it is
+queued, so the queues and the seeded draws do not depend on it.  For a
+Datalog rule the match grounds the whole head, and the head is satisfied
+exactly when every ground head atom is already a fact.  For an existential
+rule, satisfaction depends on the frontier values alone and is monotone:
+the chase only adds facts, so a satisfied match stays satisfied, and an
+applied match is satisfied by the facts it added.  Each existential rule
+therefore remembers the frontier values of the matches it applied, and a
+rediscovered one is discarded without a homomorphism search.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matching import find_matches, head_satisfied, match_each
+from .matching import find_matches, head_satisfied, match_each, unify_atom
 from .model import (Atom, Database, Interpretation, Null, Program, Tgd,
                     Variable, substitute)
 
@@ -68,6 +78,10 @@ class ChaseTrace:
     steps: list = field(default_factory=list)
     var_of_null: dict = field(default_factory=dict)
     chain_edges: list = field(default_factory=list)   # (term, frontier var, null)
+    # atom -> index of the step that added it, over the first ``_indexed`` steps
+    _producer: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def lines(self) -> list:
         return [s.line() for s in self.steps]
@@ -85,10 +99,11 @@ class ChaseTrace:
 
     def producer_of(self, atom: Atom) -> Optional[int]:
         """Index of the step that added ``atom``, or None for database atoms."""
-        for step in self.steps:
-            if atom in step.added:
-                return step.index
-        return None
+        for step in self.steps[self._indexed:]:
+            for added in step.added:
+                self._producer.setdefault(added, step.index)
+        self._indexed = len(self.steps)
+        return self._producer.get(atom)
 
 
 @dataclass
@@ -104,11 +119,25 @@ class ChaseResult:
 
 class _RuleQueue:
     """FIFO of discovered candidate matches for one rule, stored as value
-    tuples aligned with the rule's body variables.
+    tuples aligned with ``vars``: the frontier first, then the body-only
+    variables.
 
-    Duplicates are allowed: every pop re-checks satisfaction, and a match
-    that was satisfied once stays satisfied, so an already-applied match
-    rediscovered later is simply discarded.
+    Duplicates are kept: what a queue holds and in which order decides the
+    seeded strategy's draws, so it never depends on satisfaction.  Whether
+    a popped candidate is already satisfied is decided by ``satisfied``:
+
+    * A Datalog rule's match fixes every head variable, so its head is
+      satisfied exactly when each ground head atom is already a fact.
+      ``head_spec`` holds each head atom as its predicate and, per
+      argument, a slot of the value tuple or a constant.
+    * An existential rule's head check depends on the frontier values only.
+      The chase only adds facts, so an applied match stays satisfied by the
+      facts it added.  ``settled`` holds the frontier values of every
+      candidate handed out for application, and a later pop of the same
+      values is discarded without a homomorphism search.  Candidates found
+      satisfied are not stored: on the corpus programs none is popped
+      again, and storing them kept about 12k tuples alive through a
+      ``sets(6)`` chase.
     """
 
     def __init__(self, rule: Tgd):
@@ -116,6 +145,11 @@ class _RuleQueue:
         self.vars = rule.frontier + rule.body_only
         self.items: list = []
         self.head = 0
+        self.n_frontier = len(rule.frontier)
+        slot = {v: i for i, v in enumerate(self.vars)}
+        self.head_spec = tuple((a.pred, tuple(slot.get(t, t) for t in a.args))
+                               for a in rule.head)
+        self.settled: set = set()
 
     def push_binding(self, binding: dict) -> None:
         self.items.append(tuple([binding[v] for v in self.vars]))
@@ -123,17 +157,33 @@ class _RuleQueue:
     def __len__(self) -> int:
         return len(self.items) - self.head
 
-    def _as_match(self, values: tuple) -> dict:
+    def as_match(self, values: tuple) -> dict:
         return dict(zip(self.vars, values))
 
-    def pop_oldest(self) -> dict:
-        m = self.items[self.head]
+    def pop_oldest(self) -> tuple:
+        values = self.items[self.head]
         self.items[self.head] = None
         self.head += 1
-        return self._as_match(m)
+        return values
 
-    def pop_at(self, offset: int) -> dict:
-        return self._as_match(self.items.pop(self.head + offset))
+    def pop_at(self, offset: int) -> tuple:
+        return self.items.pop(self.head + offset)
+
+    def satisfied(self, interp: Interpretation, values: tuple) -> bool:
+        """Is the candidate ``values`` satisfied?  A False answer hands the
+        candidate out: the caller applies it or stops the chase."""
+        if not self.rule.existentials:
+            for pred, spec in self.head_spec:
+                args = tuple([values[s] if s.__class__ is int else s for s in spec])
+                if Atom(pred, args) not in interp:
+                    return False
+            return True
+        key = values[:self.n_frontier]
+        if key in self.settled or head_satisfied(
+                interp, self.rule.head, dict(zip(self.rule.frontier, key))):
+            return True
+        self.settled.add(key)
+        return False
 
 
 class _Engine:
@@ -145,47 +195,34 @@ class _Engine:
         self.rng = random.Random(strategy.seed) if isinstance(strategy, Seeded) else None
         self.trace = ChaseTrace(program, tuple(database))
         self.null_counter = 0
-        self.datalog = [r for r in program.rules if r.is_datalog]
-        self.existential = [r for r in program.rules if not r.is_datalog]
-        self.queues = {r.rule_id: _RuleQueue(r) for r in program.rules}
+        queues = [_RuleQueue(r) for r in program.rules]
+        self.datalog = [q for q in queues if q.rule.is_datalog]
+        self.existential = [q for q in queues if not q.rule.is_datalog]
         self.rr = 0  # round-robin pointer over existential rules
+        # predicate -> (queue, body atom, rest of the body) per body atom
         self.body_index: dict = {}
-        for rule in program.rules:
-            for k, atom in enumerate(rule.body):
-                self.body_index.setdefault(atom.pred, []).append((rule, k))
-        for rule in program.rules:
-            q = self.queues[rule.rule_id]
-            match_each(self.interp, rule.body, {},
-                       lambda b, q=q: q.push_binding(b) or False, reorder=False)
+        for q in queues:
+            body = q.rule.body
+            for k, atom in enumerate(body):
+                self.body_index.setdefault(atom.pred, []).append(
+                    (q, atom, body[:k] + body[k + 1:]))
+        for q in queues:
+            match_each(self.interp, q.rule.body, {}, q.push_binding, reorder=False)
 
     def discover(self, fact: Atom) -> None:
         """Enqueue every candidate match that involves a new fact."""
-        for rule, k in self.body_index.get(fact.pred, ()):
-            q = self.queues[rule.rule_id]
-            seed = {}
-            ok = True
-            for p, f in zip(rule.body[k].args, fact.args):
-                if isinstance(p, Variable):
-                    bound = seed.get(p)
-                    if bound is None:
-                        seed[p] = f
-                    elif bound != f:
-                        ok = False
-                        break
-                elif p != f:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rest = rule.body[:k] + rule.body[k + 1:]
-            match_each(self.interp, rest, seed,
-                       lambda b, q=q: q.push_binding(b) or False)
+        for q, atom, rest in self.body_index.get(fact.pred, ()):
+            seed = unify_atom(atom, fact, {})
+            if seed is not None:
+                match_each(self.interp, rest, seed, q.push_binding)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1
         return Null(self.null_counter, f"n{step_index}_{var.name}")
 
-    def apply(self, rule: Tgd, match: dict) -> None:
+    def apply(self, q: _RuleQueue, values: tuple) -> None:
+        rule = q.rule
+        match = q.as_match(values)
         index = len(self.trace.steps) + 1
         extension = dict(match)
         created = []
@@ -209,15 +246,14 @@ class _Engine:
         progress = True
         while progress:
             progress = False
-            for rule in self.datalog:
-                q = self.queues[rule.rule_id]
+            for q in self.datalog:
                 while len(q):
-                    match = q.pop_oldest()
-                    if head_satisfied(self.interp, rule.head, match):
+                    values = q.pop_oldest()
+                    if q.satisfied(self.interp, values):
                         continue
                     if len(self.trace.steps) >= self.max_steps:
                         return ChaseResult(False, self.interp, self.trace)
-                    self.apply(rule, match)
+                    self.apply(q, values)
                     progress = True
         return None
 
@@ -225,28 +261,26 @@ class _Engine:
         if self.rng is None:
             n = len(self.existential)
             for i in range(n):
-                rule = self.existential[(self.rr + i) % n]
-                q = self.queues[rule.rule_id]
+                q = self.existential[(self.rr + i) % n]
                 while len(q):
-                    match = q.pop_oldest()
-                    if not head_satisfied(self.interp, rule.head, match):
+                    values = q.pop_oldest()
+                    if not q.satisfied(self.interp, values):
                         self.rr = (self.rr + i + 1) % n
-                        return rule, match
+                        return q, values
             return None
         # Seeded: draw uniformly among all pending candidates, discarding
         # any that have become satisfied since they were enqueued.
         while True:
-            pending = [(r, self.queues[r.rule_id]) for r in self.existential
-                       if len(self.queues[r.rule_id])]
-            total = sum(len(q) for _, q in pending)
+            pending = [q for q in self.existential if len(q)]
+            total = sum(len(q) for q in pending)
             if not total:
                 return None
             pick = self.rng.randrange(total)
-            for rule, q in pending:
+            for q in pending:
                 if pick < len(q):
-                    match = q.pop_at(pick)
-                    if not head_satisfied(self.interp, rule.head, match):
-                        return rule, match
+                    values = q.pop_at(pick)
+                    if not q.satisfied(self.interp, values):
+                        return q, values
                     break
                 pick -= len(q)
 
@@ -260,8 +294,7 @@ class _Engine:
                 return ChaseResult(True, self.interp, self.trace)
             if len(self.trace.steps) >= self.max_steps:
                 return ChaseResult(False, self.interp, self.trace)
-            rule, match = choice
-            self.apply(rule, match)
+            self.apply(*choice)
 
 
 def chase(program: Program, database: Database, strategy=Deterministic(),

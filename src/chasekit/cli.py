@@ -18,7 +18,8 @@ from .chase import Deterministic, Seeded, chase
 from .corpus import instance_from_name
 from .matching import evaluate_bcq
 from .model import KbError, ParseError, parse_facts, parse_program, parse_query
-from .treechase import ReplayDivergence, tree_chase_guided, tree_chase_search
+from .treechase import (ReferenceCapExceeded, ReplayDivergence, tree_chase_guided,
+                        tree_chase_search)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -132,8 +133,12 @@ def cmd_query(args) -> int:
                   file=sys.stderr)
             return EXIT_REFUSED
         if args.engine == "tree-guided":
-            verdict = tree_chase_guided(program, database, q, info,
-                                        args.max_steps).entailed
+            try:
+                verdict = tree_chase_guided(program, database, q, info,
+                                            args.max_steps).entailed
+            except ReferenceCapExceeded as err:
+                print(f"{err}; no verdict", file=sys.stderr)
+                return EXIT_REFUSED
         else:
             outcome = tree_chase_search(program, database, q, info.v_ehat,
                                         args.m_bound, args.search_budget)

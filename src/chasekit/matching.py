@@ -100,7 +100,12 @@ def match_each(interp: Interpretation, atoms, binding: dict,
         finally:
             remaining.insert(i, atom)
 
-    return walk()
+    try:
+        return walk()
+    finally:
+        # walk refers to itself through its closure; break the cycle so the
+        # callback and what it holds are freed now, not at the next collection
+        del walk
 
 
 def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,

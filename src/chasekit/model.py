@@ -233,6 +233,8 @@ class Program:
                 seen_ids.add(v.id)
                 self.rule_of_var[v] = rule
         self.datalog_ids = frozenset(r.rule_id for r in self.rules if r.is_datalog)
+        # on a repeated rule id, the first rule with it wins
+        self._by_id = {r.rule_id: r for r in reversed(self.rules)}
 
     def datalog_rules(self) -> tuple:
         return tuple(r for r in self.rules if r.is_datalog)
@@ -241,10 +243,7 @@ class Program:
         return tuple(r for r in self.rules if not r.is_datalog)
 
     def rule(self, rule_id: int) -> Tgd:
-        for r in self.rules:
-            if r.rule_id == rule_id:
-                return r
-        raise KeyError(rule_id)
+        return self._by_id[rule_id]
 
     @property
     def max_var_id(self) -> int:

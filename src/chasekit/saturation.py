@@ -341,10 +341,10 @@ def find_saturating_certificate(program: Program, scc: SccAnalysis,
             if found or budget_hit:
                 break
             for e_set in itertools.combinations(intra, size):
-                tried += 1
-                if tried > candidate_budget:
+                if tried == candidate_budget:
                     budget_hit = True
                     break
+                tried += 1
                 try:
                     report = check_e_saturating(program, scc, ci, e_set, cache,
                                                 path_budget)

@@ -37,6 +37,10 @@ class ReplayDivergence(Exception):
     """A scheduled step could not be replayed; signals an analyzer defect."""
 
 
+class ReferenceCapExceeded(RuntimeError):
+    """The guided engine's reference chase hit its step cap: no verdict."""
+
+
 @dataclass
 class SpaceProfile:
     max_atoms: int = 0
@@ -365,7 +369,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
         raise ValueError("guided tree chase requires an arboreous program")
     reference = chase(program, database, Deterministic(), chase_cap)
     if not reference.terminated:
-        raise RuntimeError("reference chase hit the step cap")
+        raise ReferenceCapExceeded("reference chase hit the step cap")
     theta = bcq_match(reference.interpretation, q)
     replayer = _GuidedReplayer(program, reference, info, database)
     if theta is None:

@@ -1,5 +1,10 @@
+import hashlib
+
+import pytest
+
 from chasekit.chase import Deterministic, Seeded, chase, validate_trace
-from chasekit.corpus import gen_dexp, gen_dexp_nonterm, gen_sets
+from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm,
+                             gen_qbf, gen_sets, gen_sets_nonterm)
 from chasekit.datalog import saturate
 from chasekit.depgraph import build_ledgraph
 from chasekit.matching import evaluate_bcq
@@ -113,3 +118,54 @@ def test_restricted_semantics_blocks_satisfied_match():
     result = chase(p, db)
     assert result.terminated
     assert result.steps == 0
+
+
+# (instance, strategy) -> (sha256 of the trace lines, steps, atoms), frozen
+# from validated runs: a change to the engine must keep every trace byte for
+# byte, seeded draws included
+TRACE_INSTANCES = {
+    "dexp(2)": (lambda: gen_dexp(2, True), 100_000),
+    "counter(2)": (lambda: gen_counter(2), 100_000),
+    "sets(4)": (lambda: gen_sets(4), 100_000),
+    "qbf aea": (lambda: gen_qbf(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3)))), 100_000),
+    "dexp-nonterm": (gen_dexp_nonterm, 500),
+    "sets-nonterm": (gen_sets_nonterm, 500),
+}
+PINNED_TRACES = {
+    ("dexp(2)", Deterministic()): ("5d2b2b95bd572a13ee944e9ca5d6b5605b4a2b44d4a621bf75f133d3305e8067", 77, 95),
+    ("dexp(2)", Seeded(1)): ("56815559c10b120ba4c1b892c4ad5cfdcdd81aa3d0270bd9d7d484f648619d97", 77, 95),
+    ("dexp(2)", Seeded(7)): ("6213b08a31a707ff0cba497a2fc8415575d23f3c91f44ced48033dd992f42de7", 77, 95),
+    ("counter(2)", Deterministic()): ("7f41e88d312f6866f423dece7f77167031d976618dfb118f53c467dd15b243c0", 87, 107),
+    ("counter(2)", Seeded(1)): ("3242d7f69002eece660854153a9f41397f6f1e2f79d6ef886a89dcc8a191914e", 87, 107),
+    ("counter(2)", Seeded(7)): ("ba3764a56068726ec054462b436f5c30dd186009662bf7add77c6dde34a25d1b", 87, 107),
+    ("sets(4)", Deterministic()): ("825d7d2ef386f95626195c3588e6ab49640d8bf6ef0d91154918d0e70caf571d", 196, 329),
+    ("sets(4)", Seeded(1)): ("1d585d307dd6af492c5c7d8e9bfa669d29dc823704b84198a0aaaeae128842de", 196, 329),
+    ("sets(4)", Seeded(7)): ("63257c27699a7578f0539b36ba29151b5bc6e4c3a64bb31342b4c5e51f2a03f4", 196, 329),
+    ("qbf aea", Deterministic()): ("465f81995ce6d12ddddd9bd30d44804ebebe22bdfeadc7847e287655ade80d2e", 109, 153),
+    ("qbf aea", Seeded(1)): ("4f8b175a7b4da2bab70f38198a8f56ffdf80609098f31d149ffcb7ab3072b8cd", 109, 153),
+    ("qbf aea", Seeded(7)): ("3f9beb63b0bc9ebe15120d2968925c1eaf72a44c152272a513be0432cd506b7f", 109, 153),
+    ("dexp-nonterm", Deterministic()): ("ba14a8bce99bb1777f8d8c7a494e05a8aa21b990f74cf4d7075165450b0c3cc2", 500, 618),
+    ("dexp-nonterm", Seeded(1)): ("def0f8a7ab9e18c7f8d262297cd298eeac08713ef718db78c4ee2bf8d964418c", 500, 700),
+    ("dexp-nonterm", Seeded(7)): ("06801202d819d17b372fa3d4962e19d08579019be7884eac6e37d259dd044b4e", 500, 698),
+    ("sets-nonterm", Deterministic()): ("87bd7a27fe913b1d7d0d91c3b0de0636c246643b479a9bb2d6ffe3d859965356", 500, 582),
+    ("sets-nonterm", Seeded(1)): ("1dd0834a161ae2ca5873a4703ed831b9c8f048a2bb3bedcd5cc0fa88080cb56a", 500, 556),
+    ("sets-nonterm", Seeded(7)): ("2a136c6443079a5abaa70f58afe9e83de7a413a6528190fad2204843005255f9", 500, 556),
+}
+
+
+@pytest.mark.parametrize("name, strategy", list(PINNED_TRACES),
+                         ids=[f"{n}-{s}" for n, s in PINNED_TRACES])
+def test_trace_identity(name, strategy):
+    generate, cap = TRACE_INSTANCES[name]
+    inst = generate()
+    result = chase(inst.program, inst.database, strategy, max_steps=cap)
+    trace = result.trace
+    digest = hashlib.sha256("\n".join(trace.lines()).encode()).hexdigest()
+    assert (digest, result.steps, len(result.interpretation)) == PINNED_TRACES[name, strategy]
+    assert result.terminated == (cap == 100_000)
+    if result.terminated:
+        validate_trace(inst.program, trace)
+        for step in trace.steps:
+            for atom in step.added:
+                assert trace.producer_of(atom) == step.index
+        assert all(trace.producer_of(atom) is None for atom in inst.database)

@@ -94,6 +94,19 @@ def test_query_full_vs_tree_guided(tmp_path, capsys):
     assert full == guided == "entailed"
 
 
+def test_query_tree_guided_reference_cap_exits_3(tmp_path, capsys):
+    main(["examples", "qbf", "--out", str(tmp_path)])
+    capsys.readouterr()
+    rc = main(["query", str(tmp_path / "qbf.tgd"), str(tmp_path / "qbf.facts"),
+               str(tmp_path / "qbf.query"), "--engine", "tree-guided",
+               "--max-steps", "5"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip() == "reference chase hit the step cap; no verdict"
+
+
 def test_query_tree_refused_on_non_arboreous(dexp_files, tmp_path, capsys):
     program, facts = dexp_files
     q = tmp_path / "q.query"

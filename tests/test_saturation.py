@@ -181,6 +181,19 @@ def test_find_certificate_sets_nonterm():
     assert result.verdict == "not-saturating"
 
 
+@pytest.mark.parametrize("budget, verdict, tried", [
+    (1, "inconclusive", 1), (10, "inconclusive", 10), (254, "inconclusive", 254),
+    (255, "not-saturating", 255), (4096, "not-saturating", 255)])
+def test_candidate_budget_counts_only_checked_candidates(budget, verdict, tried):
+    # a ring of 8 rules: one component with 8 edges, 2^8 - 1 candidate sets
+    program = parse_program("".join(f"n{i}(X) -> n{(i + 1) % 8}(V), e(X,V) .\n"
+                                    for i in range(8)))
+    scc = scc_analysis(build_ledgraph(program))
+    result = find_saturating_certificate(program, scc, candidate_budget=budget)
+    assert result.verdict == verdict
+    assert [c.candidates_tried for c in result.components if c.candidates_tried] == [tried]
+
+
 def test_propagation_agrees_with_naive_oracle(dexp):
     # cross-check the production path (semi-naive + frozen constants)
     # against a brute-force materializer on the same implications
