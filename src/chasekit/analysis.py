@@ -16,7 +16,7 @@ from typing import Optional
 from .arboreal import (ArboreousInfo, PathGuardReport, PositionOrder,
                        check_arboreous, compute_position_order, is_path_guarded)
 from .depgraph import (LabelledDepGraph, RankReport, SccAnalysis,
-                       build_ledgraph, scc_analysis)
+                       build_ledgraph, compute_rank, scc_analysis)
 from .model import Program
 from .saturation import SaturationResult, find_saturating_certificate
 
@@ -109,7 +109,6 @@ def analyze(program: Program, path_budget: int = 10_000,
                                              candidate_budget)
     ranks = arboreous = order = guard = None
     if saturation.verdict == "saturating":
-        from .depgraph import compute_rank
         ranks = compute_rank(scc, saturation.certificates)
         arboreous = check_arboreous(program, scc, ranks, saturation.certificates)
         if arboreous.arboreous:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .chase import ChaseTrace
-from .depgraph import (LabelledDepGraph, Position, RankReport, SccAnalysis)
+from .depgraph import (LabelledDepGraph, Position, RankReport, SccAnalysis,
+                       positions_of)
 from .model import Atom, Null, Program, Term, Variable
 
 
@@ -350,7 +351,6 @@ def compute_position_order(program: Program, graph: LabelledDepGraph,
     omega_hat = frozenset().union(*(graph.omega[v] for v in chat_set)) \
         if chat_set else frozenset()
     affected: dict = {}
-    from .depgraph import positions_of
     for rule in program.rules:
         hit = []
         for v in list(rule.frontier) + list(rule.body_only):

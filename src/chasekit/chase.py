@@ -25,6 +25,7 @@ rediscovered one is discarded without a homomorphism search.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -143,8 +144,7 @@ class _RuleQueue:
     def __init__(self, rule: Tgd):
         self.rule = rule
         self.vars = rule.frontier + rule.body_only
-        self.items: list = []
-        self.head = 0
+        self.items: deque = deque()
         self.n_frontier = len(rule.frontier)
         slot = {v: i for i, v in enumerate(self.vars)}
         self.head_spec = tuple((a.pred, tuple(slot.get(t, t) for t in a.args))
@@ -155,19 +155,18 @@ class _RuleQueue:
         self.items.append(tuple([binding[v] for v in self.vars]))
 
     def __len__(self) -> int:
-        return len(self.items) - self.head
+        return len(self.items)
 
     def as_match(self, values: tuple) -> dict:
         return dict(zip(self.vars, values))
 
     def pop_oldest(self) -> tuple:
-        values = self.items[self.head]
-        self.items[self.head] = None
-        self.head += 1
-        return values
+        return self.items.popleft()
 
     def pop_at(self, offset: int) -> tuple:
-        return self.items.pop(self.head + offset)
+        values = self.items[offset]
+        del self.items[offset]
+        return values
 
     def satisfied(self, interp: Interpretation, values: tuple) -> bool:
         """Is the candidate ``values`` satisfied?  A False answer hands the
@@ -307,18 +306,13 @@ def chase(program: Program, database: Database, strategy=Deterministic(),
     return _Engine(program, database, strategy, max_steps).run()
 
 
-def chain_edges(trace: ChaseTrace) -> list:
-    return list(trace.chain_edges)
-
-
-def validate_trace(program: Program, trace: ChaseTrace,
-                   check_datalog_first: bool = True) -> None:
+def validate_trace(program: Program, trace: ChaseTrace) -> None:
     """Replay a trace and verify every chase-step side condition.
 
     Checks, step by step: the match embeds the body in the pre-state, the
     match was unsatisfied, fresh nulls were really fresh, the new facts are
-    exactly the instantiated head, and (optionally) that no existential-free
-    rule had an unsatisfied match when an existential rule fired.
+    exactly the instantiated head, and that no existential-free rule had
+    an unsatisfied match when an existential rule fired.
     Raises AssertionError on the first violation.
     """
     interp = Interpretation(trace.database)
@@ -330,7 +324,7 @@ def validate_trace(program: Program, trace: ChaseTrace,
                 f"step {step.index}: match does not embed the body"
         assert not head_satisfied(interp, rule.head, step.match), \
             f"step {step.index}: match was already satisfied"
-        if check_datalog_first and rule.existentials:
+        if rule.existentials:
             for dl in program.rules:
                 if not dl.is_datalog:
                     continue

@@ -13,11 +13,12 @@ import sys
 from pathlib import Path
 
 from .analysis import analyze
-from .arboreal import InvariantViolation
+from .arboreal import InvariantViolation, build_term_tree
 from .chase import Deterministic, Seeded, chase
 from .corpus import instance_from_name
+from .depgraph import build_ledgraph, scc_analysis
 from .matching import evaluate_bcq
-from .model import KbError, ParseError, parse_facts, parse_program, parse_query
+from .model import KbError, parse_facts, parse_program, parse_query
 from .treechase import (ReferenceCapExceeded, ReplayDivergence, tree_chase_guided,
                         tree_chase_search)
 
@@ -29,6 +30,13 @@ EXIT_INVARIANT = 4
 DEFAULT_CHASE_CAP = 100_000
 DEFAULT_PATH_BUDGET = 10_000
 DEFAULT_SEARCH_BUDGET = 100_000
+
+
+def _count(text: str) -> int:
+    """A budget or bound: an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _load_program(path: str):
@@ -90,7 +98,6 @@ def cmd_chase(args) -> int:
         Path(args.trace_json).write_text(json.dumps(result.trace.to_dict(), indent=2),
                                          encoding="utf-8")
     if args.term_tree:
-        from .arboreal import build_term_tree
         report = analyze(program)
         info = report.arboreous
         if info is None or not info.arboreous or not result.terminated:
@@ -184,9 +191,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    program = _load_program(args.program)
-    report = analyze(program)
-    dot = report.graph.to_dot(report.scc)
+    graph = build_ledgraph(_load_program(args.program))
+    dot = graph.to_dot(scc_analysis(graph))
     if args.out:
         Path(args.out).write_text(dot, encoding="utf-8")
     else:
@@ -207,15 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="DIR", help="write graph exports to DIR")
-    p.add_argument("--budget", type=int, default=4096,
+    p.add_argument("--budget", type=_count, default=4096,
                    help="certificate candidates per component")
-    p.add_argument("--path-budget", type=int, default=DEFAULT_PATH_BUDGET)
+    p.add_argument("--path-budget", type=_count, default=DEFAULT_PATH_BUDGET)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("chase", help="run the restricted chase")
     p.add_argument("program")
     p.add_argument("facts")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_CHASE_CAP)
+    p.add_argument("--max-steps", type=_count, default=DEFAULT_CHASE_CAP)
     p.add_argument("--strategy", default="deterministic",
                    help="deterministic or seeded:<n>")
     p.add_argument("--trace", metavar="OUT", help="write the line-format trace")
@@ -230,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--engine", choices=("full", "tree-guided", "tree-search"),
                    default="full")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_CHASE_CAP)
-    p.add_argument("--m-bound", type=int, default=32,
+    p.add_argument("--max-steps", type=_count, default=DEFAULT_CHASE_CAP)
+    p.add_argument("--m-bound", type=_count, default=32,
                    help="inner bound for the search engine")
-    p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--search-budget", type=_count, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("examples", help="write a built-in instance to files")
@@ -259,10 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KbError, FileNotFoundError, ValueError) as err:
+    except (KbError, OSError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (InvariantViolation, ReplayDivergence) as err:

@@ -1,8 +1,11 @@
 """Bottom-up Datalog saturation and the frozen-constant entailment check.
 
 ``saturate`` computes the least fixpoint of a set of existential-free rules
-by semi-naive iteration: each round only considers matches that touch at
-least one atom derived in the previous round.
+the way the chase discovers matches: each fact, given or derived, is taken
+once from a worklist, unified with every body atom of its predicate, and
+the rest of the body is matched around it.  Every match is found at the
+latest when the last of its facts is taken, since the others are present
+by then.
 
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by replacing every variable with a reserved
@@ -21,42 +24,30 @@ from .model import Atom, Constant, Interpretation, Tgd, Variable, substitute
 _FREEZE_PREFIX = "\x00frz_"
 
 
-def check_datalog(rules: Iterable[Tgd]) -> tuple:
-    rules = tuple(rules)
-    for r in rules:
-        if r.existentials:
-            raise ValueError(f"rule {r.rule_id} has existential variables")
-    return rules
-
-
 def saturate(rules: Iterable[Tgd], facts: Interpretation) -> Interpretation:
     """Least fixpoint of ``rules`` over ``facts``; the input is not modified."""
-    rules = check_datalog(rules)
+    # predicate -> (rule, body atom, rest of the body) per body atom
+    body_index: dict = {}
+    for rule in rules:
+        if rule.existentials:
+            raise ValueError(f"rule {rule.rule_id} has existential variables")
+        body = rule.body
+        for k, atom in enumerate(body):
+            body_index.setdefault(atom.pred, []).append(
+                (rule, atom, body[:k] + body[k + 1:]))
     result = facts.copy()
-    delta = list(result)
-    while delta:
-        delta_set = set(delta)
-        fresh: dict = {}
-        for rule in rules:
-            for k, atom in enumerate(rule.body):
-                for pivot in delta:
-                    seed = unify_atom(atom, pivot, {})
-                    if seed is None:
-                        continue
-                    rest = rule.body[:k] + rule.body[k + 1:]
-                    for match in find_matches(result, rest, seed, reorder=True):
-                        # Dedupe pivot roles: count a match only at its first
-                        # delta position, so each match fires once per round.
-                        if any(substitute(b, match) in delta_set
-                               for b in rule.body[:k]):
-                            continue
-                        for h in rule.head:
-                            new = substitute(h, match)
-                            if new not in result and new not in fresh:
-                                fresh[new] = None
-        for atom in fresh:
-            result.add(atom)
-        delta = list(fresh)
+    worklist = list(result)
+    while worklist:
+        fact = worklist.pop()
+        for rule, atom, rest in body_index.get(fact.pred, ()):
+            seed = unify_atom(atom, fact, {})
+            if seed is None:
+                continue
+            for match in find_matches(result, rest, seed, reorder=True):
+                for h in rule.head:
+                    new = substitute(h, match)
+                    if result.add(new):
+                        worklist.append(new)
     return result
 
 

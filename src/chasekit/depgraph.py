@@ -90,9 +90,6 @@ class LabelledDepGraph:
     def edges_into(self, v: Variable) -> list:
         return [e for e in self.edges if e.dst == v]
 
-    def edges_from(self, v: Variable) -> list:
-        return [e for e in self.edges if e.src == v]
-
     def vertex_label(self, v: Variable) -> str:
         return f"{v.name}@r{self.program.rule_of_var[v].rule_id}"
 
@@ -272,9 +269,6 @@ class ComponentRank:
 class RankReport:
     components: tuple      # ComponentRank per component, topological order
     program_rank: int
-
-    def rank_of(self, component: int) -> int:
-        return self.components[component].rank
 
 
 class MissingCertificate(Exception):

@@ -39,20 +39,17 @@ def match_each(interp: Interpretation, atoms, binding: dict,
     function reports whether it was stopped."""
     remaining = list(atoms)
 
-    def pick(current: dict) -> int:
-        if not reorder or len(remaining) == 1:
-            return 0
-        best, best_n = 0, None
-        for i, atom in enumerate(remaining):
-            n = len(interp.candidates(atom, current))
-            if best_n is None or n < best_n:
-                best, best_n = i, n
-        return best
-
     def walk() -> bool:
         if not remaining:
             return bool(callback(binding))
-        i = pick(binding)
+        # most constrained atom first; the first minimum wins a tie
+        i = 0
+        facts = interp.candidates(remaining[0], binding)
+        if reorder:
+            for j in range(1, len(remaining)):
+                other = interp.candidates(remaining[j], binding)
+                if len(other) < len(facts):
+                    i, facts = j, other
         atom = remaining.pop(i)
         leaf = not remaining
         # plan the positions once per level: values fixed by the current
@@ -74,7 +71,7 @@ def match_each(interp: Interpretation, atoms, binding: dict,
             else:
                 check.append((idx, p))
         try:
-            for fact in interp.candidates(atom, binding):
+            for fact in facts:
                 fa = fact.args
                 ok = True
                 for idx, expect in check:
@@ -122,18 +119,6 @@ def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
     return iter(out)
 
 
-def first_match(interp: Interpretation, atoms,
-                subst: Optional[dict] = None) -> Optional[dict]:
-    found: list = []
-
-    def keep(binding: dict) -> bool:
-        found.append(dict(binding))
-        return True
-
-    match_each(interp, atoms, dict(subst) if subst else {}, keep, reorder=True)
-    return found[0] if found else None
-
-
 def head_satisfied(interp: Interpretation, head, subst: Mapping[Variable, Term]) -> bool:
     """Can ``subst`` extend over the head-only variables so the head embeds?"""
     return match_each(interp, head, dict(subst), lambda _b: True, reorder=True)
@@ -145,4 +130,12 @@ def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:
 
 
 def bcq_match(interp: Interpretation, q: BCQ) -> Optional[dict]:
-    return first_match(interp, q.atoms)
+    """The first embedding of the query's atoms, or None."""
+    found: list = []
+
+    def keep(binding: dict) -> bool:
+        found.append(dict(binding))
+        return True
+
+    match_each(interp, q.atoms, {}, keep, reorder=True)
+    return found[0] if found else None

@@ -97,17 +97,6 @@ class Null:
 
 Term = Union[Constant, Variable, Null]
 
-_TERM_RANK = {Constant: 0, Null: 1, Variable: 2}
-
-
-def term_key(t: Term) -> tuple:
-    """Deterministic sort key over mixed terms."""
-    if isinstance(t, Constant):
-        return (0, t.name)
-    if isinstance(t, Null):
-        return (1, t.id)
-    return (2, t.id)
-
 
 # ---------------------------------------------------------------------------
 # Atoms
@@ -254,12 +243,6 @@ class Program:
         for i in counter:
             yield Variable(i, f"{prefix}{i}")
 
-    def existential_variables(self) -> tuple:
-        out = []
-        for rule in self.rules:
-            out.extend(rule.existentials)
-        return tuple(out)
-
     def constants(self) -> tuple:
         seen: dict = {}
         for rule in self.rules:
@@ -318,14 +301,8 @@ class Interpretation:
     def __iter__(self) -> Iterator[Atom]:
         return iter(self._index_of)
 
-    def index_of(self, atom: Atom) -> int:
-        return self._index_of[atom]
-
     def by_pred(self, pred: str) -> list:
         return self._by_pred.get(pred, [])
-
-    def by_arg(self, pred: str, pos: int, term: Term) -> list:
-        return self._by_arg.get((pred, pos, term), [])
 
     def candidates(self, pattern: Atom, subst: Mapping[Variable, Term]) -> list:
         """Smallest indexed fact list compatible with the bound positions."""

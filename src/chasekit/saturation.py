@@ -182,23 +182,21 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
 
 
 def _is_acyclic(vertices, edges) -> bool:
+    """Kahn elimination: the graph is acyclic iff every vertex gets removed."""
     succ: dict = {v: [] for v in vertices}
+    indegree = dict.fromkeys(succ, 0)
     for e in edges:
         succ[e.src].append(e.dst)
-    state: dict = {}
-
-    def visit(v) -> bool:
-        state[v] = 1
-        for w in succ[v]:
-            s = state.get(w)
-            if s == 1:
-                return False
-            if s is None and not visit(w):
-                return False
-        state[v] = 2
-        return True
-
-    return all(visit(v) for v in vertices if v not in state)
+        indegree[e.dst] += 1
+    ready = [v for v, d in indegree.items() if not d]
+    removed = 0
+    while ready:
+        removed += 1
+        for w in succ[ready.pop()]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return removed == len(succ)
 
 
 @dataclass

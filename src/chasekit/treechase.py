@@ -29,6 +29,12 @@ from .model import (Atom, BCQ, Constant, Database, Interpretation, Null,
                     Program, Term, Tgd, Variable, substitute)
 
 
+# runner nulls are numbered from here, apart from the reference chase's nulls
+_NULL_NAMESPACE = 1_000_000_000
+# task nodes one TaskTreeBuilder may create before it gives up
+_TASK_NODE_CAP = 500_000
+
+
 class InvalidChoice(Exception):
     pass
 
@@ -79,7 +85,7 @@ class TreeChaseRun:
     """
 
     def __init__(self, program: Program, database: Database, v_ehat: Iterable[Variable],
-                 null_namespace: int = 1_000_000_000, datalog_first: bool = True):
+                 datalog_first: bool = True):
         self.program = program
         self.datalog_first = datalog_first
         self.v_ehat = set(v_ehat)
@@ -88,7 +94,7 @@ class TreeChaseRun:
             itertools.chain(program.constants(),
                             (t for t in database.terms()))))
         self.stack: list = [set(constants)]
-        self.null_counter = itertools.count(null_namespace)
+        self.null_counter = itertools.count(_NULL_NAMESPACE)
         self.datalog = [r for r in program.rules if r.is_datalog]
         self.profile = SpaceProfile()
         self.profile.inner_steps.append(0)
@@ -210,9 +216,6 @@ class TaskNode:
     step: int
     children: list
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
 
 class TaskTreeBuilder:
     """Derives, for a chase step, the schedule that rebuilds its inputs.
@@ -223,12 +226,10 @@ class TaskTreeBuilder:
     same path.
     """
 
-    def __init__(self, program: Program, trace: ChaseTrace, tree: TermTree,
-                 node_cap: int = 500_000):
+    def __init__(self, program: Program, trace: ChaseTrace, tree: TermTree):
         self.program = program
         self.trace = trace
         self.tree = tree
-        self.node_cap = node_cap
         self.nodes_made = 0
         self.atom_steps: dict = {}    # (depth, path) -> ascending step indices
         for step in trace.steps:
@@ -253,7 +254,7 @@ class TaskTreeBuilder:
 
     def build(self, depth: int, step: int) -> TaskNode:
         self.nodes_made += 1
-        if self.nodes_made > self.node_cap:
+        if self.nodes_made > _TASK_NODE_CAP:
             raise InvariantViolation("task tree exceeds the node cap")
         path = self.body_path[step]
         children = []

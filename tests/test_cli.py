@@ -166,3 +166,64 @@ def test_chase_term_tree_refused_for_non_arboreous(dexp_files, tmp_path, capsys)
 
 def test_missing_file_exits_2(capsys):
     assert main(["parse", "/nonexistent/file.tgd"]) == 2
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    main(["examples", "qbf", "--quantifiers", "ea", "--clauses", "1,2;1,-2",
+          "--out", str(d)])
+    main(["examples", "sets", "--n", "1", "--out", str(d)])
+    (d / "bad.tgd").write_text("p(X) -> \n")
+    (d / "bad.facts").write_text("p(X) .\n")
+    (d / "bad.query").write_text("?- .\n")
+    (d / "binary.tgd").write_bytes(b"\xff\xfe\x00")
+    return d
+
+
+_Q = ["query", "qbf.tgd", "qbf.facts", "qbf.query"]
+_SETS = ["query", "sets.tgd", "sets.facts", "sets.query"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["parse", "bad.tgd"], 2),
+    (["parse", "binary.tgd"], 2),
+    (["parse", "."], 2),
+    (["analyze", "bad.tgd"], 2),
+    (["graph", "bad.tgd"], 2),
+    (["chase", "bad.tgd", "qbf.facts"], 2),
+    (["chase", "qbf.tgd", "bad.facts"], 2),
+    (["query", "bad.tgd", "qbf.facts", "qbf.query"], 2),
+    (["query", "qbf.tgd", "bad.facts", "qbf.query"], 2),
+    (["query", "qbf.tgd", "qbf.facts", "bad.query"], 2),
+    (["query", "qbf.tgd", "qbf.facts", "bad.query", "--engine", "tree-guided"], 2),
+    (["examples", "qbf", "--out", "qbf.tgd"], 2),
+    (["examples", "qbf", "--clauses", "1,x", "--out", "ex"], 2),
+    (["analyze", "qbf.tgd", "--budget", "0", "--path-budget", "0"], 0),
+    (["analyze", "sets.tgd", "--budget", "0", "--path-budget", "0"], 0),
+    (["graph", "sets.tgd"], 0),
+    (["chase", "qbf.tgd", "qbf.facts", "--max-steps", "0"], 0),
+    (["chase", "sets.tgd", "sets.facts", "--max-steps", "0",
+      "--term-tree", "tree.dot"], 3),
+    ([*_Q, "--max-steps", "0"], 3),
+    ([*_Q, "--engine", "tree-guided", "--max-steps", "0"], 3),
+    ([*_SETS, "--engine", "tree-search", "--m-bound", "0", "--search-budget", "0"], 3),
+    (["analyze", "qbf.tgd", "--budget", "-1"], 2),
+    (["analyze", "qbf.tgd", "--path-budget", "-1"], 2),
+    (["chase", "qbf.tgd", "qbf.facts", "--max-steps", "-1"], 2),
+    ([*_Q, "--max-steps", "-1"], 2),
+    ([*_Q, "--engine", "tree-search", "--search-budget", "-1"], 2),
+    ([*_Q, "--engine", "tree-search", "--m-bound", "-1"], 2),
+])
+def test_exit_code_contract(contract_dir, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(contract_dir)
+    try:
+        got = main(argv)
+    except SystemExit as stop:      # argparse rejects a flag value
+        got = stop.code
+    err = capsys.readouterr().err
+    assert got in (0, 2, 3, 4)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code:
+        assert err.strip()

@@ -1,9 +1,9 @@
 import pytest
 
 from chasekit.corpus import gen_dexp, gen_sets, gen_sets_nonterm
-from chasekit.depgraph import build_ledgraph, scc_analysis
-from chasekit.model import parse_program
-from chasekit.saturation import (NonComposablePath, check_e_saturating,
+from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
+from chasekit.model import Variable, parse_program
+from chasekit.saturation import (NonComposablePath, _is_acyclic, check_e_saturating,
                                  enumerate_ebar_paths, find_saturating_certificate,
                                  is_base_propagating, is_step_propagating,
                                  path_query)
@@ -219,3 +219,12 @@ def test_propagation_invariant_under_renaming(dexp):
     e1 = _edge(graph2, "X")
     for label in ("X1", "X2"):
         assert is_base_propagating(renamed, (e1, _edge(graph2, label)))
+
+
+def test_acyclicity_check_is_iterative_on_long_paths():
+    # far deeper than the interpreter's recursion limit
+    vs = [Variable(i, f"V{i}") for i in range(3000)]
+    label = Variable(10_000, "Y")
+    path = [DepEdge(a, label, b) for a, b in zip(vs, vs[1:])]
+    assert _is_acyclic(vs, path)
+    assert not _is_acyclic(vs, path + [DepEdge(vs[-1], label, vs[0])])
