@@ -10,6 +10,10 @@ by then.
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by replacing every variable with a reserved
 fresh constant, saturating, and testing membership of the frozen head.
+Saturation only adds facts, so a frozen head already inside the frozen
+body is entailed without it; and with no rules the frozen body is its own
+closure, so that membership test is the whole answer.  Only a head that
+is not in the body, under a nonempty rule set, costs a saturation.
 """
 
 from __future__ import annotations
@@ -77,7 +81,13 @@ def entails(rules: Iterable[Tgd], body: Iterable[Atom], head: Iterable[Atom]) ->
     universally quantified.
     """
     frz = FreshConstants()
-    frozen_body = Interpretation(frz.freeze(a) for a in body)
+    frozen_body = [frz.freeze(a) for a in body]
     frozen_head = [frz.freeze(a) for a in head]
-    closure = saturate(rules, frozen_body)
+    known = set(frozen_body)
+    if all(a in known for a in frozen_head):
+        return True
+    rules = tuple(rules)
+    if not rules:
+        return False
+    closure = saturate(rules, Interpretation(frozen_body))
     return all(a in closure for a in frozen_head)

@@ -221,12 +221,13 @@ class Program:
                         f"variable id {v.id} ({v.name}) occurs in more than one rule")
                 seen_ids.add(v.id)
                 self.rule_of_var[v] = rule
-        self.datalog_ids = frozenset(r.rule_id for r in self.rules if r.is_datalog)
+        self._datalog = tuple(r for r in self.rules if r.is_datalog)
+        self.datalog_ids = frozenset(r.rule_id for r in self._datalog)
         # on a repeated rule id, the first rule with it wins
         self._by_id = {r.rule_id: r for r in reversed(self.rules)}
 
     def datalog_rules(self) -> tuple:
-        return tuple(r for r in self.rules if r.is_datalog)
+        return self._datalog
 
     def existential_rules(self) -> tuple:
         return tuple(r for r in self.rules if not r.is_datalog)

@@ -13,6 +13,16 @@ cycles, all E-edges into one target share a label, and both propagation
 conditions hold for every E-avoiding connection between E-edges.  The
 search enumerates feedback edge sets ascending by size and memoizes the
 individual propagation checks.
+
+Both ``check_e_saturating`` and the search walk the four conditions in the
+same order, one elementary check at a time (``_condition_checks``).  The
+report consumes the whole walk; the search drops a candidate at its first
+failed check, since a single failure already rules it out, so a candidate
+whose first base path fails costs no step-propagation check at all.  The
+search then re-runs the full report on the last failed candidate only, so
+a negative verdict still carries every condition, both counts and the
+first counterexample, exactly as if each candidate had been checked in
+full.
 """
 
 from __future__ import annotations
@@ -110,8 +120,7 @@ def is_base_propagating(program: Program, path: Iterable[DepEdge]) -> bool:
     first_label = pq.renamings[0][pq.path[0].label]
     conclusion = tuple(substitute(a, {first_label: pq.chain_vars[-1]})
                        for a in pq.head_parts[0])
-    datalog = [r for r in program.rules if r.is_datalog]
-    return entails(datalog, pq.atoms, conclusion)
+    return entails(program.datalog_rules(), pq.atoms, conclusion)
 
 
 def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
@@ -142,8 +151,7 @@ def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
     conc_map[v_star] = pq.chain_vars[ell + 1]        # null created by path_b's edge
     hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in rule_star.head)
     conclusion = tuple(substitute(a, conc_map) for a in rule_star.head)
-    datalog = [r for r in program.rules if r.is_datalog]
-    return entails(datalog, hypothesis, conclusion)
+    return entails(program.datalog_rules(), hypothesis, conclusion)
 
 
 def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEdge],
@@ -155,14 +163,24 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
     Returns (start_vertex, edge_tuple) pairs.  Requires the component
     without ``e_set`` to be acyclic; raises PathBudgetExceeded past the cap.
     """
-    e_keys = {_edge_key(e) for e in e_set}
-    intra = [e for e in scc.intra_edges[component] if _edge_key(e) not in e_keys]
-    if not _is_acyclic(scc.components[component], intra):
+    e_set = tuple(e_set)
+    remainder = _remainder(scc, component, e_set)
+    if not _is_acyclic(scc.components[component], remainder):
         raise ValueError("component minus the edge set is cyclic")
+    return _ebar_paths(remainder, e_set, path_budget)
+
+
+def _remainder(scc: SccAnalysis, component: int, e_set: tuple) -> list:
+    e_keys = {_edge_key(e) for e in e_set}
+    return [e for e in scc.intra_edges[component] if _edge_key(e) not in e_keys]
+
+
+def _ebar_paths(remainder: list, e_set: tuple, path_budget: int) -> list:
+    """``enumerate_ebar_paths`` over an acyclic ``remainder``."""
     starts = {e.dst for e in e_set}
     ends = {e.src for e in e_set}
     out_edges: dict = {}
-    for e in intra:
+    for e in remainder:
         out_edges.setdefault(e.src, []).append(e)
     paths = []
     for s in sorted(starts, key=lambda v: v.id):
@@ -235,6 +253,46 @@ class PropagationCache:
         return self.step[key]
 
 
+def _condition_checks(program: Program, scc: SccAnalysis, component: int,
+                      e_set: tuple, cache: PropagationCache, path_budget: int):
+    """Walk the certificate conditions one elementary check at a time.
+
+    Yields ``(condition index, counterexample)``, the counterexample being
+    None for a check that holds: one check each for acyclicity and the
+    shared labels, then, only if both hold, one per base path and one per
+    step pair, in a fixed order.  A check runs only when its pair is
+    requested, so a caller that stops at the first failure skips the rest.
+    """
+    remainder = _remainder(scc, component, e_set)
+    acyclic = _is_acyclic(scc.components[component], remainder)
+    yield 0, None if acyclic else "cycle survives edge removal"
+    by_target: dict = {}
+    for e in e_set:
+        by_target.setdefault(e.dst, set()).add(e.label)
+    bad = next((v for v, ls in by_target.items() if len(ls) > 1), None)
+    yield 1, None if bad is None else (f"edges into {bad.name} carry labels "
+                                       f"{sorted(l.name for l in by_target[bad])}")
+    if not acyclic or bad is not None:
+        return
+    ebar = _ebar_paths(remainder, e_set, path_budget)
+    for e in e_set:
+        for start, cont in ebar:
+            if start == e.dst:
+                ok = cache.base_ok((e,) + cont)
+                yield 2, None if ok else \
+                    f"not base-propagating: {e} with continuation length {len(cont)}"
+    for ea, eb in itertools.product(e_set, repeat=2):
+        for start_a, cont_a in ebar:
+            if start_a != ea.dst or (cont_a[-1].dst if cont_a else start_a) != eb.src:
+                continue
+            for start_b, cont_b in ebar:
+                if start_b != eb.dst:
+                    continue
+                for e_star in e_set:
+                    ok = cache.step_ok((ea,) + cont_a, (eb,) + cont_b, e_star)
+                    yield 3, None if ok else f"not step-propagating for {e_star}"
+
+
 def check_e_saturating(program: Program, scc: SccAnalysis, component: int,
                        e_set: Iterable[DepEdge], cache: Optional[PropagationCache] = None,
                        path_budget: int = 10_000) -> CheckReport:
@@ -245,48 +303,17 @@ def check_e_saturating(program: Program, scc: SccAnalysis, component: int,
     for e in e_set:
         if _edge_key(e) not in intra_keys:
             raise ValueError(f"{e} is not an edge of component {component}")
-    e_keys = {_edge_key(e) for e in e_set}
-    remainder = [e for e in scc.intra_edges[component] if _edge_key(e) not in e_keys]
-    cond1 = _is_acyclic(scc.components[component], remainder)
-    by_target: dict = {}
-    for e in e_set:
-        by_target.setdefault(e.dst, set()).add(e.label)
-    cond2 = all(len(labels) == 1 for labels in by_target.values())
+    conditions = [True] * 4
+    checked = [0] * 4
     counterexample = None
-    if not cond1:
-        counterexample = "cycle survives edge removal"
-    elif not cond2:
-        bad = next(v for v, ls in by_target.items() if len(ls) > 1)
-        counterexample = (f"edges into {bad.name} carry labels "
-                          f"{sorted(l.name for l in by_target[bad])}")
-    cond3 = cond4 = True
-    base_count = step_count = 0
-    if cond1 and cond2:
-        ebar = enumerate_ebar_paths(scc, component, e_set, path_budget)
-        for e in e_set:
-            for start, cont in ebar:
-                if start != e.dst:
-                    continue
-                base_count += 1
-                if not cache.base_ok((e,) + cont):
-                    cond3 = False
-                    counterexample = counterexample or \
-                        f"not base-propagating: {e} with continuation length {len(cont)}"
-        for ea, eb in itertools.product(e_set, repeat=2):
-            for start_a, cont_a in ebar:
-                if start_a != ea.dst or (cont_a[-1].dst if cont_a else start_a) != eb.src:
-                    continue
-                for start_b, cont_b in ebar:
-                    if start_b != eb.dst:
-                        continue
-                    for e_star in e_set:
-                        step_count += 1
-                        if not cache.step_ok((ea,) + cont_a, (eb,) + cont_b, e_star):
-                            cond4 = False
-                            counterexample = counterexample or \
-                                f"not step-propagating for {e_star}"
-    return CheckReport(component, e_set, (cond1, cond2, cond3, cond4),
-                       counterexample, base_count, step_count)
+    for i, failure in _condition_checks(program, scc, component, e_set, cache,
+                                        path_budget):
+        checked[i] += 1
+        if failure:
+            conditions[i] = False
+            counterexample = counterexample or failure
+    return CheckReport(component, e_set, tuple(conditions), counterexample,
+                       checked[2], checked[3])
 
 
 @dataclass
@@ -319,55 +346,60 @@ def find_saturating_certificate(program: Program, scc: SccAnalysis,
 
     Candidates are enumerated ascending by cardinality over the component's
     edges, keeping only feedback sets (condition one is necessary), with
-    propagation checks memoized across candidates.  Exhausting the
-    enumeration yields a definitive negative; hitting the candidate or path
-    budget yields an inconclusive verdict instead.
+    propagation checks memoized across candidates.  A candidate is dropped
+    at its first failed check: every condition must hold for a certificate,
+    so the checks after a failure cannot change whether it is one.  The
+    report of the certificate found, or of the last feedback set that
+    failed, is the full ``check_e_saturating`` report of that edge set, the
+    same as with no early stop.  Exhausting the enumeration yields a
+    definitive negative; hitting the candidate or path budget yields an
+    inconclusive verdict instead.  Negative budgets raise ValueError.
     """
+    if candidate_budget < 0 or path_budget < 0:
+        raise ValueError("budgets must not be negative")
     cache = PropagationCache(program)
     out = []
     for ci, comp in enumerate(scc.components):
         intra = scc.intra_edges[ci]
+        verts = tuple(sorted(comp, key=lambda v: v.id))
         if not intra:
-            out.append(ComponentCertificate(ci, tuple(sorted(comp, key=lambda v: v.id)),
-                                            (), None, "saturating", "trivial component"))
+            out.append(ComponentCertificate(ci, verts, (), None, "saturating",
+                                            "trivial component"))
             continue
         tried = 0
-        found = None
-        failure_reports = []
+        found = last_failed = None
         budget_hit = False
-        for size in range(1, len(intra) + 1):
-            if found or budget_hit:
+        for e_set in itertools.chain.from_iterable(
+                itertools.combinations(intra, size) for size in range(1, len(intra) + 1)):
+            if tried == candidate_budget:
+                budget_hit = True
                 break
-            for e_set in itertools.combinations(intra, size):
-                if tried == candidate_budget:
-                    budget_hit = True
-                    break
-                tried += 1
-                try:
-                    report = check_e_saturating(program, scc, ci, e_set, cache,
-                                                path_budget)
-                except PathBudgetExceeded:
-                    budget_hit = True
-                    break
-                if not report.conditions[0]:
-                    continue
-                if report.ok:
-                    found = report
-                    break
-                failure_reports.append(report)
-        verts = tuple(sorted(comp, key=lambda v: v.id))
+            tried += 1
+            try:
+                failed = next((i for i, failure in _condition_checks(
+                    program, scc, ci, e_set, cache, path_budget) if failure), None)
+            except PathBudgetExceeded:
+                budget_hit = True
+                break
+            if failed is None:
+                found = e_set
+                break
+            if failed > 0:         # a feedback set that fails a later condition
+                last_failed = e_set
         if found:
-            out.append(ComponentCertificate(ci, verts, found.e_set, found,
+            report = check_e_saturating(program, scc, ci, found, cache, path_budget)
+            out.append(ComponentCertificate(ci, verts, found, report,
                                             "saturating", None, tried))
         elif budget_hit:
             out.append(ComponentCertificate(ci, verts, (), None, "inconclusive",
                                             "search budget exceeded", tried))
+        elif last_failed:
+            report = check_e_saturating(program, scc, ci, last_failed, cache, path_budget)
+            out.append(ComponentCertificate(ci, verts, (), report, "not-saturating",
+                                            report.counterexample, tried))
         else:
-            last = failure_reports[-1] if failure_reports else None
-            reason = (last.counterexample if last
-                      else "no feedback edge set exists")
-            out.append(ComponentCertificate(ci, verts, (), last,
-                                            "not-saturating", reason, tried))
+            out.append(ComponentCertificate(ci, verts, (), None, "not-saturating",
+                                            "no feedback edge set exists", tried))
     if all(c.verdict == "saturating" for c in out):
         verdict = "saturating"
     elif any(c.verdict == "not-saturating" for c in out):

@@ -95,7 +95,7 @@ class TreeChaseRun:
                             (t for t in database.terms()))))
         self.stack: list = [set(constants)]
         self.null_counter = itertools.count(_NULL_NAMESPACE)
-        self.datalog = [r for r in program.rules if r.is_datalog]
+        self.datalog = program.datalog_rules()
         self.profile = SpaceProfile()
         self.profile.inner_steps.append(0)
         self.log: list = []

@@ -1,7 +1,12 @@
+import hashlib
 import json
 
+import pytest
+
 from chasekit.analysis import analyze
-from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets, gen_sets_nonterm
+from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_qbf, gen_sets,
+                             gen_sets_nonterm)
+from chasekit.model import parse_program
 
 
 def test_dexp_report():
@@ -57,3 +62,48 @@ def test_report_json_round_trips():
                     gen_sets_nonterm().program):
         d = analyze(program).to_dict()
         assert json.loads(json.dumps(d)) == d
+
+
+def _ring(n):
+    return parse_program("".join(f"n{i}(X) -> n{(i + 1) % n}(V), e(X,V) .\n"
+                                 for i in range(n)))
+
+
+# program -> (candidate budget, sha256 of the sorted-key JSON of to_dict()
+# without timing), frozen from the analyzer that checked every candidate in
+# full: stopping a candidate at its first failed condition must not change
+# a byte of the report
+PINNED_REPORTS = {
+    "dexp(2)": (lambda: gen_dexp(2, True).program, 4096,
+                "eafd5e4cd68906991c7faac734b24a3453b5b43fb299b09e70c64e26e28ebb9f"),
+    "dexp(2) no propagation": (lambda: gen_dexp(2, False).program, 4096,
+                               "a8bdc572c310cfd97e1c5b25b0ac1625c76e9d8402a87f85a312c4f2d8f61602"),
+    "sets(3)": (lambda: gen_sets(3).program, 4096,
+                "53ae7c645a5442c9e8e02dcd90fa01b9eb9ec0d2dcb0cee77799ca6ad9616df6"),
+    "sets-nonterm": (lambda: gen_sets_nonterm().program, 4096,
+                     "05092d489d7d57aab26a6836db5079114af5a0f5a2a424ec92c6684cf33736e9"),
+    "counter(2)": (lambda: gen_counter(2).program, 4096,
+                   "66b976fb1dc801b741247011b5d013b59cf0741bd007f78edf87d65824b6b8aa"),
+    "qbf aea": (lambda: gen_qbf(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3)))).program,
+                4096, "5e7ae49958e7b829dc8f99bfa612cad4f67c660c80a93e45b9a8a3aa339b51c5"),
+    "ring(8)": (lambda: _ring(8), 4096,
+                "5d1c0e085e94bd909681278ff8ea69e1446b5dae88a12fbe6d303fd7c9976000"),
+    "ring(10)": (lambda: _ring(10), 4096,
+                 "c3e6a94e96ebed975ae480b13dca6016838bfd4f1ba5ab05b8d81aef35a79c16"),
+    "ring(50)": (lambda: _ring(50), 120,
+                 "1e1533e882b8687b772eb4e71c8f3d3d0d3def9e3bdcba93eccc2578552e9d22"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_report_pinned(name):
+    generate, budget, digest = PINNED_REPORTS[name]
+    d = analyze(generate(), candidate_budget=budget).to_dict()
+    d.pop("timing")
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("budgets", [{"candidate_budget": -1}, {"path_budget": -1}])
+def test_negative_budgets_rejected(budgets):
+    with pytest.raises(ValueError):
+        analyze(_ring(10), **budgets)

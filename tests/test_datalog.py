@@ -122,3 +122,31 @@ def _datalog_case(draw):
 def test_saturate_agrees_with_naive_oracle(case):
     rules, facts = case
     assert set(saturate(rules, facts)) == naive_materialize(rules, set(facts))
+
+
+@st.composite
+def _entailment_case(draw):
+    """Rules and facts of ``_datalog_case`` with some constants lifted to
+    variables, a head taken from the body, and that head with extra atoms
+    over the body's terms or a fresh variable."""
+    rules, facts = draw(_datalog_case())
+    lift = {c: draw(st.sampled_from([c] + _vars)) for c in _consts}
+    body = [Atom(a.pred, tuple(lift[t] for t in a.args)) for a in facts]
+    inside = draw(st.lists(st.sampled_from(body), max_size=3))
+    terms = st.sampled_from([t for a in body for t in a.args] + [Variable(999, "W")])
+    extra = draw(st.lists(st.builds(lambda p, s, t: Atom(p, (s, t)),
+                                    st.sampled_from(_preds), terms, terms),
+                          min_size=1, max_size=2))
+    return rules, body, inside, inside + extra
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entailment_case())
+def test_entails_shortcuts_agree_with_naive_oracle(case):
+    rules, body, inside, head = case
+    # a head inside the body is entailed under any rules
+    assert entails(rules, body, inside)
+    assert naive_entails(rules, body, inside)
+    # with no rules, membership in the body is the whole answer
+    assert entails((), body, head) == naive_entails((), body, head)
+    assert entails(rules, body, head) == naive_entails(rules, body, head)

@@ -107,6 +107,12 @@ def test_datalog_part_is_exactly_existential_free():
     assert [r.rule_id for r in p.existential_rules()] == [2]
 
 
+def test_datalog_rules_are_built_once():
+    p = parse_program("a(X) -> b(X) . b(X) -> c(X,V) . c(X,Y) -> a(Y) .")
+    assert [r.rule_id for r in p.datalog_rules()] == [1, 3]
+    assert p.datalog_rules() is p.datalog_rules()
+
+
 def test_database_rejects_nulls():
     from chasekit.model import Null
     db = Database()

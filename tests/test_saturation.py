@@ -1,6 +1,8 @@
 import pytest
 
-from chasekit.corpus import gen_dexp, gen_sets, gen_sets_nonterm
+from chasekit import saturation
+from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
+                             instance_from_name)
 from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
 from chasekit.model import Variable, parse_program
 from chasekit.saturation import (NonComposablePath, _is_acyclic, check_e_saturating,
@@ -228,3 +230,49 @@ def test_acyclicity_check_is_iterative_on_long_paths():
     path = [DepEdge(a, label, b) for a, b in zip(vs, vs[1:])]
     assert _is_acyclic(vs, path)
     assert not _is_acyclic(vs, path + [DepEdge(vs[-1], label, vs[0])])
+
+
+def _ring(n):
+    return parse_program("".join(f"n{i}(X) -> n{(i + 1) % n}(V), e(X,V) .\n"
+                                 for i in range(n)))
+
+
+def test_reported_check_is_the_full_check():
+    # the search stops a candidate at its first failed condition, yet the
+    # report it keeps must be the full check of that edge set
+    programs = [instance_from_name(name).program for name in CORPUS_NAMES]
+    programs += [gen_dexp(2, False).program, _ring(8), _ring(10)]
+    negatives = 0
+    for program in programs:
+        scc = scc_analysis(build_ledgraph(program))
+        for comp in find_saturating_certificate(program, scc).components:
+            if comp.report is None:
+                continue
+            full = check_e_saturating(program, scc, comp.component, comp.report.e_set)
+            assert comp.report == full
+            if comp.verdict == "not-saturating":
+                assert comp.reason == full.counterexample
+                negatives += 1
+    assert negatives >= 4
+
+
+def test_search_makes_no_step_check_after_a_failed_base_check(monkeypatch):
+    # every edge set of a ring fails base propagation, so the only step
+    # checks are those of the final full report on the last edge set
+    calls = []
+    original = saturation.is_step_propagating
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(saturation, "is_step_propagating", counting)
+    program = _ring(8)
+    scc = scc_analysis(build_ledgraph(program))
+    (comp,) = find_saturating_certificate(program, scc).components
+    in_search = len(calls)
+    del calls[:]
+    report = check_e_saturating(program, scc, 0, comp.report.e_set)
+    assert comp.candidates_tried == 255
+    assert report.step_pairs_checked == 64
+    assert in_search == len(calls) == 64
