@@ -357,8 +357,7 @@ def compute_position_order(program: Program, graph: LabelledDepGraph,
             if positions_of(program, v, "body") <= omega_hat:
                 hit.append(v)
         affected[rule.rule_id] = tuple(hit)
-    return PositionOrder(frozenset(pairs), _induced_var_order(program, pairs),
-                         omega_hat, affected)
+    return PositionOrder(frozenset(pairs), var_leq, omega_hat, affected)
 
 
 @dataclass

@@ -313,30 +313,32 @@ def validate_trace(program: Program, trace: ChaseTrace) -> None:
     match was unsatisfied, fresh nulls were really fresh, the new facts are
     exactly the instantiated head, and that no existential-free rule had
     an unsatisfied match when an existential rule fired.
-    Raises AssertionError on the first violation.
+    Raises AssertionError on the first violation, also under ``python -O``.
     """
     interp = Interpretation(trace.database)
     seen_nulls: set = set()
     for step in trace.steps:
         rule = program.rule(step.rule_id)
         for atom in rule.body:
-            assert substitute(atom, step.match) in interp, \
-                f"step {step.index}: match does not embed the body"
-        assert not head_satisfied(interp, rule.head, step.match), \
-            f"step {step.index}: match was already satisfied"
+            if substitute(atom, step.match) not in interp:
+                raise AssertionError(f"step {step.index}: match does not embed the body")
+        if head_satisfied(interp, rule.head, step.match):
+            raise AssertionError(f"step {step.index}: match was already satisfied")
         if rule.existentials:
             for dl in program.rules:
                 if not dl.is_datalog:
                     continue
                 for m in find_matches(interp, dl.body):
-                    assert head_satisfied(interp, dl.head, m), \
-                        f"step {step.index}: Datalog rule {dl.rule_id} was not at fixpoint"
+                    if not head_satisfied(interp, dl.head, m):
+                        raise AssertionError(f"step {step.index}: Datalog rule "
+                                             f"{dl.rule_id} was not at fixpoint")
         for v in rule.existentials:
             n = step.extension[v]
-            assert isinstance(n, Null) and n not in seen_nulls, \
-                f"step {step.index}: null {n} is not fresh"
+            if not isinstance(n, Null) or n in seen_nulls:
+                raise AssertionError(f"step {step.index}: null {n} is not fresh")
             seen_nulls.add(n)
         expect = tuple(substitute(a, step.extension) for a in rule.head)
-        assert expect == step.new_facts, f"step {step.index}: head mismatch"
+        if expect != step.new_facts:
+            raise AssertionError(f"step {step.index}: head mismatch")
         for atom in step.new_facts:
             interp.add(atom)

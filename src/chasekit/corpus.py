@@ -255,6 +255,8 @@ def gen_counter(levels: int) -> CorpusInstance:
     Reading the sequences as binary numbers, the Datalog rules compute the
     numeric successor relation with unique minimum and maximum per level.
     """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     base = _DEXP_RULES + _DEXP_PROPAGATION + _COUNTER_RULES
     program = parse_program(base)
     db = parse_facts(level_database(levels), program.signature)

@@ -70,8 +70,7 @@ def compute_omegas(program: Program) -> dict:
     return omegas
 
 
-@dataclass(frozen=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     src: Variable
     label: Variable    # a frontier variable of dst's rule
     dst: Variable

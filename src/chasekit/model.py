@@ -11,13 +11,23 @@ The concrete grammar:
 
 Variables that occur only in a rule head are existential; every rule set is
 renamed apart mechanically (each variable id occurs in exactly one rule).
+
+Terms and atoms are plain tuples, so hashing and equality are the tuple's
+own, computed in C, and hold across processes and pickling.  A term is its
+tag followed by its fields, ``("c", name)``, ``("v", id, name)`` or
+``("n", id, name)``, and an ``Atom`` is the named tuple ``(pred, args)``.
+The tag keeps a variable and a null with the same fields apart.  It comes
+first so that each hash is the hash of exactly that tuple: set and dict
+iteration order, and with it every pinned trace and report, follows these
+hash values, so the layout must not change.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class KbError(Exception):
@@ -40,59 +50,52 @@ class ValidationError(KbError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class _Term(tuple):
+    """A term is the tuple ``(tag, *fields)``; ``name`` is the last field."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("c", self.name)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(-1))
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __str__(self) -> str:
+        return self[-1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
+
+
+class Constant(_Term):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, ("c", name))
 
     def __str__(self) -> str:
         if _PLAIN_CONSTANT.fullmatch(self.name):
             return self.name
         return "'" + self.name.replace("'", "\\'") + "'"
 
-    def __repr__(self) -> str:
-        return f"Constant({self.name!r})"
+
+class _Numbered(_Term):
+    __slots__ = ()
+
+    id = property(itemgetter(1))
+
+    def __new__(cls, id: int, name: str):
+        return tuple.__new__(cls, (cls._tag, id, name))
 
 
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("v", self.id, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"Variable({self.id}, {self.name!r})"
+class Variable(_Numbered):
+    __slots__ = ()
+    _tag = "v"
 
 
-@dataclass(frozen=True)
-class Null:
-    id: int
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("n", self.id, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"Null({self.id}, {self.name!r})"
+class Null(_Numbered):
+    __slots__ = ()
+    _tag = "n"
 
 
 Term = Union[Constant, Variable, Null]
@@ -102,16 +105,9 @@ Term = Union[Constant, Variable, Null]
 # Atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: str
     args: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"

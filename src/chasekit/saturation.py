@@ -54,10 +54,6 @@ class PathQuery:
     renamings: tuple            # per-step mapping rule variable -> fresh variable
 
 
-def _edge_key(e: DepEdge) -> tuple:
-    return (e.src.id, e.label.id, e.dst.id)
-
-
 def path_query(program: Program, path: Iterable[DepEdge],
                graph: Optional[LabelledDepGraph] = None) -> PathQuery:
     """The conjunction accompanying a chain of rule applications along ``path``."""
@@ -68,9 +64,9 @@ def path_query(program: Program, path: Iterable[DepEdge],
         if a.dst != b.src:
             raise NonComposablePath(f"{a} does not compose with {b}")
     if graph is not None:
-        known = {_edge_key(e) for e in graph.edges}
+        known = set(graph.edges)
         for e in path:
-            if _edge_key(e) not in known:
+            if e not in known:
                 raise NonComposablePath(f"{e} is not a graph edge")
     fresh = program.fresh_variables("P")
     renamings = []
@@ -171,8 +167,8 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
 
 
 def _remainder(scc: SccAnalysis, component: int, e_set: tuple) -> list:
-    e_keys = {_edge_key(e) for e in e_set}
-    return [e for e in scc.intra_edges[component] if _edge_key(e) not in e_keys]
+    removed = set(e_set)
+    return [e for e in scc.intra_edges[component] if e not in removed]
 
 
 def _ebar_paths(remainder: list, e_set: tuple, path_budget: int) -> list:
@@ -240,14 +236,12 @@ class PropagationCache:
         self.step: dict = {}
 
     def base_ok(self, path: tuple) -> bool:
-        key = tuple(_edge_key(e) for e in path)
-        if key not in self.base:
-            self.base[key] = is_base_propagating(self.program, path)
-        return self.base[key]
+        if path not in self.base:
+            self.base[path] = is_base_propagating(self.program, path)
+        return self.base[path]
 
     def step_ok(self, path_a: tuple, path_b: tuple, e_star: DepEdge) -> bool:
-        key = (tuple(_edge_key(e) for e in path_a),
-               tuple(_edge_key(e) for e in path_b), _edge_key(e_star))
+        key = (path_a, path_b, e_star)
         if key not in self.step:
             self.step[key] = is_step_propagating(self.program, path_a, path_b, e_star)
         return self.step[key]
@@ -299,9 +293,9 @@ def check_e_saturating(program: Program, scc: SccAnalysis, component: int,
     """Evaluate the four certificate conditions for one component and edge set."""
     cache = cache or PropagationCache(program)
     e_set = tuple(e_set)
-    intra_keys = {_edge_key(e) for e in scc.intra_edges[component]}
+    intra = set(scc.intra_edges[component])
     for e in e_set:
-        if _edge_key(e) not in intra_keys:
+        if e not in intra:
             raise ValueError(f"{e} is not an edge of component {component}")
     conditions = [True] * 4
     checked = [0] * 4

@@ -214,6 +214,7 @@ _SETS = ["query", "sets.tgd", "sets.facts", "sets.query"]
     ([*_Q, "--max-steps", "-1"], 2),
     ([*_Q, "--engine", "tree-search", "--search-budget", "-1"], 2),
     ([*_Q, "--engine", "tree-search", "--m-bound", "-1"], 2),
+    (["examples", "counter", "--levels", "0", "--out", "ex"], 2),
 ])
 def test_exit_code_contract(contract_dir, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(contract_dir)

@@ -1,5 +1,10 @@
 """Error paths and negative tests for the validators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chasekit.arboreal import ArboreousInfo, InvariantViolation, build_null_forest
@@ -81,3 +86,27 @@ def test_seeded_strategy_reproducible_per_seed():
     r2 = chase(inst.program, inst.database, Seeded(42), max_steps=5000)
     assert [s.new_facts for s in r1.trace.steps] == \
         [s.new_facts for s in r2.trace.steps]
+
+
+_TAMPERED_MATCH = """
+from chasekit.chase import chase, validate_trace
+from chasekit.corpus import gen_sets
+from chasekit.model import Constant
+inst = gen_sets(1)
+result = chase(inst.program, inst.database, max_steps=2000)
+step = result.trace.steps[0]
+step.match = {v: Constant("wrong") for v in step.match}
+try:
+    validate_trace(inst.program, result.trace)
+except AssertionError as err:
+    print("rejected:", err)
+"""
+
+
+def test_validate_trace_checks_survive_optimize_flag():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_MATCH],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.startswith("rejected: step 1:")

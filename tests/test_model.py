@@ -1,9 +1,19 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from chasekit.model import (Atom, Constant, Database, Interpretation, ParseError,
+from chasekit.depgraph import DepEdge
+from chasekit.model import (Atom, Constant, Database, Interpretation, Null, ParseError,
                             ValidationError, Variable, parse_facts,
                             parse_program, parse_query)
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_head_only_variable_is_existential():
@@ -130,6 +140,63 @@ def test_rule_rejects_nulls():
     from chasekit.model import Null, Tgd
     with pytest.raises(ValidationError):
         Tgd(1, (Atom("p", (Null(1, "n"),)),), (Atom("q", (Constant("a"),)),))
+
+
+def test_hashes_are_those_of_the_tagged_tuples():
+    x, y = Variable(1, "X"), Variable(2, "Y")
+    assert hash(Constant("a")) == hash(("c", "a"))
+    assert hash(x) == hash(("v", 1, "X"))
+    assert hash(Null(3, "n1")) == hash(("n", 3, "n1"))
+    args = (Constant("a"), x, Null(3, "n1"))
+    assert hash(Atom("p", args)) == hash(("p", args))
+    assert hash(DepEdge(x, y, x)) == hash((x, y, x))
+
+
+def test_terms_with_the_same_fields_differ_by_kind():
+    v, n, c = Variable(1, "X"), Null(1, "X"), Constant("X")
+    assert v != n and n != c and v != c
+    assert len({v, n, c}) == 3
+
+
+@pytest.mark.parametrize("value", [
+    Constant("a"), Constant("it's"), Variable(1, "X"), Null(2, "n1"),
+    Atom("p", (Constant("a"), Variable(1, "X"))),
+    DepEdge(Variable(1, "X"), Variable(2, "Y"), Variable(1, "X")),
+])
+def test_copy_and_pickle_keep_value_and_class(value):
+    for other in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and type(other) is type(value)
+        assert repr(other) == repr(value)
+
+
+_KEYS = """[Constant("a"), Variable(1, "X"), Null(2, "n1"),
+           Atom("p", (Constant("a"), Null(2, "n1")))]"""
+
+_DUMP = f"""
+import pickle, sys
+from chasekit.model import Atom, Constant, Null, Variable
+keys = {_KEYS}
+sys.stdout.buffer.write(pickle.dumps({{k: i for i, k in enumerate(keys)}}))
+"""
+
+_LOAD = f"""
+import pickle, sys
+from chasekit.model import Atom, Constant, Null, Variable
+keys = {_KEYS}
+table = pickle.loads(sys.stdin.buffer.read())
+print([table.get(k) for k in keys])
+"""
+
+
+def _run(script: str, seed: str, data: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=seed)
+    return subprocess.run([sys.executable, "-c", script], input=data, env=env,
+                          capture_output=True, check=True, timeout=60).stdout
+
+
+def test_pickled_keys_hit_under_another_hash_seed():
+    table = _run(_DUMP, "1")
+    assert _run(_LOAD, "2", table).decode().strip() == "[0, 1, 2, 3]"
 
 
 _ident = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
