@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from chasekit.arboreal import build_term_tree, check_arboreous
@@ -7,10 +9,11 @@ from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
 from chasekit.matching import evaluate_bcq
 from chasekit.model import parse_facts, parse_program, parse_query
 from chasekit.saturation import find_saturating_certificate
-from chasekit.treechase import (Apply, InvalidChoice, TreeChaseRun,
+from chasekit.treechase import (Apply, InvalidChoice, TreeChaseRun, _GuidedReplayer,
                                 build_task_tree, schedule_sequence,
                                 tree_chase_guided, tree_chase_run,
                                 tree_chase_search)
+from test_acceptance import QBF_SUITE
 
 
 def arboreous_info(program):
@@ -225,3 +228,86 @@ def test_datalog_first_strictness_is_enforced_in_scripted_runs(sets1):
         run.apply(rule, match)    # the seen-rule is still unsaturated
     relaxed = TreeChaseRun(program, inst.database, info2.v_ehat, datalog_first=False)
     relaxed.apply(rule, match)    # allowed once the strict check is off
+
+
+# -- pinned guided results -----------------------------------------------------
+
+def _alternating(n):
+    """Alternating quantifiers with clauses (i | -i): true for every n."""
+    return QbfFormula(("ae" * n)[:n], tuple((i, -i) for i in range(1, n + 1)))
+
+
+GUIDED_INPUTS = ([(f"qbf {qs} {cl}", QbfFormula(qs, cl)) for qs, cl in QBF_SUITE]
+                 + [(f"alternating {n}", _alternating(n)) for n in (5, 6)]
+                 + [("sets(2)", None)])
+
+
+def _guided_with_schedules(monkeypatch, formula):
+    """Answer one input with the guided engine; also return the step indices
+    it replayed, cut into one schedule per query atom."""
+    inst = gen_sets(2) if formula is None else gen_qbf(formula)
+    info = arboreous_info(inst.program)
+    replayed = []
+    original = _GuidedReplayer.replay_step
+
+    def recording(self, step_index):
+        replayed.append(step_index)
+        return original(self, step_index)
+
+    monkeypatch.setattr(_GuidedReplayer, "replay_step", recording)
+    result = tree_chase_guided(inst.program, inst.database, inst.queries[0], info)
+    schedules, start = [], 0
+    for length in result.schedule_lengths:
+        schedules.append(tuple(replayed[start:start + length]))
+        start += length
+    assert start == len(replayed)
+    return result, tuple(schedules)
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of (entailed, profile.to_dict(), m_bound, schedule_lengths,
+# replayed_steps, skipped_steps) and of the schedules, frozen from the
+# engine that rebuilt the fact set after every step
+PINNED_GUIDED = {
+    'qbf e ((1,),)': ('d81a30ebdfc182ae486e79d3d680f6c3a070b99692a8f99640f55d6c4e41d504',
+         '6c2c29a6aa21d643d319ff7569911df77321eb2ea199b696def1a0770952561a'),
+    'qbf a ((1,),)': ('f08a11ea4ed6cf8059783989e20d4a3569d14660a69f31a759113e880b43d210',
+         '56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88'),
+    'qbf e ((-1,),)': ('d81a30ebdfc182ae486e79d3d680f6c3a070b99692a8f99640f55d6c4e41d504',
+         '169edfdf795933b926b0c4703aedf7bdb5cd302b86f0043a3ea7fc53821d6af9'),
+    'qbf ea ((1, 2), (1, -2))': ('d731271637840abc93c9c1f17f1704bc2763bd9e59a9ee222b84fe6e9abc08d5',
+         'c851ce38aaadf4a2806da0aecf7b5bb715063b74aff3d8a01b932c4e84ebfe92'),
+    'qbf ae ((1, 2), (-1, -2))': ('1b0ba29a136b1826717a03e4e660fedbc72ae742c58c32f70a6a9fef315417a6',
+         'af3a5bc2a606c625d1709ed0bb8a9794baaec31142e37c0d70a63b495e180788'),
+    'qbf ae ((1, 2), (1, -2))': ('86a06fd89b0f8754fdc47169c7d9ba1e357177b13b09522523a48b27efee9aea',
+         '56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88'),
+    'qbf aa ((1, -1), (2, -2))': ('08bbaa0d4fca53153be30eaf8495a5e849da342241f53bf16fae6827df71e2e6',
+         '13fc661509f75f2b34206aebdea3462abf2c5e971ffb2e3537b5d413be64da60'),
+    'qbf ee ((1, -2), (-1, 2))': ('76e11955b1e0f4092bcd0cfbb8202a352c8108f7437f7762497342f5eb00b830',
+         'b36095d94388500730faac662693b7b515b7cedcd1cd7315f24327abca682f93'),
+    'qbf eae ((1, 2, 3), (-1, -3), (2, -2))': ('22abaf1c67fa84ad0642dec9e3ed70575d35a1a21bfb98eaa057e75a670c567b',
+         '6823201c9b59e88ee3766a696ea717be9a9c18172c0439e24d9200f7dd08f0fd'),
+    'qbf aea ((1, 2), (-1, -2), (3, -3))': ('684b0ab4fa1a02e6125b74a606b8eaa8acce76eb710f33c957e0c29d91d71408',
+         '285e5bb5c38c673d162d4fab80e11c06cfbb5a80e3586e7db3305c1c6e1aa554'),
+    'qbf aaa ((1, 2, 3),)': ('675a5270dd405cb2107f8468be6a84fe2563bea65fd45ba1ed32650d3057b48b',
+         '56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88'),
+    'qbf aaa ((1, -1), (2, -2), (3, -3))': ('b953292e588591ba67fd95075df0a5803e0d1cbffc375da5dacd404016616e83',
+         '198570f63fe5576e424ccc0e5fe4722996f3be241138ae7422ae03d96af05259'),
+    'alternating 5': ('a8d763fffef30354c7eac8475e7fa067d9c13afec458b2fae0f42b6b43519a32',
+         '3a6bd65e9e6f54c06277179a884b99d75406fc0dd95e71b8c0a66b1316b181c2'),
+    'alternating 6': ('ec750ee26c3cbe50d9d84448aee05ec6ef9eaed3014012ec1364249302a0dcdf',
+         '7727f908502e793b4a7e2b57b1484d7f94a276c3613eb86ed8acb5159515ff03'),
+    'sets(2)': ('39296a904fcb4f069ed1ac2ec5338dd346b1532c42dbad343ac3787523a1e57e',
+         '8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c'),
+}
+
+
+@pytest.mark.parametrize("label,formula", GUIDED_INPUTS, ids=[l for l, _ in GUIDED_INPUTS])
+def test_guided_result_pinned(monkeypatch, label, formula):
+    result, schedules = _guided_with_schedules(monkeypatch, formula)
+    summary = (result.entailed, result.profile.to_dict(), result.m_bound,
+               result.schedule_lengths, result.replayed_steps, result.skipped_steps)
+    assert (_sha(summary), _sha(schedules)) == PINNED_GUIDED[label]
