@@ -266,12 +266,13 @@ class Program:
 class Interpretation:
     """A set of variable-free atoms, indexed by predicate and by argument.
 
-    Atoms remember their insertion index; iteration is in insertion order,
-    which keeps every consumer deterministic.
+    Iteration is in insertion order, and so is every index list, which
+    keeps every consumer deterministic.  ``discard_terms`` deletes atoms in
+    place and leaves the others in that order.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        self._index_of: dict = {}
+        self._atoms: dict = {}       # ordered set of the atoms
         self._by_pred: dict = {}
         self._by_arg: dict = {}
         for atom in atoms:
@@ -279,24 +280,52 @@ class Interpretation:
 
     def add(self, atom: Atom) -> bool:
         """Insert ``atom``; returns True when it was not present before."""
-        if atom in self._index_of:
+        if atom in self._atoms:
             return False
         if not atom.is_ground():
             raise ValidationError(f"interpretations hold ground atoms only: {atom}")
-        self._index_of[atom] = len(self._index_of)
+        self._atoms[atom] = None
         self._by_pred.setdefault(atom.pred, []).append(atom)
         for i, a in enumerate(atom.args):
             self._by_arg.setdefault((atom.pred, i, a), []).append(atom)
         return True
 
+    def discard_terms(self, terms: Iterable[Term]) -> None:
+        """Delete every atom that mentions one of ``terms``, in place.
+
+        The atoms are found through the argument index, and only the index
+        lists that hold one of them are rebuilt.  A list that becomes empty
+        is dropped, so the indexes equal those of a set built afresh from
+        the surviving atoms in their order.
+        """
+        terms = set(terms)
+        doomed: set = set()
+        for pred, atoms in self._by_pred.items():
+            for i in range(len(atoms[0].args)):
+                for t in terms:
+                    doomed.update(self._by_arg.get((pred, i, t), ()))
+        if not doomed:
+            return
+        for atom in doomed:
+            del self._atoms[atom]
+        for index, keys in ((self._by_pred, {a.pred for a in doomed}),
+                            (self._by_arg, {(a.pred, i, t) for a in doomed
+                                            for i, t in enumerate(a.args)})):
+            for key in keys:
+                kept = [a for a in index[key] if a not in doomed]
+                if kept:
+                    index[key] = kept
+                else:
+                    del index[key]
+
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._index_of
+        return atom in self._atoms
 
     def __len__(self) -> int:
-        return len(self._index_of)
+        return len(self._atoms)
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._index_of)
+        return iter(self._atoms)
 
     def by_pred(self, pred: str) -> list:
         return self._by_pred.get(pred, [])
@@ -315,11 +344,11 @@ class Interpretation:
         return best
 
     def copy(self) -> "Interpretation":
-        return Interpretation(self._index_of)
+        return Interpretation(self._atoms)
 
     def terms(self) -> Iterator[Term]:
         seen: set = set()
-        for atom in self._index_of:
+        for atom in self._atoms:
             for a in atom.args:
                 if a not in seen:
                     seen.add(a)
@@ -329,7 +358,7 @@ class Interpretation:
         return [t for t in self.terms() if isinstance(t, Null)]
 
     def to_text(self) -> str:
-        return "\n".join(f"{a} ." for a in self._index_of) + ("\n" if self._index_of else "")
+        return "\n".join(f"{a} ." for a in self._atoms) + ("\n" if self._atoms else "")
 
 
 class Database(Interpretation):

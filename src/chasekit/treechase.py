@@ -6,6 +6,14 @@ applications push a new set, other applications extend the last one, and
 facts are discarded as soon as they mention a popped term.  After each of
 the ``|q|`` outer rounds the stack collapses into its root.
 
+The fact set is updated in place, which rests on one invariant: every
+term of every fact is live, that is, in some layer of the stack.  Layers
+are disjoint, and the frontier terms of a step are never popped (popping
+stops at the first layer that holds one), so the head facts of a step are
+over live terms.  A pop therefore deletes exactly the facts that mention a
+popped term, which are the facts a filter of the whole set over the live
+terms would drop, and the survivors keep their order.
+
 Choices are supplied by scripts, so the nondeterminism lives in drivers:
 
 * the *guided* driver replays one full-chase derivation of a query match,
@@ -20,12 +28,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 from .arboreal import ArboreousInfo, InvariantViolation, TermTree, build_term_tree
 from .chase import ChaseResult, ChaseTrace, Deterministic, chase
 from .matching import bcq_match, evaluate_bcq, find_matches, head_satisfied
-from .model import (Atom, BCQ, Constant, Database, Interpretation, Null,
+from .model import (Atom, BCQ, Constant, Database, Null,
                     Program, Term, Tgd, Variable, substitute)
 
 
@@ -82,6 +91,10 @@ class TreeChaseRun:
     chase never saw, and applying them would prune the very path the
     schedule is building.  Soundness and the space bound do not depend on
     the strict check.
+
+    ``interp`` changes in place (see the module docstring); ``snapshot``
+    and ``restore`` save and bring back the facts, the stack and the step
+    counts, for a search.
     """
 
     def __init__(self, program: Program, database: Database, v_ehat: Iterable[Variable],
@@ -94,11 +107,15 @@ class TreeChaseRun:
             itertools.chain(program.constants(),
                             (t for t in database.terms()))))
         self.stack: list = [set(constants)]
+        # the root keeps every constant for good; every other live term is a null
+        self._constants = len(constants)
         self.null_counter = itertools.count(_NULL_NAMESPACE)
         self.datalog = program.datalog_rules()
         self.profile = SpaceProfile()
         self.profile.inner_steps.append(0)
         self.log: list = []
+        self.popped: list = []       # terms the last step popped
+        self.added: list = []        # facts the last step added
         self._observe()
 
     # -- state inspection ---------------------------------------------------
@@ -113,10 +130,9 @@ class TreeChaseRun:
         p = self.profile
         p.max_atoms = max(p.max_atoms, len(self.interp))
         p.max_stack = max(p.max_stack, len(self.stack))
-        live = self.live_terms()
-        p.max_terms = max(p.max_terms, len(live))
-        p.max_live_nulls = max(p.max_live_nulls,
-                               sum(1 for t in live if isinstance(t, Null)))
+        live = sum(map(len, self.stack))     # the layers are disjoint
+        p.max_terms = max(p.max_terms, live)
+        p.max_live_nulls = max(p.max_live_nulls, live - self._constants)
 
     def datalog_saturated(self) -> bool:
         return self.unsatisfied_datalog_match() is None
@@ -140,13 +156,21 @@ class TreeChaseRun:
     # -- transitions ----------------------------------------------------------
 
     def apply(self, rule: Tgd, match: dict) -> dict:
-        """Validate and execute one rule application; returns the extension."""
+        """Validate and execute one rule application; returns the extension.
+
+        The fact set changes in place: the facts that mention a popped term
+        go, the head facts that are new come last.  ``popped`` and ``added``
+        then hold the terms and facts this step removed and added.
+        """
         self.check_applicable(rule, match)
         frontier_terms = {match[y] for y in rule.frontier}
+        self.popped = []
         pruned = 0
         while len(self.stack) > 1 and not (frontier_terms & self.stack[-1]):
-            self.stack.pop()
+            self.popped.extend(self.stack.pop())
             pruned += 1
+        if self.popped:
+            self.interp.discard_terms(self.popped)
         extension = dict(match)
         fresh = []
         for v in rule.existentials:
@@ -159,11 +183,11 @@ class TreeChaseRun:
             self.stack.append(set(fresh))
         else:
             self.stack[-1] |= set(fresh)
-        allowed = self.live_terms()
-        head_facts = [substitute(a, extension) for a in rule.head]
-        survivors = [a for a in itertools.chain(self.interp, head_facts)
-                     if all(t in allowed for t in a.args)]
-        self.interp = Interpretation(dict.fromkeys(survivors))
+        self.added = []
+        for atom in rule.head:
+            fact = substitute(atom, extension)
+            if self.interp.add(fact):
+                self.added.append(fact)
         self.profile.inner_steps[-1] += 1
         self.log.append({"rule": rule.rule_id, "pruned": pruned,
                          "action": "push" if pushed else "extend",
@@ -179,6 +203,16 @@ class TreeChaseRun:
 
     def holds(self, q: BCQ) -> bool:
         return evaluate_bcq(self.interp, q)
+
+    def snapshot(self) -> tuple:
+        """The state that ``restore`` brings back: facts, stack, step counts."""
+        return (self.interp.copy(), [set(layer) for layer in self.stack],
+                list(self.profile.inner_steps))
+
+    def restore(self, state: tuple) -> None:
+        """Continue from ``state``, which is taken over, not copied: a
+        snapshot is restored at most once."""
+        self.interp, self.stack, self.profile.inner_steps = state
 
 
 def tree_chase_run(program: Program, database: Database, q: BCQ,
@@ -253,16 +287,21 @@ class TaskTreeBuilder:
         return lst[pos - 1] if pos else None
 
     def build(self, depth: int, step: int) -> TaskNode:
-        self.nodes_made += 1
-        if self.nodes_made > _TASK_NODE_CAP:
-            raise InvariantViolation("task tree exceeds the node cap")
-        path = self.body_path[step]
-        children = []
-        for e in range(depth, len(path) + 1):
-            j = self._latest_before((e, path[:e]), step)
-            if j is not None:
-                children.append(self.build(e, j))
-        return TaskNode(depth, step, children)
+        """The task tree of (depth, step), built depth-first in pre-order."""
+        root = TaskNode(depth, step, [])
+        pending = [root]
+        while pending:
+            node = pending.pop()
+            self.nodes_made += 1
+            if self.nodes_made > _TASK_NODE_CAP:
+                raise InvariantViolation("task tree exceeds the node cap")
+            path = self.body_path[node.step]
+            for e in range(node.depth, len(path) + 1):
+                j = self._latest_before((e, path[:e]), node.step)
+                if j is not None:
+                    node.children.append(TaskNode(e, j, []))
+            pending.extend(reversed(node.children))
+        return root
 
 
 def build_task_tree(program: Program, trace: ChaseTrace, tree: TermTree,
@@ -273,13 +312,14 @@ def build_task_tree(program: Program, trace: ChaseTrace, tree: TermTree,
 def schedule_sequence(node: TaskNode) -> list:
     """Children before parents, shallower siblings first."""
     out: list = []
-
-    def walk(n: TaskNode) -> None:
-        for child in n.children:
-            walk(child)
-        out.append(n.step)
-
-    walk(node)
+    pending = [(node, False)]
+    while pending:
+        n, expanded = pending.pop()
+        if expanded:
+            out.append(n.step)
+        else:
+            pending.append((n, True))
+            pending.extend((child, False) for child in reversed(n.children))
     return out
 
 
@@ -299,6 +339,20 @@ class GuidedResult:
 
 
 class _GuidedReplayer:
+    """Replays reference steps in the runner and checks, after each one, that
+    ``tau`` (runner null -> reference null, identity elsewhere) is injective
+    on the live terms and maps every fact into the reference chase.
+
+    Both checks look only at what the step added.  ``tau`` only gains
+    entries, for fresh nulls, and the reference is fixed, so a fact that
+    mapped into the reference once still does, and two live terms that had
+    distinct images still have them.  Hence only the added facts need the
+    homomorphism check, and only the new nulls the injectivity check,
+    against ``inv``: the inverse of ``tau`` on the live terms, which gains
+    the new nulls and loses the popped terms.  ``check_homomorphism()``
+    and ``inverse_on_live()`` are the full checks, over the whole state.
+    """
+
     def __init__(self, program: Program, reference: ChaseResult,
                  info: ArboreousInfo, database: Database):
         self.program = program
@@ -307,24 +361,31 @@ class _GuidedReplayer:
         self.tau: dict = {}          # runner null -> chase null
         self.skipped = 0
         self.replayed = 0
+        self.check_homomorphism()
+        self.inv = self.inverse_on_live()    # chase term -> live runner term
 
     def to_chase(self, t: Term) -> Term:
         return self.tau.get(t, t)
 
     def inverse_on_live(self) -> dict:
+        """The inverse of the map on all live terms, built afresh."""
         inv: dict = {}
         for t in self.run.live_terms():
-            image = self.to_chase(t)
-            if image in inv:
-                raise InvariantViolation(
-                    f"map to the reference chase is not injective on live terms "
-                    f"({image} has two preimages)")
-            inv[image] = t
+            self._admit(inv, t)
         return inv
 
-    def check_homomorphism(self) -> None:
+    def _admit(self, inv: dict, t: Term) -> None:
+        image = self.to_chase(t)
+        if image in inv:
+            raise InvariantViolation(
+                f"map to the reference chase is not injective on live terms "
+                f"({image} has two preimages)")
+        inv[image] = t
+
+    def check_homomorphism(self, facts: Optional[Iterable[Atom]] = None) -> None:
+        """Every fact, or every one of ``facts``, maps into the reference."""
         ref = self.reference.interpretation
-        for atom in self.run.interp:
+        for atom in self.run.interp if facts is None else facts:
             image = Atom(atom.pred, tuple(self.to_chase(t) for t in atom.args))
             if image not in ref:
                 raise InvariantViolation(f"{atom} maps outside the reference chase")
@@ -332,14 +393,13 @@ class _GuidedReplayer:
     def replay_step(self, step_index: int) -> None:
         step = self.reference.trace.steps[step_index - 1]
         rule = self.program.rule(step.rule_id)
-        inv = self.inverse_on_live()
         match = {}
         for v in rule.frontier + rule.body_only:
             image = step.match[v]
             if isinstance(image, Constant):
                 match[v] = image
-            elif image in inv:
-                match[v] = inv[image]
+            elif image in self.inv:
+                match[v] = self.inv[image]
             else:
                 raise ReplayDivergence(
                     f"step {step_index}: body term {image} has no live preimage")
@@ -352,10 +412,12 @@ class _GuidedReplayer:
             return
         extension = self.run.apply(rule, match)
         self.replayed += 1
+        for t in self.run.popped:
+            del self.inv[self.to_chase(t)]
         for v in rule.existentials:
             self.tau[extension[v]] = step.extension[v]
-        self.inverse_on_live()       # local injectivity after every step
-        self.check_homomorphism()
+            self._admit(self.inv, extension[v])
+        self.check_homomorphism(self.run.added)
 
 
 def tree_chase_guided(program: Program, database: Database, q: BCQ,
@@ -393,8 +455,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
         for step_index in schedule:
             replayer.replay_step(step_index)
         ground = substitute(q.atoms[k], theta)
-        live_image = Atom(ground.pred,
-                          tuple(replayer.inverse_on_live().get(t, t) for t in ground.args))
+        live_image = Atom(ground.pred, tuple(replayer.inv.get(t, t) for t in ground.args))
         if live_image not in replayer.run.interp:
             raise ReplayDivergence(f"query atom {ground} not rebuilt")
         replayer.run.break_iteration()
@@ -410,19 +471,14 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
 # Bounded exhaustive search
 # ---------------------------------------------------------------------------
 
-class _Budget(Exception):
-    pass
-
-
 def tree_chase_search(program: Program, database: Database, q: BCQ,
                       v_ehat: Iterable[Variable], m_bound: int,
                       node_budget: int = 100_000) -> str:
     """Explore every script up to the inner bound; 'true' if some run
     accepts, 'false' only on full exhaustion, else 'inconclusive'."""
-    v_ehat = set(v_ehat)
-    spent = [0]
+    run = TreeChaseRun(program, database, v_ehat)
 
-    def choices(run: TreeChaseRun) -> list:
+    def choices() -> list:
         out = []
         saturated = run.datalog_saturated()
         for rule in program.rules:
@@ -433,33 +489,36 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
                     out.append((rule, match))
         return out
 
-    def explore(run: TreeChaseRun, k: int, j: int) -> bool:
-        spent[0] += 1
-        if spent[0] > node_budget:
-            raise _Budget()
-        if run.holds(q):
-            return True
-        if k == len(q):
-            return False
-        # break to the next outer round
-        interp, stack = Interpretation(run.interp), [set(s) for s in run.stack]
-        run.break_iteration()
-        if explore(run, k + 1, 0):
-            return True
-        run.interp, run.stack = interp, stack
-        run.profile.inner_steps.pop()
-        if j == m_bound:
-            return False
-        for rule, match in choices(run):
-            interp, stack = Interpretation(run.interp), [set(s) for s in run.stack]
-            run.apply(rule, match)
-            if explore(run, k, j + 1):
-                return True
-            run.interp, run.stack = interp, stack
-        return False
+    def moves(k: int, j: int):
+        """The children of node (k, j) as (k, j, transition), in search
+        order; the choices are listed once the break to the next outer round
+        has been explored and undone."""
+        yield k + 1, 0, run.break_iteration
+        if j < m_bound:
+            for rule, match in choices():
+                yield k, j + 1, partial(run.apply, rule, match)
 
-    run = TreeChaseRun(program, database, v_ehat)
-    try:
-        return "true" if explore(run, 0, 0) else "false"
-    except _Budget:
-        return "inconclusive"
+    # depth-first over an explicit stack: a frame holds a node's remaining
+    # moves and the state from before the move being explored
+    frames: list = []
+    k = j = 0
+    for spent in itertools.count(1):
+        if spent > node_budget:
+            return "inconclusive"
+        if run.holds(q):
+            return "true"
+        if k < len(q):
+            frames.append([moves(k, j), None])
+        while frames:
+            frame = frames[-1]
+            if frame[1] is not None:
+                run.restore(frame[1])
+            move = next(frame[0], None)
+            if move is not None:
+                break
+            frames.pop()
+        else:
+            return "false"
+        k, j, transition = move
+        frame[1] = run.snapshot()
+        transition()

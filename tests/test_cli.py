@@ -174,6 +174,8 @@ def contract_dir(tmp_path_factory):
     main(["examples", "qbf", "--quantifiers", "ea", "--clauses", "1,2;1,-2",
           "--out", str(d)])
     main(["examples", "sets", "--n", "1", "--out", str(d)])
+    main(["examples", "qbf", "--quantifiers", "aeaeae",
+          "--clauses", "1,-1;2,-2;3,-3;4,-4;5,-5;6,-6", "--out", str(d / "alt6")])
     (d / "bad.tgd").write_text("p(X) -> \n")
     (d / "bad.facts").write_text("p(X) .\n")
     (d / "bad.query").write_text("?- .\n")
@@ -183,6 +185,7 @@ def contract_dir(tmp_path_factory):
 
 _Q = ["query", "qbf.tgd", "qbf.facts", "qbf.query"]
 _SETS = ["query", "sets.tgd", "sets.facts", "sets.query"]
+_ALT6 = ["query", "alt6/qbf.tgd", "alt6/qbf.facts", "alt6/qbf.query"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -215,6 +218,8 @@ _SETS = ["query", "sets.tgd", "sets.facts", "sets.query"]
     ([*_Q, "--engine", "tree-search", "--search-budget", "-1"], 2),
     ([*_Q, "--engine", "tree-search", "--m-bound", "-1"], 2),
     (["examples", "counter", "--levels", "0", "--out", "ex"], 2),
+    # a search path deeper than Python's recursion limit
+    ([*_ALT6, "--engine", "tree-search", "--m-bound", "1000", "--search-budget", "3000"], 3),
 ])
 def test_exit_code_contract(contract_dir, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(contract_dir)

@@ -136,6 +136,26 @@ def test_interpretation_rejects_variables():
         interp.add(Atom("p", (Variable(1, "X"),)))
 
 
+_TERMS = [Constant("a"), Constant("b"), Null(1, "n1"), Null(2, "n2"), Null(3, "n3")]
+_FACT = st.builds(lambda pred, args: Atom(pred, tuple(args[:{"p": 1, "q": 2, "r": 0}[pred]])),
+                  st.sampled_from("pqr"), st.lists(st.sampled_from(_TERMS), min_size=2,
+                                                    max_size=2))
+
+
+@given(st.lists(_FACT, max_size=25), st.lists(st.sampled_from(_TERMS), max_size=3))
+def test_discard_terms_equals_a_fresh_build_of_the_survivors(facts, terms):
+    interp = Interpretation(facts)
+    interp.discard_terms(terms)
+    survivors = [a for a in dict.fromkeys(facts) if not set(a.args) & set(terms)]
+    assert list(interp) == survivors
+    fresh = Interpretation(survivors)
+    assert interp._by_pred == fresh._by_pred
+    assert interp._by_arg == fresh._by_arg
+    interp.add(Atom("q", (Null(1, "n1"), Constant("a"))))   # adds after a deletion
+    fresh.add(Atom("q", (Null(1, "n1"), Constant("a"))))
+    assert list(interp) == list(fresh) and interp._by_arg == fresh._by_arg
+
+
 def test_rule_rejects_nulls():
     from chasekit.model import Null, Tgd
     with pytest.raises(ValidationError):

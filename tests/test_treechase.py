@@ -2,14 +2,17 @@ import hashlib
 
 import pytest
 
-from chasekit.arboreal import build_term_tree, check_arboreous
+from chasekit import treechase
+from chasekit.arboreal import InvariantViolation, build_term_tree, check_arboreous
 from chasekit.chase import chase
 from chasekit.corpus import QbfFormula, gen_qbf, gen_sets, qbf_truth
 from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
 from chasekit.matching import evaluate_bcq
-from chasekit.model import parse_facts, parse_program, parse_query
+from chasekit.model import (Interpretation, Null, parse_facts, parse_program, parse_query,
+                            substitute)
 from chasekit.saturation import find_saturating_certificate
-from chasekit.treechase import (Apply, InvalidChoice, TreeChaseRun, _GuidedReplayer,
+from chasekit.treechase import (Apply, InvalidChoice, TaskNode, TaskTreeBuilder,
+                                TreeChaseRun, _GuidedReplayer,
                                 build_task_tree, schedule_sequence,
                                 tree_chase_guided, tree_chase_run,
                                 tree_chase_search)
@@ -311,3 +314,151 @@ def test_guided_result_pinned(monkeypatch, label, formula):
     summary = (result.entailed, result.profile.to_dict(), result.m_bound,
                result.schedule_lengths, result.replayed_steps, result.skipped_steps)
     assert (_sha(summary), _sha(schedules)) == PINNED_GUIDED[label]
+
+
+# -- the incremental checks against the full ones --------------------------------
+
+def _qbf_guided(formula):
+    inst = gen_qbf(formula)
+    info = arboreous_info(inst.program)
+    return tree_chase_guided(inst.program, inst.database, inst.queries[0], info)
+
+
+def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
+    """After every replayed step the full checks pass, the kept inverse map
+    equals one built afresh, and the fact set, in order and in its indexes,
+    equals a from-scratch filter of the old facts and the head facts over
+    the live terms."""
+    applied = []
+    seen = {"steps": 0, "pops": 0}
+    original_apply = TreeChaseRun.apply
+    original_replay = _GuidedReplayer.replay_step
+
+    def apply(self, rule, match):
+        before = list(self.interp)
+        extension = original_apply(self, rule, match)
+        applied.append((before, [substitute(a, extension) for a in rule.head]))
+        return extension
+
+    def replay_step(self, step_index):
+        applied.clear()
+        original_replay(self, step_index)
+        self.check_homomorphism()
+        assert self.inv == self.inverse_on_live()
+        run = self.run
+        live = run.live_terms()
+        assert set(run.interp.terms()) <= live
+        if applied:
+            ((before, head),) = applied
+            expected = list(dict.fromkeys(
+                a for a in before + head if all(t in live for t in a.args)))
+            assert list(run.interp) == expected
+            fresh = Interpretation(expected)
+            assert run.interp._by_pred == fresh._by_pred
+            assert run.interp._by_arg == fresh._by_arg
+            seen["steps"] += 1
+            seen["pops"] += bool(run.popped)
+
+    monkeypatch.setattr(TreeChaseRun, "apply", apply)
+    monkeypatch.setattr(_GuidedReplayer, "replay_step", replay_step)
+    for qs, cl in QBF_SUITE:
+        formula = QbfFormula(qs, cl)
+        assert _qbf_guided(formula).entailed == qbf_truth(formula)
+    assert seen["steps"] > 100 and seen["pops"] > 10
+
+
+class _CorruptOnce(dict):
+    """A tau map that stores one chosen wrong image for a new null."""
+
+    def __init__(self, wrong_image):
+        super().__init__()
+        self.wrong_image = wrong_image
+        self.done = False
+
+    def __setitem__(self, null, image):
+        wrong = None if self.done else self.wrong_image(self)
+        if wrong is not None:
+            self.done = True
+            image = wrong
+        super().__setitem__(null, image)
+
+
+def _replay_with_tau(monkeypatch, wrong_image):
+    original_init = _GuidedReplayer.__init__
+
+    def init(self, *args):
+        original_init(self, *args)
+        self.tau = _CorruptOnce(lambda tau: wrong_image(self))
+
+    monkeypatch.setattr(_GuidedReplayer, "__init__", init)
+    with pytest.raises(InvariantViolation) as caught:
+        _qbf_guided(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3))))
+    return str(caught.value)
+
+
+def test_incremental_check_catches_a_new_fact_outside_the_reference(monkeypatch):
+    message = _replay_with_tau(monkeypatch, lambda replayer: Null(-1, "outside"))
+    assert "maps outside the reference chase" in message
+
+
+def test_incremental_check_catches_two_live_terms_with_one_image(monkeypatch):
+    def image_of_a_live_null(replayer):
+        return next((image for image, t in replayer.inv.items()
+                     if isinstance(t, Null)), None)
+
+    message = _replay_with_tau(monkeypatch, image_of_a_live_null)
+    assert "not injective" in message
+
+
+# -- no recursion on the query path --------------------------------------------
+
+def test_schedule_sequence_of_a_deep_chain():
+    root = node = TaskNode(1, 5000, [])
+    for step in range(4999, 0, -1):
+        child = TaskNode(1, step, [])
+        node.children.append(child)
+        node = child
+    assert schedule_sequence(root) == list(range(1, 5001))
+
+
+def test_schedule_sequence_order_on_a_small_tree():
+    leaf = lambda step: TaskNode(2, step, [])
+    tree = TaskNode(1, 9, [TaskNode(1, 5, [leaf(1), leaf(2)]), leaf(7),
+                           TaskNode(2, 8, [leaf(3)])])
+    assert schedule_sequence(tree) == [1, 2, 5, 7, 3, 8, 9]
+
+
+def _chain_builder(length):
+    """A builder whose step i has one body path node, produced by step i - 1."""
+    builder = TaskTreeBuilder.__new__(TaskTreeBuilder)
+    builder.nodes_made = 0
+    builder.atom_steps = {(1, (0,)): list(range(1, length + 1))}
+    builder.body_path = {i: (0,) for i in range(1, length + 1)}
+    return builder
+
+
+def test_task_tree_of_a_deep_chain():
+    node = _chain_builder(5000).build(1, 5000)
+    assert schedule_sequence(node) == list(range(1, 5001))
+
+
+def test_task_tree_node_cap(monkeypatch):
+    monkeypatch.setattr(treechase, "_TASK_NODE_CAP", 100)
+    assert len(schedule_sequence(_chain_builder(100).build(1, 100))) == 100
+    with pytest.raises(InvariantViolation):
+        _chain_builder(101).build(1, 101)
+
+
+def test_snapshot_restore_undoes_a_step(sets1):
+    inst, info = sets1
+    run = TreeChaseRun(inst.program, inst.database, info.v_ehat)
+    rule = inst.program.rule(1)
+    by_name = {v.name: v for v in rule.variables()}
+    elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
+    state = run.snapshot()
+    facts, stack = list(run.interp), [set(layer) for layer in run.stack]
+    run.apply(rule, {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]})
+    run.break_iteration()
+    run.restore(state)
+    assert list(run.interp) == facts and run.stack == stack
+    assert run.profile.inner_steps == [0]
