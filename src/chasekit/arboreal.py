@@ -17,7 +17,7 @@ root-to-leaf paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .chase import ChaseTrace
@@ -122,22 +122,29 @@ class TermTree:
     parent: tuple                  # parent[0] is None
     creating_step: tuple           # step index per node, None for the root
     node_of: dict                  # term -> node index
+    depths: tuple = field(init=False, repr=False)    # the root has depth 1
+
+    def __post_init__(self):
+        depths: dict = {None: 0}
+        for node in range(len(self.parent)):
+            chain = []
+            while node not in depths:
+                chain.append(node)
+                node = self.parent[node]
+            for n in reversed(chain):
+                depths[n] = depths[node] + 1
+                node = n
+        del depths[None]
+        self.depths = tuple(depths[n] for n in range(len(self.parent)))
 
     def __len__(self) -> int:
         return len(self.node_terms)
 
-    def depth(self, node: int) -> int:
-        d = 1
-        while self.parent[node] is not None:
-            node = self.parent[node]
-            d += 1
-        return d
-
     def root_path(self, node: int) -> tuple:
-        path = [node]
-        while self.parent[node] is not None:
-            node = self.parent[node]
+        path = []
+        while node is not None:
             path.append(node)
+            node = self.parent[node]
         return tuple(reversed(path))
 
     def path_of_terms(self, terms: Iterable[Term]) -> tuple:
@@ -146,7 +153,7 @@ class TermTree:
         nodes = {self.node_of[t] for t in terms}
         if not nodes:
             return (0,)
-        deepest = max(nodes, key=self.depth)
+        deepest = max(nodes, key=self.depths.__getitem__)
         path = self.root_path(deepest)
         if not nodes <= set(path):
             raise InvariantViolation("terms are not on a single root path")

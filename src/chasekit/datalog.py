@@ -7,43 +7,57 @@ the rest of the body is matched around it.  Every match is found at the
 latest when the last of its facts is taken, since the others are present
 by then.
 
+A program's Datalog part is indexed once, on first use, by
+``Program.datalog_index``; both functions take that index or any rule
+iterable, which they index on the fly.
+
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by replacing every variable with a reserved
 fresh constant, saturating, and testing membership of the frozen head.
-Saturation only adds facts, so a frozen head already inside the frozen
-body is entailed without it; and with no rules the frozen body is its own
-closure, so that membership test is the whole answer.  Only a head that
-is not in the body, under a nonempty rule set, costs a saturation.
+Saturation only adds facts, and each fact it adds has the head predicate
+of some rule.  So a frozen head already inside the frozen body is entailed
+without saturating; a missing head atom whose predicate no rule derives is
+not entailed, again without saturating (with no rules this covers every
+missing atom); and the fixpoint can stop at the first moment every missing
+head atom has been derived, since later rounds cannot take a fact away.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Union
 
 from .matching import find_matches, unify_atom
-from .model import Atom, Constant, Interpretation, Tgd, Variable, substitute
+from .model import (Atom, Constant, DatalogIndex, Interpretation, Tgd, Variable,
+                    substitute)
 
 # Frozen constants live outside the user namespace: quoted constants cannot
 # contain control characters, so no parsed program can ever mention these.
 _FREEZE_PREFIX = "\x00frz_"
 
 
-def saturate(rules: Iterable[Tgd], facts: Interpretation) -> Interpretation:
-    """Least fixpoint of ``rules`` over ``facts``; the input is not modified."""
-    # predicate -> (rule, body atom, rest of the body) per body atom
-    body_index: dict = {}
-    for rule in rules:
-        if rule.existentials:
-            raise ValueError(f"rule {rule.rule_id} has existential variables")
-        body = rule.body
-        for k, atom in enumerate(body):
-            body_index.setdefault(atom.pred, []).append(
-                (rule, atom, body[:k] + body[k + 1:]))
+def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
+    return rules if isinstance(rules, DatalogIndex) else DatalogIndex(rules)
+
+
+def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Interpretation,
+             goal: Iterable[Atom] = ()) -> Interpretation:
+    """Least fixpoint of ``rules`` over ``facts``; the input is not modified.
+
+    ``rules`` is a prebuilt index or any iterable of rules, indexed here.
+    With a nonempty ``goal`` the fixpoint stops as soon as every goal atom
+    is a fact, so the result is part of the fixpoint and holds the goal
+    exactly when the whole fixpoint does.
+    """
+    index = _indexed(rules).by_body_pred
     result = facts.copy()
+    goal = set(goal)
+    missing = {a for a in goal if a not in result}
+    if goal and not missing:
+        return result
     worklist = list(result)
     while worklist:
         fact = worklist.pop()
-        for rule, atom, rest in body_index.get(fact.pred, ()):
+        for rule, atom, rest in index.get(fact.pred, ()):
             seed = unify_atom(atom, fact, {})
             if seed is None:
                 continue
@@ -51,6 +65,10 @@ def saturate(rules: Iterable[Tgd], facts: Interpretation) -> Interpretation:
                 for h in rule.head:
                     new = substitute(h, match)
                     if result.add(new):
+                        if new in missing:
+                            missing.remove(new)
+                            if not missing:
+                                return result
                         worklist.append(new)
     return result
 
@@ -73,21 +91,23 @@ class FreshConstants:
                                      for a in atom.args))
 
 
-def entails(rules: Iterable[Tgd], body: Iterable[Atom], head: Iterable[Atom]) -> bool:
+def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
+            head: Iterable[Atom]) -> bool:
     """True iff ``rules`` entail ``forall vars . body -> head``.
 
-    Head variables not occurring in the body are frozen as well, which makes
-    the check test entailment of the implication with those variables also
-    universally quantified.
+    ``rules`` is a prebuilt index or any iterable of rules; an existential
+    rule raises ValueError on every call.  Head variables not occurring in
+    the body are frozen as well, which makes the check test entailment of
+    the implication with those variables also universally quantified.
     """
+    index = _indexed(rules)
     frz = FreshConstants()
     frozen_body = [frz.freeze(a) for a in body]
-    frozen_head = [frz.freeze(a) for a in head]
     known = set(frozen_body)
-    if all(a in known for a in frozen_head):
+    missing = [a for a in map(frz.freeze, head) if a not in known]
+    if not missing:
         return True
-    rules = tuple(rules)
-    if not rules:
+    if any(a.pred not in index.head_preds for a in missing):
         return False
-    closure = saturate(rules, Interpretation(frozen_body))
-    return all(a in closure for a in frozen_head)
+    closure = saturate(index, Interpretation(frozen_body), missing)
+    return all(a in closure for a in missing)

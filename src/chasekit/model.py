@@ -197,6 +197,28 @@ class Tgd:
         return f"{b} -> {h} ."
 
 
+class DatalogIndex:
+    """Existential-free rules indexed for saturation.
+
+    ``by_body_pred`` maps a predicate to one ``(rule, body atom, rest of the
+    body)`` triple per body atom with that predicate, in rule order;
+    ``head_preds`` holds every predicate that some rule derives.
+    """
+
+    def __init__(self, rules: Iterable[Tgd]):
+        self.by_body_pred: dict = {}
+        head_preds = set()
+        for rule in rules:
+            if rule.existentials:
+                raise ValueError(f"rule {rule.rule_id} has existential variables")
+            body = rule.body
+            for k, atom in enumerate(body):
+                self.by_body_pred.setdefault(atom.pred, []).append(
+                    (rule, atom, body[:k] + body[k + 1:]))
+            head_preds.update(h.pred for h in rule.head)
+        self.head_preds = frozenset(head_preds)
+
+
 class Program:
     """A renamed-apart rule set with its predicate signature."""
 
@@ -221,19 +243,23 @@ class Program:
         self.datalog_ids = frozenset(r.rule_id for r in self._datalog)
         # on a repeated rule id, the first rule with it wins
         self._by_id = {r.rule_id: r for r in reversed(self.rules)}
+        self._datalog_index: Optional[DatalogIndex] = None
+        self.max_var_id = max(seen_ids, default=0)
 
     def datalog_rules(self) -> tuple:
         return self._datalog
+
+    def datalog_index(self) -> DatalogIndex:
+        """The Datalog part indexed for saturation, built on first use."""
+        if self._datalog_index is None:
+            self._datalog_index = DatalogIndex(self._datalog)
+        return self._datalog_index
 
     def existential_rules(self) -> tuple:
         return tuple(r for r in self.rules if not r.is_datalog)
 
     def rule(self, rule_id: int) -> Tgd:
         return self._by_id[rule_id]
-
-    @property
-    def max_var_id(self) -> int:
-        return max((v.id for v in self.rule_of_var), default=0)
 
     def fresh_variables(self, prefix: str = "F") -> Iterator[Variable]:
         counter = itertools.count(self.max_var_id + 1)

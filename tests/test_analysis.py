@@ -1,12 +1,13 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from chasekit.analysis import analyze
 from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_qbf, gen_sets,
                              gen_sets_nonterm)
-from chasekit.model import parse_program
+from chasekit.model import DatalogIndex, parse_program
 
 
 def test_dexp_report():
@@ -107,3 +108,18 @@ def test_report_pinned(name):
 def test_negative_budgets_rejected(budgets):
     with pytest.raises(ValueError):
         analyze(_ring(10), **budgets)
+
+
+def test_union_analysis_builds_the_datalog_index_once(monkeypatch):
+    text = gen_dexp(1, True).program.to_text()
+    union = parse_program("".join(re.sub(r"\b([a-z]\w*)\(", rf"c{i}_\1(", text)
+                                  for i in range(2)))
+    built = []
+    init = DatalogIndex.__init__
+    monkeypatch.setattr(DatalogIndex, "__init__",
+                        lambda self, rules: built.append(init(self, rules)))
+    d = analyze(union).to_dict()
+    assert d["saturating"] is True and len(d["saturation"]["components"]) == 2
+    assert len(built) == 1
+    assert union.datalog_index() is union.datalog_index()
+    assert len(built) == 1

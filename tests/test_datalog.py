@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chasekit.datalog import entails, saturate
-from chasekit.model import (Atom, Constant, Interpretation, Variable,
-                            parse_facts, parse_program)
+from chasekit.model import (Atom, Constant, DatalogIndex, Interpretation,
+                            Program, Variable, parse_facts, parse_program)
 from oracles import naive_entails, naive_materialize
 
 
@@ -46,6 +46,17 @@ def test_propagation_pattern_closure():
         program.signature)
     out = saturate(datalog, facts)
     assert Atom("up", (_c("c2"), _c("2"), _c("w1"))) in out
+
+
+def test_entails_rejects_existential_rules_on_every_call():
+    # with the head inside the body, and with a head that needs saturation
+    p = parse_program("p(X) -> q(X,Y) .")
+    x = Variable(100, "X")
+    body = [Atom("p", (x,))]
+    with pytest.raises(ValueError):
+        entails(p.rules, body, body)
+    with pytest.raises(ValueError):
+        entails(p.rules, body, [Atom("q", (x, x))])
 
 
 def test_entails_tautology_and_nonentailment():
@@ -150,3 +161,39 @@ def test_entails_shortcuts_agree_with_naive_oracle(case):
     # with no rules, membership in the body is the whole answer
     assert entails((), body, head) == naive_entails((), body, head)
     assert entails(rules, body, head) == naive_entails(rules, body, head)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_entailment_case())
+def test_entails_agrees_with_naive_oracle_on_index_and_rule_list(case):
+    rules, body, inside, head = case
+    expected = naive_entails(rules, body, head)
+    assert entails(rules, body, head) == expected
+    assert entails(DatalogIndex(rules), body, head) == expected
+    assert entails(Program(rules).datalog_index(), body, head) == expected
+    # a head atom outside the body whose predicate no rule derives
+    derived = {h.pred for rule in rules for h in rule.head}
+    w = Variable(999, "W")
+    for pred in sorted(set(_preds + ["s"]) - derived):
+        underivable = inside + [Atom(pred, (w, w))]
+        assert not entails(rules, body, underivable)
+        assert not naive_entails(rules, body, underivable)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_datalog_case(), st.data())
+def test_saturate_with_a_goal_stops_inside_the_fixpoint(case, data):
+    rules, facts = case
+    full = set(saturate(rules, facts))
+    atoms = st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from(_preds),
+                      st.sampled_from(_consts), st.sampled_from(_consts))
+    derived = sorted(full - set(facts))
+    if derived:      # mostly derived atoms, so the stop point varies
+        atoms = st.sampled_from(derived) | st.sampled_from(derived) | atoms
+    drawn = data.draw(st.lists(atoms, min_size=1, max_size=4))
+    # every derived atom as the goal: the stop must wait for the last one
+    for goal in (drawn, derived) if derived else (drawn,):
+        for rule_set in (rules, DatalogIndex(rules)):
+            part = set(saturate(rule_set, facts, goal))
+            assert set(facts) <= part <= full
+            assert (set(goal) <= part) == (set(goal) <= full)
