@@ -17,7 +17,7 @@ root-to-leaf paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .chase import ChaseTrace
@@ -122,20 +122,7 @@ class TermTree:
     parent: tuple                  # parent[0] is None
     creating_step: tuple           # step index per node, None for the root
     node_of: dict                  # term -> node index
-    depths: tuple = field(init=False, repr=False)    # the root has depth 1
-
-    def __post_init__(self):
-        depths: dict = {None: 0}
-        for node in range(len(self.parent)):
-            chain = []
-            while node not in depths:
-                chain.append(node)
-                node = self.parent[node]
-            for n in reversed(chain):
-                depths[n] = depths[node] + 1
-                node = n
-        del depths[None]
-        self.depths = tuple(depths[n] for n in range(len(self.parent)))
+    depths: tuple                  # root path length per node, 1 for the root
 
     def __len__(self) -> int:
         return len(self.node_terms)
@@ -234,6 +221,7 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo,
         if parent[i] is None:
             parent[i] = 0
     # reaching the root from every bag certifies acyclicity
+    depths = [1] * len(node_terms)
     for i in range(1, len(node_terms)):
         seen_nodes = set()
         cur = i
@@ -242,13 +230,15 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo,
                 raise InvariantViolation("cycle among bags")
             seen_nodes.add(cur)
             cur = parent[cur]
+        depths[i] = len(seen_nodes) + 1
     node_of = {}
     for i, terms in enumerate(node_terms):
         for t in terms:
             if t in node_of:
                 raise InvariantViolation(f"term {t} in two nodes")
             node_of[t] = i
-    return TermTree(tuple(node_terms), tuple(parent), tuple(creating), node_of)
+    return TermTree(tuple(node_terms), tuple(parent), tuple(creating), node_of,
+                    tuple(depths))
 
 
 # ---------------------------------------------------------------------------
