@@ -7,9 +7,9 @@ the rest of the body is matched around it.  Every match is found at the
 latest when the last of its facts is taken, since the others are present
 by then.
 
-A program's Datalog part is indexed once, on first use, by
-``Program.datalog_index``; both functions take that index or any rule
-iterable, which they index on the fly.
+A program's Datalog part is indexed once, on first use, by the
+``Program.datalog_index`` property; both functions take that index or any
+rule iterable, which they index on the fly.
 
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by replacing every variable with a reserved

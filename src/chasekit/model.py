@@ -24,6 +24,7 @@ hash values, so the layout must not change.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -243,23 +244,24 @@ class Program:
         self.datalog_ids = frozenset(r.rule_id for r in self._datalog)
         # on a repeated rule id, the first rule with it wins
         self._by_id = {r.rule_id: r for r in reversed(self.rules)}
-        self._datalog_index: Optional[DatalogIndex] = None
-        self.max_var_id = max(seen_ids, default=0)
 
     def datalog_rules(self) -> tuple:
         return self._datalog
 
+    @functools.cached_property
     def datalog_index(self) -> DatalogIndex:
         """The Datalog part indexed for saturation, built on first use."""
-        if self._datalog_index is None:
-            self._datalog_index = DatalogIndex(self._datalog)
-        return self._datalog_index
+        return DatalogIndex(self._datalog)
 
     def existential_rules(self) -> tuple:
         return tuple(r for r in self.rules if not r.is_datalog)
 
     def rule(self, rule_id: int) -> Tgd:
         return self._by_id[rule_id]
+
+    @functools.cached_property
+    def max_var_id(self) -> int:
+        return max((v.id for v in self.rule_of_var), default=0)
 
     def fresh_variables(self, prefix: str = "F") -> Iterator[Variable]:
         counter = itertools.count(self.max_var_id + 1)

@@ -116,7 +116,7 @@ def is_base_propagating(program: Program, path: Iterable[DepEdge]) -> bool:
     first_label = pq.renamings[0][pq.path[0].label]
     conclusion = tuple(substitute(a, {first_label: pq.chain_vars[-1]})
                        for a in pq.head_parts[0])
-    return entails(program.datalog_index(), pq.atoms, conclusion)
+    return entails(program.datalog_index, pq.atoms, conclusion)
 
 
 def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
@@ -147,7 +147,7 @@ def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
     conc_map[v_star] = pq.chain_vars[ell + 1]        # null created by path_b's edge
     hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in rule_star.head)
     conclusion = tuple(substitute(a, conc_map) for a in rule_star.head)
-    return entails(program.datalog_index(), hypothesis, conclusion)
+    return entails(program.datalog_index, hypothesis, conclusion)
 
 
 def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEdge],

@@ -121,5 +121,5 @@ def test_union_analysis_builds_the_datalog_index_once(monkeypatch):
     d = analyze(union).to_dict()
     assert d["saturating"] is True and len(d["saturation"]["components"]) == 2
     assert len(built) == 1
-    assert union.datalog_index() is union.datalog_index()
+    assert union.datalog_index is union.datalog_index
     assert len(built) == 1

@@ -170,7 +170,7 @@ def test_entails_agrees_with_naive_oracle_on_index_and_rule_list(case):
     expected = naive_entails(rules, body, head)
     assert entails(rules, body, head) == expected
     assert entails(DatalogIndex(rules), body, head) == expected
-    assert entails(Program(rules).datalog_index(), body, head) == expected
+    assert entails(Program(rules).datalog_index, body, head) == expected
     # a head atom outside the body whose predicate no rule derives
     derived = {h.pred for rule in rules for h in rule.head}
     w = Variable(999, "W")
