@@ -462,3 +462,52 @@ def test_snapshot_restore_undoes_a_step(sets1):
     run.restore(state)
     assert list(run.interp) == facts and run.stack == stack
     assert run.profile.inner_steps == [0]
+
+
+# -- pinned search order ---------------------------------------------------------
+
+SEARCH_INPUTS = [("sets(1)", None, 4)] + [
+    (f"qbf {qs} {cl}", QbfFormula(qs, cl), 6)
+    for qs, cl in (("e", ((1,),)), ("a", ((1,),)), ("ea", ((1, 2), (1, -2))),
+                   ("ae", ((1, 2), (-1, -2))), ("ee", ((1, -2), (-1, 2))))]
+SEARCH_BUDGETS = tuple(range(60)) + (100, 300, 1000)
+
+
+def _search_outcomes(monkeypatch, formula, m_bound):
+    """For each budget, the search's verdict and the sha256 of the
+    (rule id, sorted match) sequence that ``TreeChaseRun.apply`` receives."""
+    inst = gen_sets(1) if formula is None else gen_qbf(formula)
+    info = arboreous_info(inst.program)
+    moves = []
+    original = TreeChaseRun.apply
+
+    def recording(self, rule, match):
+        moves.append((rule.rule_id, tuple(sorted(match.items()))))
+        return original(self, rule, match)
+
+    monkeypatch.setattr(TreeChaseRun, "apply", recording)
+    outcomes = []
+    for budget in SEARCH_BUDGETS:
+        moves.clear()
+        verdict = tree_chase_search(inst.program, inst.database, inst.queries[0],
+                                    info.v_ehat, m_bound, node_budget=budget)
+        outcomes.append((budget, verdict, _sha(moves)))
+    return outcomes
+
+
+# sha256 of the (budget, verdict, sha256 of the applied moves) list, frozen
+# from the search that re-checked every move inside apply
+PINNED_SEARCH = {
+    'sets(1)': '251f4a93b3e4def8428f3e8bd9984cb56bd61c4c75769691f984ddaa68472fa6',
+    'qbf e ((1,),)': 'c1f1fcaf523145af0b5127e0ed281c3e46f0c1a110b63a281808164187c1371c',
+    'qbf a ((1,),)': 'fdbabacf05cec24e01281618f2ca105880b6077127f13c9b8e9f0b9b048f6b93',
+    'qbf ea ((1, 2), (1, -2))': 'a8d3af273a21603244f844a7bb90c789cb1134b85a4f115f4f550599c1f1b32b',
+    'qbf ae ((1, 2), (-1, -2))': 'b83b3f2e8dc386a8413e9a3d54d4cfdbfef8568852cd7faffa4408174ddb1a28',
+    'qbf ee ((1, -2), (-1, 2))': '4f2d0d646477564a5392ec9394f52277feca101c4a484644b47f27a3fccee63c',
+}
+
+
+@pytest.mark.parametrize("label,formula,m_bound", SEARCH_INPUTS,
+                         ids=[l for l, _, _ in SEARCH_INPUTS])
+def test_search_moves_pinned(monkeypatch, label, formula, m_bound):
+    assert _sha(_search_outcomes(monkeypatch, formula, m_bound)) == PINNED_SEARCH[label]
