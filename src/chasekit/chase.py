@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matching import find_matches, head_satisfied, match_each, unify_atom
+from .matching import head_satisfied, match_each, unify_atom, unsatisfied_matches
 from .model import (Atom, Database, Interpretation, Null, Program, Tgd,
                     Variable, substitute)
 
@@ -306,32 +306,38 @@ def chase(program: Program, database: Database, strategy=Deterministic(),
     return _Engine(program, database, strategy, max_steps).run()
 
 
+def step_violation(program: Program, interp: Interpretation, rule: Tgd,
+                   match: dict) -> Optional[str]:
+    """The first chase-step condition that applying ``rule`` at ``match`` to
+    ``interp`` breaks, or None: the match embeds the body, it is not yet
+    satisfied, and an existential rule fires only when no Datalog rule has
+    an unsatisfied match.  Uses the matcher only, never the chase's queues.
+    """
+    if any(substitute(atom, match) not in interp for atom in rule.body):
+        return "match does not embed the body"
+    if head_satisfied(interp, rule.head, match):
+        return "match was already satisfied"
+    if rule.existentials:
+        for dl, _match in unsatisfied_matches(interp, program.datalog_rules()):
+            return f"Datalog rule {dl.rule_id} was not at fixpoint"
+    return None
+
+
 def validate_trace(program: Program, trace: ChaseTrace) -> None:
     """Replay a trace and verify every chase-step side condition.
 
-    Checks, step by step: the match embeds the body in the pre-state, the
-    match was unsatisfied, fresh nulls were really fresh, the new facts are
-    exactly the instantiated head, and that no existential-free rule had
-    an unsatisfied match when an existential rule fired.
+    Checks, step by step, the conditions of ``step_violation``, then that
+    fresh nulls were really fresh and that the new facts are exactly the
+    instantiated head.
     Raises AssertionError on the first violation, also under ``python -O``.
     """
     interp = Interpretation(trace.database)
     seen_nulls: set = set()
     for step in trace.steps:
         rule = program.rule(step.rule_id)
-        for atom in rule.body:
-            if substitute(atom, step.match) not in interp:
-                raise AssertionError(f"step {step.index}: match does not embed the body")
-        if head_satisfied(interp, rule.head, step.match):
-            raise AssertionError(f"step {step.index}: match was already satisfied")
-        if rule.existentials:
-            for dl in program.rules:
-                if not dl.is_datalog:
-                    continue
-                for m in find_matches(interp, dl.body):
-                    if not head_satisfied(interp, dl.head, m):
-                        raise AssertionError(f"step {step.index}: Datalog rule "
-                                             f"{dl.rule_id} was not at fixpoint")
+        violation = step_violation(program, interp, rule, step.match)
+        if violation is not None:
+            raise AssertionError(f"step {step.index}: {violation}")
         for v in rule.existentials:
             n = step.extension[v]
             if not isinstance(n, Null) or n in seen_nulls:

@@ -39,9 +39,10 @@ def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
     return rules if isinstance(rules, DatalogIndex) else DatalogIndex(rules)
 
 
-def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Interpretation,
+def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
              goal: Iterable[Atom] = ()) -> Interpretation:
-    """Least fixpoint of ``rules`` over ``facts``; the input is not modified.
+    """Least fixpoint of ``rules`` over ``facts``, any iterable of atoms
+    (an interpretation too), which is read once and not modified.
 
     ``rules`` is a prebuilt index or any iterable of rules, indexed here.
     With a nonempty ``goal`` the fixpoint stops as soon as every goal atom
@@ -49,7 +50,7 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Interpretation,
     exactly when the whole fixpoint does.
     """
     index = _indexed(rules).by_body_pred
-    result = facts.copy()
+    result = Interpretation(facts)
     goal = set(goal)
     missing = {a for a in goal if a not in result}
     if goal and not missing:
@@ -109,5 +110,5 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    closure = saturate(index, Interpretation(frozen_body), missing)
+    closure = saturate(index, frozen_body, missing)
     return all(a in closure for a in missing)

@@ -124,6 +124,16 @@ def head_satisfied(interp: Interpretation, head, subst: Mapping[Variable, Term])
     return match_each(interp, head, dict(subst), lambda _b: True, reorder=True)
 
 
+def unsatisfied_matches(interp: Interpretation, rules) -> Iterator[tuple]:
+    """Every ``(rule, match)`` whose match embeds the rule's body but does
+    not satisfy its head, rule by rule in the given order, each rule's
+    matches in ``find_matches`` order.  Heads are checked lazily."""
+    for rule in rules:
+        for match in find_matches(interp, rule.body):
+            if not head_satisfied(interp, rule.head, match):
+                yield rule, match
+
+
 def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:
     """Boolean conjunctive query entailment over one interpretation."""
     return match_each(interp, q.atoms, {}, lambda _b: True, reorder=True)

@@ -21,6 +21,11 @@ Choices are supplied by scripts, so the nondeterminism lives in drivers:
   path bottom-up (children before parents, shallow before deep);
 * the *search* driver explores all scripts up to an inner bound, for tiny
   instances only.
+
+The code that chooses a step checks it, and ``TreeChaseRun.apply`` only
+executes: ``tree_chase_run`` checks each scripted choice with
+``check_applicable``, the guided replay checks each translated step, and
+the search applies only the unsatisfied matches it has just listed.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .arboreal import ArboreousInfo, InvariantViolation, TermTree, build_term_tree
-from .chase import ChaseResult, ChaseTrace, Deterministic, chase
-from .matching import bcq_match, evaluate_bcq, find_matches, head_satisfied
+from .chase import ChaseResult, ChaseTrace, Deterministic, chase, step_violation
+from .matching import bcq_match, evaluate_bcq, head_satisfied, unsatisfied_matches
 from .model import (Atom, BCQ, Constant, Database, Null,
                     Program, Term, Tgd, Variable, substitute)
 
@@ -82,25 +87,16 @@ class Break:
 
 
 class TreeChaseRun:
-    """One run of the bounded chase; choices are validated, then applied.
-
-    With ``datalog_first`` (the default) an existential choice is rejected
-    while an existential-free rule still has an unsatisfied match.  Guided
-    replay disables this: replays interleave rebuilds of sibling branches,
-    so pending existential-free matches can appear at moments the reference
-    chase never saw, and applying them would prune the very path the
-    schedule is building.  Soundness and the space bound do not depend on
-    the strict check.
+    """One run of the bounded chase; ``apply`` executes steps its caller
+    has checked (``check_applicable`` checks a choice from outside).
 
     ``interp`` changes in place (see the module docstring); ``snapshot``
     and ``restore`` save and bring back the facts, the stack and the step
     counts, for a search.
     """
 
-    def __init__(self, program: Program, database: Database, v_ehat: Iterable[Variable],
-                 datalog_first: bool = True):
+    def __init__(self, program: Program, database: Database, v_ehat: Iterable[Variable]):
         self.program = program
-        self.datalog_first = datalog_first
         self.v_ehat = set(v_ehat)
         self.interp = database.copy()
         constants = list(dict.fromkeys(
@@ -110,10 +106,8 @@ class TreeChaseRun:
         # the root keeps every constant for good; every other live term is a null
         self._constants = len(constants)
         self.null_counter = itertools.count(_NULL_NAMESPACE)
-        self.datalog = program.datalog_rules()
         self.profile = SpaceProfile()
         self.profile.inner_steps.append(0)
-        self.log: list = []
         self.popped: list = []       # terms the last step popped
         self.added: list = []        # facts the last step added
         self._observe()
@@ -134,41 +128,27 @@ class TreeChaseRun:
         p.max_terms = max(p.max_terms, live)
         p.max_live_nulls = max(p.max_live_nulls, live - self._constants)
 
-    def datalog_saturated(self) -> bool:
-        return self.unsatisfied_datalog_match() is None
-
-    def unsatisfied_datalog_match(self) -> Optional[tuple]:
-        for rule in self.datalog:
-            for match in find_matches(self.interp, rule.body):
-                if not head_satisfied(self.interp, rule.head, match):
-                    return rule, match
-        return None
-
     def check_applicable(self, rule: Tgd, match: dict) -> None:
-        for atom in rule.body:
-            if substitute(atom, match) not in self.interp:
-                raise InvalidChoice(f"rule {rule.rule_id}: body not embedded")
-        if head_satisfied(self.interp, rule.head, match):
-            raise InvalidChoice(f"rule {rule.rule_id}: match already satisfied")
-        if self.datalog_first and rule.existentials and not self.datalog_saturated():
-            raise InvalidChoice("existential rule chosen before Datalog fixpoint")
+        """Raise InvalidChoice unless the step is a Datalog-first chase step."""
+        violation = step_violation(self.program, self.interp, rule, match)
+        if violation is not None:
+            raise InvalidChoice(f"rule {rule.rule_id}: {violation}")
 
     # -- transitions ----------------------------------------------------------
 
     def apply(self, rule: Tgd, match: dict) -> dict:
-        """Validate and execute one rule application; returns the extension.
+        """Execute one rule application; returns the extension.
 
-        The fact set changes in place: the facts that mention a popped term
-        go, the head facts that are new come last.  ``popped`` and ``added``
-        then hold the terms and facts this step removed and added.
+        Precondition, not checked here: ``match`` embeds the body and does
+        not satisfy the head.  The fact set changes in place: the facts that
+        mention a popped term go, the head facts that are new come last.
+        ``popped`` and ``added`` then hold the terms and facts this step
+        removed and added.
         """
-        self.check_applicable(rule, match)
         frontier_terms = {match[y] for y in rule.frontier}
         self.popped = []
-        pruned = 0
         while len(self.stack) > 1 and not (frontier_terms & self.stack[-1]):
             self.popped.extend(self.stack.pop())
-            pruned += 1
         if self.popped:
             self.interp.discard_terms(self.popped)
         extension = dict(match)
@@ -178,8 +158,7 @@ class TreeChaseRun:
             n = Null(nid, f"m{nid}_{v.name}")
             extension[v] = n
             fresh.append(n)
-        pushed = bool(self.v_ehat & set(rule.existentials))
-        if pushed:
+        if self.v_ehat & set(rule.existentials):
             self.stack.append(set(fresh))
         else:
             self.stack[-1] |= set(fresh)
@@ -189,10 +168,6 @@ class TreeChaseRun:
             if self.interp.add(fact):
                 self.added.append(fact)
         self.profile.inner_steps[-1] += 1
-        self.log.append({"rule": rule.rule_id, "pruned": pruned,
-                         "action": "push" if pushed else "extend",
-                         "lastSetSize": len(self.stack[-1]),
-                         "atoms": len(self.interp)})
         self._observe()
         return extension
 
@@ -219,7 +194,8 @@ def tree_chase_run(program: Program, database: Database, q: BCQ,
                    v_ehat: Iterable[Variable], m_bound: int,
                    scripts: Iterable[Iterable]) -> tuple:
     """Execute scripts (one per query atom, Apply/Break entries) and report
-    the verdict together with the run's space profile."""
+    the verdict together with the run's space profile; a malformed or
+    inapplicable choice raises InvalidChoice."""
     run = TreeChaseRun(program, database, v_ehat)
     scripts = list(scripts)
     if len(scripts) > len(q):
@@ -229,11 +205,17 @@ def tree_chase_run(program: Program, database: Database, q: BCQ,
         for choice in script:
             if isinstance(choice, Break):
                 break
+            if not isinstance(choice, Apply):
+                raise InvalidChoice(f"script entry {choice!r} is neither Apply nor Break")
             steps += 1
             if steps > m_bound:
                 raise InvalidChoice(f"script exceeds the inner bound {m_bound}")
-            rule = program.rule(choice.rule_id)
-            run.apply(rule, dict(choice.match))
+            try:
+                rule, match = program.rule(choice.rule_id), dict(choice.match)
+            except (KeyError, TypeError, ValueError):
+                raise InvalidChoice(f"malformed choice {choice!r}") from None
+            run.check_applicable(rule, match)
+            run.apply(rule, match)
         run.break_iteration()
     while len(run.profile.inner_steps) < len(q) + 1:
         run.break_iteration()
@@ -351,13 +333,20 @@ class _GuidedReplayer:
     against ``inv``: the inverse of ``tau`` on the live terms, which gains
     the new nulls and loses the popped terms.  ``check_homomorphism()``
     and ``inverse_on_live()`` are the full checks, over the whole state.
+
+    A step whose translated body does not embed is a divergence, one whose
+    head holds is skipped.  Replay is not held to Datalog-first: it
+    interleaves rebuilds of sibling branches, so pending existential-free
+    matches can appear at moments the reference chase never saw, and
+    applying them would prune the very path the schedule is building.
+    Soundness and the space bound do not depend on that order.
     """
 
     def __init__(self, program: Program, reference: ChaseResult,
                  info: ArboreousInfo, database: Database):
         self.program = program
         self.reference = reference
-        self.run = TreeChaseRun(program, database, info.v_ehat, datalog_first=False)
+        self.run = TreeChaseRun(program, database, info.v_ehat)
         self.tau: dict = {}          # runner null -> chase null
         self.skipped = 0
         self.replayed = 0
@@ -478,24 +467,17 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
     accepts, 'false' only on full exhaustion, else 'inconclusive'."""
     run = TreeChaseRun(program, database, v_ehat)
 
-    def choices() -> list:
-        out = []
-        saturated = run.datalog_saturated()
-        for rule in program.rules:
-            if rule.existentials and not saturated:
-                continue
-            for match in find_matches(run.interp, rule.body):
-                if not head_satisfied(run.interp, rule.head, match):
-                    out.append((rule, match))
-        return out
-
     def moves(k: int, j: int):
         """The children of node (k, j) as (k, j, transition), in search
-        order; the choices are listed once the break to the next outer round
+        order; the choices (the unsatisfied Datalog matches, or else the
+        existential ones) are listed once the break to the next outer round
         has been explored and undone."""
         yield k + 1, 0, run.break_iteration
         if j < m_bound:
-            for rule, match in choices():
+            choices = list(unsatisfied_matches(run.interp, program.datalog_rules()))
+            if not choices:
+                choices = list(unsatisfied_matches(run.interp, program.existential_rules()))
+            for rule, match in choices:
                 yield k, j + 1, partial(run.apply, rule, match)
 
     # depth-first over an explicit stack: a frame holds a node's remaining

@@ -72,10 +72,27 @@ def test_invalid_script_rejected(sets1):
     by_name = {v.name: v for v in rule.variables()}
     elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
     match = ((by_name["X"], elem_a.args[0]), (by_name["S"], set_e0.args[0]))
-    run = TreeChaseRun(program, inst.database, info.v_ehat)
-    run.apply(rule, dict(match))
-    with pytest.raises(InvalidChoice):
-        run.apply(rule, dict(match))    # now satisfied
+    q = parse_query("?- su(a1,S,S) .", program.signature)
+    with pytest.raises(InvalidChoice, match="already satisfied"):
+        # the second application of the same match finds it satisfied
+        tree_chase_run(program, inst.database, q, info.v_ehat, 4,
+                       [[Apply(1, match), Apply(1, match)]])
+
+
+@pytest.mark.parametrize("choice", [Apply(99, ()), Apply(1, 5)],
+                         ids=["unknown rule", "match not a pair sequence"])
+def test_script_with_a_malformed_choice_rejected(sets1, choice):
+    inst, info = sets1
+    q = parse_query("?- su(a1,S,S) .", inst.program.signature)
+    with pytest.raises(InvalidChoice, match="malformed choice"):
+        tree_chase_run(inst.program, inst.database, q, info.v_ehat, 4, [[choice]])
+
+
+def test_script_entry_neither_apply_nor_break_rejected(sets1):
+    inst, info = sets1
+    q = parse_query("?- su(a1,S,S) .", inst.program.signature)
+    with pytest.raises(InvalidChoice, match="neither Apply nor Break"):
+        tree_chase_run(inst.program, inst.database, q, info.v_ehat, 4, [[(1, ())]])
 
 
 def test_guided_sets_query_true(sets1):
@@ -214,23 +231,40 @@ def test_run_log_records_prunes_and_pushes(sets1):
     by_name = {v.name: v for v in rule.variables()}
     elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
     run.apply(rule, {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]})
-    assert run.log == [{"rule": 1, "pruned": 0, "action": "push",
-                        "lastSetSize": 1, "atoms": len(inst.database) + 3}]
+    # nothing pruned, one pushed bag holding the fresh null, three new facts
+    assert len(run.stack) == 2 and len(run.stack[-1]) == 1
+    assert run.popped == []
+    assert len(run.interp) == len(inst.database) + 3
 
 
 def test_datalog_first_strictness_is_enforced_in_scripted_runs(sets1):
     inst, info = sets1
     program = parse_program(inst.program.to_text() + "elem(X) -> seen(X) .\n")
     info2 = arboreous_info(program)
-    run = TreeChaseRun(program, inst.database, info2.v_ehat)
     rule = program.rule(1)
     by_name = {v.name: v for v in rule.variables()}
     elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
-    match = {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]}
-    with pytest.raises(InvalidChoice):
-        run.apply(rule, match)    # the seen-rule is still unsaturated
-    relaxed = TreeChaseRun(program, inst.database, info2.v_ehat, datalog_first=False)
-    relaxed.apply(rule, match)    # allowed once the strict check is off
+    match = ((by_name["X"], elem_a.args[0]), (by_name["S"], set_e0.args[0]))
+    q = parse_query("?- su(a1,S,S) .", program.signature)
+    with pytest.raises(InvalidChoice, match="not at fixpoint"):
+        # the seen-rule is still unsaturated
+        tree_chase_run(program, inst.database, q, info2.v_ehat, 4, [[Apply(1, match)]])
+
+
+def test_guided_and_search_apply_without_the_outside_check(monkeypatch):
+    """Guided replay and the search check their own steps: with
+    ``check_applicable`` raising, both still give their results."""
+    def refuse(self, rule, match):
+        raise AssertionError("check_applicable called outside tree_chase_run")
+
+    monkeypatch.setattr(TreeChaseRun, "check_applicable", refuse)
+    for qs, cl in QBF_SUITE:
+        formula = QbfFormula(qs, cl)
+        assert _qbf_guided(formula).entailed == qbf_truth(formula)
+    inst = gen_qbf(QbfFormula("e", ((1,),)))
+    info = arboreous_info(inst.program)
+    assert tree_chase_search(inst.program, inst.database, inst.queries[0],
+                             info.v_ehat, 6, node_budget=1000) == "true"
 
 
 # -- pinned guided results -----------------------------------------------------
