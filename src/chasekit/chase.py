@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matching import head_satisfied, match_each, unify_atom, unsatisfied_matches
+from .matching import Plan, head_satisfied, seeded_plans, slot_atoms, unsatisfied_matches
 from .model import (Atom, Database, Interpretation, Null, Program, Tgd,
                     Variable, substitute)
 
@@ -129,16 +129,16 @@ class _RuleQueue:
 
     * A Datalog rule's match fixes every head variable, so its head is
       satisfied exactly when each ground head atom is already a fact.
-      ``head_spec`` holds each head atom as its predicate and, per
-      argument, a slot of the value tuple or a constant.
+      ``head_spec`` holds the head atoms over the slots of the value tuple.
     * An existential rule's head check depends on the frontier values only.
       The chase only adds facts, so an applied match stays satisfied by the
       facts it added.  ``settled`` holds the frontier values of every
       candidate handed out for application, and a later pop of the same
-      values is discarded without a homomorphism search.  Candidates found
-      satisfied are not stored: on the corpus programs none is popped
-      again, and storing them kept about 12k tuples alive through a
-      ``sets(6)`` chase.
+      values is discarded without a homomorphism search; any other is
+      checked by the rule's ``head_plan``.
+      Candidates found satisfied are not stored: on the corpus programs
+      none is popped again, and storing them kept about 12k tuples alive
+      through a ``sets(6)`` chase.
     """
 
     def __init__(self, rule: Tgd):
@@ -146,22 +146,14 @@ class _RuleQueue:
         self.vars = rule.frontier + rule.body_only
         self.items: deque = deque()
         self.n_frontier = len(rule.frontier)
-        slot = {v: i for i, v in enumerate(self.vars)}
-        self.head_spec = tuple((a.pred, tuple(slot.get(t, t) for t in a.args))
-                               for a in rule.head)
+        self.head_spec = slot_atoms(rule.head, self.vars)
         self.settled: set = set()
-
-    def push_binding(self, binding: dict) -> None:
-        self.items.append(tuple([binding[v] for v in self.vars]))
 
     def __len__(self) -> int:
         return len(self.items)
 
     def as_match(self, values: tuple) -> dict:
         return dict(zip(self.vars, values))
-
-    def pop_oldest(self) -> tuple:
-        return self.items.popleft()
 
     def pop_at(self, offset: int) -> tuple:
         values = self.items[offset]
@@ -172,14 +164,13 @@ class _RuleQueue:
         """Is the candidate ``values`` satisfied?  A False answer hands the
         candidate out: the caller applies it or stops the chase."""
         if not self.rule.existentials:
-            for pred, spec in self.head_spec:
-                args = tuple([values[s] if s.__class__ is int else s for s in spec])
-                if Atom(pred, args) not in interp:
+            # an Atom is the tuple (pred, args), so the plain tuple finds it
+            for pred, args in self.head_spec:
+                if (pred, args(values)) not in interp:
                     return False
             return True
         key = values[:self.n_frontier]
-        if key in self.settled or head_satisfied(
-                interp, self.rule.head, dict(zip(self.rule.frontier, key))):
+        if key in self.settled or head_satisfied(interp, self.rule.head_plan, key):
             return True
         self.settled.add(key)
         return False
@@ -198,22 +189,19 @@ class _Engine:
         self.datalog = [q for q in queues if q.rule.is_datalog]
         self.existential = [q for q in queues if not q.rule.is_datalog]
         self.rr = 0  # round-robin pointer over existential rules
-        # predicate -> (queue, body atom, rest of the body) per body atom
+        # predicate -> (queue, plan seeded with the body atom) per body atom;
+        # a plan hands out matches as value tuples in the queue's order
         self.body_index: dict = {}
         for q in queues:
-            body = q.rule.body
-            for k, atom in enumerate(body):
-                self.body_index.setdefault(atom.pred, []).append(
-                    (q, atom, body[:k] + body[k + 1:]))
+            for atom, plan in seeded_plans(q.rule.body, q.vars):
+                self.body_index.setdefault(atom.pred, []).append((q.items.append, plan))
         for q in queues:
-            match_each(self.interp, q.rule.body, {}, q.push_binding, reorder=False)
+            Plan(q.rule.body, q.vars, reorder=False).run(self.interp, (), q.items.append)
 
     def discover(self, fact: Atom) -> None:
         """Enqueue every candidate match that involves a new fact."""
-        for q, atom, rest in self.body_index.get(fact.pred, ()):
-            seed = unify_atom(atom, fact, {})
-            if seed is not None:
-                match_each(self.interp, rest, seed, q.push_binding)
+        for push, plan in self.body_index.get(fact.pred, ()):
+            plan.run_from(self.interp, fact, push)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1
@@ -246,8 +234,8 @@ class _Engine:
         while progress:
             progress = False
             for q in self.datalog:
-                while len(q):
-                    values = q.pop_oldest()
+                while q.items:
+                    values = q.items.popleft()
                     if q.satisfied(self.interp, values):
                         continue
                     if len(self.trace.steps) >= self.max_steps:
@@ -261,8 +249,8 @@ class _Engine:
             n = len(self.existential)
             for i in range(n):
                 q = self.existential[(self.rr + i) % n]
-                while len(q):
-                    values = q.pop_oldest()
+                while q.items:
+                    values = q.items.popleft()
                     if not q.satisfied(self.interp, values):
                         self.rr = (self.rr + i + 1) % n
                         return q, values
@@ -315,7 +303,7 @@ def step_violation(program: Program, interp: Interpretation, rule: Tgd,
     """
     if any(substitute(atom, match) not in interp for atom in rule.body):
         return "match does not embed the body"
-    if head_satisfied(interp, rule.head, match):
+    if head_satisfied(interp, rule.head_plan, [match[v] for v in rule.frontier]):
         return "match was already satisfied"
     if rule.existentials:
         for dl, _match in unsatisfied_matches(interp, program.datalog_rules()):

@@ -2,8 +2,8 @@
 
 ``saturate`` computes the least fixpoint of a set of existential-free rules
 the way the chase discovers matches: each fact, given or derived, is taken
-once from a worklist, unified with every body atom of its predicate, and
-the rest of the body is matched around it.  Every match is found at the
+once from a worklist and handed to the rule plans seeded with a body atom
+of its predicate, which match the rest of the body around it.  Every match is found at the
 latest when the last of its facts is taken, since the others are present
 by then.
 
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .matching import find_matches, unify_atom
-from .model import (Atom, Constant, DatalogIndex, Interpretation, Tgd, Variable,
-                    substitute)
+from .model import Atom, Constant, DatalogIndex, Interpretation, Tgd, Variable
 
 # Frozen constants live outside the user namespace: quoted constants cannot
 # contain control characters, so no parsed program can ever mention these.
@@ -58,13 +56,14 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     worklist = list(result)
     while worklist:
         fact = worklist.pop()
-        for rule, atom, rest in index.get(fact.pred, ()):
-            seed = unify_atom(atom, fact, {})
-            if seed is None:
-                continue
-            for match in find_matches(result, rest, seed, reorder=True):
-                for h in rule.head:
-                    new = substitute(h, match)
+        for plan, head in index.get(fact.pred, ()):
+            # collected first: adding while the plan walks would extend the
+            # fact lists it is reading
+            matches: list = []
+            plan.run_from(result, fact, matches.append)
+            for values in matches:
+                for pred, args in head:
+                    new = Atom(pred, args(values))
                     if result.add(new):
                         if new in missing:
                             missing.remove(new)

@@ -46,26 +46,39 @@ def positions_of(program: Program, var: Variable, side: str) -> frozenset:
 
 
 def compute_omegas(program: Program) -> dict:
-    """Least position sets closed under body-to-head flow, per existential."""
-    body_pos = {}
+    """Least position sets closed under body-to-head flow, per existential.
+
+    A worklist closure: each universal variable counts its body positions
+    not yet in omega, a position entering omega lowers the count of every
+    universal with that body position, and a universal whose count reaches
+    zero adds its head positions.  So each existential costs the positions
+    and universals it reaches, not a rescan of every universal per round.
+    """
+    body_count = {}
     head_pos = {}
-    universals = []
+    readers: dict = {}    # position -> universals with that body position
     for rule in program.rules:
         for v in rule.frontier + rule.body_only:
-            universals.append(v)
-            body_pos[v] = positions_of(program, v, "body")
+            body = positions_of(program, v, "body")
+            body_count[v] = len(body)
             head_pos[v] = positions_of(program, v, "head")
+            for p in body:
+                readers.setdefault(p, []).append(v)
     omegas = {}
     for rule in program.rules:
         for v in rule.existentials:
-            omega = set(positions_of(program, v, "head"))
-            changed = True
-            while changed:
-                changed = False
-                for x in universals:
-                    if body_pos[x] <= omega and not head_pos[x] <= omega:
-                        omega |= head_pos[x]
-                        changed = True
+            omega: set = set()
+            missing: dict = {}
+            todo = list(positions_of(program, v, "head"))
+            while todo:
+                p = todo.pop()
+                if p in omega:
+                    continue
+                omega.add(p)
+                for x in readers.get(p, ()):
+                    left = missing[x] = missing.get(x, body_count[x]) - 1
+                    if not left:
+                        todo.extend(head_pos[x])
             omegas[v] = frozenset(omega)
     return omegas
 

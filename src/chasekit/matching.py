@@ -1,108 +1,257 @@
-"""Backtracking homomorphism search over indexed interpretations.
+"""Homomorphism search over indexed interpretations, by compiled plans.
 
-The core walker keeps one mutable binding dictionary and undoes its own
-entries on backtracking; callers that need to retain a match copy it at the
-leaf.  Enumeration order is deterministic: fact candidates come in
-insertion order, and atoms are matched either in the given order or most
-constrained first.
+A ``Plan`` compiles one join once: a tuple of atoms, the order of the
+variables' *slots*, how many of them (the first ``n_bound``) are bound on
+entry, and optionally a *seed* atom that is matched first against one given
+fact.  A search binds into a list indexed by slot and hands each match out
+as the tuple of all slots, so a caller that stores matches stores that
+tuple, and one that ranks variables differently reads them by slot.
+
+Enumeration order is fixed.  Fact candidates come in insertion order.  At
+every level the next atom is the most constrained one, judged by the length
+of its smallest candidate list: the predicate's list or, in position order,
+the list of a position whose value is fixed by a constant or a bound
+variable.  The first minimum wins a tie, and ``reorder=False`` keeps the
+given order.  Which variables are bound depends only on which atoms are
+already matched, so everything else is planned on the first visit of each
+such set of atoms: the index lookups of every remaining atom and, for the
+atom picked, the positions to compare with fixed values, the repeated
+positions to compare with each other, and the positions to bind.
+
+``match_each`` and the functions built on it compile a plan per call, for
+callers that hold none, and bind into dictionaries keyed by variable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
-from .model import Atom, BCQ, Interpretation, Term, Variable
+from .model import Atom, BCQ, Interpretation, Variable, atoms_variables
+
+_EMPTY: tuple = ()
+_NO_FACT = Atom("", ())   # the fact a plan without a seed starts from
 
 
-def unify_atom(pattern: Atom, fact: Atom, subst: dict) -> Optional[dict]:
-    """Extend a copy of ``subst`` so that ``pattern`` maps onto ``fact``."""
-    if pattern.pred != fact.pred or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(subst)
-    for p, f in zip(pattern.args, fact.args):
-        if isinstance(p, Variable):
-            bound = out.get(p)
-            if bound is None:
-                out[p] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return out
+def _found(_values) -> bool:
+    return True
+
+
+def _shaped(values: list):
+    # shaped like what itemgetter gives: one value alone, several as a tuple
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+class Plan:
+    """A join of ``atoms`` compiled over the slots of ``variables``.
+
+    The first ``n_bound`` variables are bound on entry.  With a ``seed``
+    atom, ``run_from`` first matches the seed against one fact and then the
+    atoms around it.  ``variables`` holds every variable of the atoms, the
+    seed and the entry.  Nothing is compiled before the first run, so a
+    plan that never runs costs little.
+
+    A node, built on the first visit of a set ``mask`` of matched atoms, is
+    ``[lookups, steps]``: per remaining atom ``j`` (only the first without
+    reordering) ``(j, pred, ((position, slot or -1, static key), ...))``,
+    and per atom the step that matches it there, built when first picked.
+    A step is ``(arity, get, expect, read, same, bind, child)``: ``get``
+    reads the positions fixed by a constant or a bound slot, to compare
+    with ``expect`` or, when a slot is among them, with what ``read`` reads
+    off the slots; ``same`` pairs a repeated new variable with its first
+    position; ``bind`` takes each new variable's first position into its
+    slot; ``child`` is the next node, None after the last atom.
+    """
+
+    __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "start", "_nodes")
+
+    def __init__(self, atoms, variables, n_bound: int = 0, reorder: bool = True,
+                 seed: Optional[Atom] = None):
+        self.atoms = tuple(atoms)
+        self.variables = variables
+        self.n_bound = n_bound
+        self.reorder = reorder
+        self.seed = seed
+        self.start = None
+
+    def _compile(self) -> tuple:
+        """The first step: the seed's, or an empty one leading to the root."""
+        self._nodes = {}
+        root = self._node(0) if self.atoms else None
+        self.start = self._step(self.seed or _NO_FACT, range(self.n_bound), root)
+        return self.start
+
+    def _bound(self, mask: int) -> set:
+        """The slots bound once the atoms in ``mask`` are matched."""
+        matched = [a for j, a in enumerate(self.atoms) if mask >> j & 1]
+        if self.seed is not None:
+            matched.append(self.seed)
+        return set(range(self.n_bound)).union(
+            *([self.variables.index(v) for v in a.variables()] for a in matched))
+
+    def _node(self, mask: int) -> list:
+        node = self._nodes.get(mask)
+        if node is None:
+            bound = self._bound(mask)
+            remaining = [j for j in range(len(self.atoms)) if not mask >> j & 1]
+            lookups = []
+            for j in remaining if self.reorder else remaining[:1]:
+                pred = self.atoms[j].pred
+                spec = []
+                for i, a in enumerate(self.atoms[j].args):
+                    if not isinstance(a, Variable):
+                        spec.append((i, -1, (pred, i, a)))
+                    elif self.variables.index(a) in bound:
+                        spec.append((i, self.variables.index(a), None))
+                lookups.append((j, pred, tuple(spec)))
+            node = self._nodes[mask] = [tuple(lookups), [None] * len(self.atoms)]
+        return node
+
+    def _step(self, atom: Atom, bound, child) -> tuple:
+        fixed, expect, same, bind, first = [], [], [], [], {}
+        for idx, p in enumerate(atom.args):
+            if not isinstance(p, Variable):
+                fixed.append(idx)
+                expect.append(p)
+                continue
+            s = self.variables.index(p)
+            if s in bound:
+                fixed.append(idx)
+                expect.append(s)
+            elif s in first:
+                same.append((idx, first[s]))
+            else:
+                first[s] = idx
+                bind.append((idx, s))
+        # a slot number is an int, a constant a tuple
+        if not any(e.__class__ is int for e in expect):
+            read = None
+        elif all(e.__class__ is int for e in expect):
+            read = itemgetter(*expect)
+        else:   # constants and slots mixed: at least two values, a tuple
+            read = partial(_read_args, tuple(expect))
+        return (len(atom.args), itemgetter(*fixed) if fixed else None, _shaped(expect),
+                read, tuple(same), tuple(bind), child)
+
+    def _pick(self, mask: int, j: int) -> tuple:
+        """The step matching atom ``j`` after the atoms in ``mask``."""
+        after = mask | 1 << j
+        child = self._node(after) if after != (1 << len(self.atoms)) - 1 else None
+        step = self._nodes[mask][1][j] = self._step(self.atoms[j], self._bound(mask), child)
+        return step
+
+    def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool]) -> bool:
+        """Call ``emit`` with the slot tuple of every match that extends
+        the entry ``values``; a truthy return stops the search, and the
+        result says whether it was stopped."""
+        slots = list(values)
+        slots += [None] * (len(self.variables) - len(slots))
+        return self._scan(0, self.start or self._compile(), (_NO_FACT,), slots, emit,
+                          interp._by_pred, interp._by_arg)
+
+    def run_from(self, interp: Interpretation, fact: Atom,
+                 emit: Callable[[tuple], bool]) -> bool:
+        """``run`` with the seed atom matched to ``fact`` first."""
+        step = self.start or self._compile()
+        if len(fact.args) != step[0]:
+            return False
+        return self._scan(0, step, (fact,), [None] * len(self.variables), emit,
+                          interp._by_pred, interp._by_arg)
+
+    def _walk(self, mask: int, node: list, slots: list, emit, by_pred: dict,
+              by_arg: dict) -> bool:
+        """Pick the most constrained remaining atom and scan its candidates.
+        The interpretation's index dictionaries are read directly: this is
+        the hot loop of every chase and every fixpoint."""
+        lookups, steps = node
+        best = None
+        least = pick = 0
+        for j, pred, spec in lookups:
+            facts = by_pred.get(pred, _EMPTY)
+            n = len(facts)
+            for i, s, key in spec:
+                lst = by_arg.get(key if s < 0 else (pred, i, slots[s]), _EMPTY)
+                if len(lst) < n:
+                    facts, n = lst, len(lst)
+            if not n:
+                return False
+            if best is None or n < least:
+                best, least, pick = facts, n, j
+        step = steps[pick] or self._pick(mask, pick)
+        return self._scan(mask | 1 << pick, step, best, slots, emit, by_pred, by_arg)
+
+    def _scan(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
+              by_arg: dict) -> bool:
+        """Match ``step``'s atom against each of ``facts`` and go on below."""
+        _arity, get, expect, read, same, bind, child = step
+        if read is not None:
+            expect = read(slots)
+        # a slot bound here is only read below this level, so backtracking
+        # needs no undo: the next fact overwrites it
+        for fact in facts:
+            fa = fact.args
+            if get is not None and get(fa) != expect:
+                continue
+            if same and any(fa[i] != fa[j] for i, j in same):
+                continue
+            for idx, s in bind:
+                slots[s] = fa[idx]
+            if child is None:
+                if emit(tuple(slots)):
+                    return True
+            elif self._walk(mask, child, slots, emit, by_pred, by_arg):
+                return True
+        return False
+
+
+def seeded_plans(body, variables) -> list:
+    """One plan per body atom, seeded with that atom and matching the rest
+    of the body around it, as ``(atom, plan)`` in body order."""
+    return [(atom, Plan(body[:k] + body[k + 1:], variables, seed=atom))
+            for k, atom in enumerate(body)]
+
+
+def slot_atoms(atoms, variables) -> tuple:
+    """``atoms`` as ``(pred, args)`` pairs, where ``args(values)`` is the
+    argument tuple under the values of the slots of ``variables``."""
+    slot = {v: i for i, v in enumerate(variables)}
+    return tuple((a.pred, _args_reader(tuple(slot.get(t, t) for t in a.args)))
+                 for a in atoms)
+
+
+def _args_reader(spec: tuple) -> Callable[[tuple], tuple]:
+    if spec and all(s.__class__ is int for s in spec):
+        # one position is read as a slice, to give a tuple like several
+        return itemgetter(*spec) if len(spec) > 1 else itemgetter(slice(spec[0], spec[0] + 1))
+    return partial(_read_args, spec)
+
+
+def _read_args(spec: tuple, values: tuple) -> tuple:
+    return tuple([values[s] if s.__class__ is int else s for s in spec])
 
 
 def match_each(interp: Interpretation, atoms, binding: dict,
                callback: Callable[[dict], bool], reorder: bool = True) -> bool:
     """Invoke ``callback`` on every embedding of ``atoms`` extending
-    ``binding``; the dictionary passed to the callback is shared and must
-    not be retained.  A truthy callback return stops the search; the
-    function reports whether it was stopped."""
-    remaining = list(atoms)
+    ``binding``, with a plan compiled for this call; the dictionary passed
+    to the callback is ``binding`` itself, extended in first-occurrence
+    order, and must not be retained.  A truthy callback return stops the
+    search; the function reports whether it was stopped."""
+    atoms = tuple(atoms)
+    free = tuple(v for v in atoms_variables(atoms) if v not in binding)
+    n = len(binding)
+    plan = Plan(atoms, tuple(binding) + free, n, reorder)
 
-    def walk() -> bool:
-        if not remaining:
-            return bool(callback(binding))
-        # most constrained atom first; the first minimum wins a tie
-        i = 0
-        facts = interp.candidates(remaining[0], binding)
-        if reorder:
-            for j in range(1, len(remaining)):
-                other = interp.candidates(remaining[j], binding)
-                if len(other) < len(facts):
-                    i, facts = j, other
-        atom = remaining.pop(i)
-        leaf = not remaining
-        # plan the positions once per level: values fixed by the current
-        # binding or the atom itself are checked, the rest are bound
-        check = []      # (index, expected term)
-        bind = []       # (index, variable), first occurrence only
-        same = []       # (index, index of the first occurrence)
-        first_at = {}
-        for idx, p in enumerate(atom.args):
-            if isinstance(p, Variable):
-                bound = binding.get(p)
-                if bound is not None:
-                    check.append((idx, bound))
-                elif p in first_at:
-                    same.append((idx, first_at[p]))
-                else:
-                    first_at[p] = idx
-                    bind.append((idx, p))
-            else:
-                check.append((idx, p))
-        try:
-            for fact in facts:
-                fa = fact.args
-                ok = True
-                for idx, expect in check:
-                    if fa[idx] != expect:
-                        ok = False
-                        break
-                if ok:
-                    for idx, j in same:
-                        if fa[idx] != fa[j]:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                for idx, v in bind:
-                    binding[v] = fa[idx]
-                if callback(binding) if leaf else walk():
-                    for _idx, v in bind:
-                        del binding[v]
-                    return True
-                for _idx, v in bind:
-                    del binding[v]
-            return False
-        finally:
-            remaining.insert(i, atom)
+    def leaf(values: tuple) -> bool:
+        binding.update(zip(free, values[n:]))
+        return callback(binding)
 
     try:
-        return walk()
+        return plan.run(interp, binding.values(), leaf)
     finally:
-        # walk refers to itself through its closure; break the cycle so the
-        # callback and what it holds are freed now, not at the next collection
-        del walk
+        for v in free:
+            binding.pop(v, None)
 
 
 def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
@@ -119,9 +268,16 @@ def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
     return iter(out)
 
 
-def head_satisfied(interp: Interpretation, head, subst: Mapping[Variable, Term]) -> bool:
-    """Can ``subst`` extend over the head-only variables so the head embeds?"""
-    return match_each(interp, head, dict(subst), lambda _b: True, reorder=True)
+def head_satisfied(interp: Interpretation, head, subst) -> bool:
+    """Can ``subst`` extend over the head-only variables so the head embeds?
+
+    ``head`` is a conjunction of atoms and ``subst`` a mapping from
+    variables to terms, or ``head`` is a ``Plan`` and ``subst`` the values
+    of its entry-bound slots.
+    """
+    if isinstance(head, Plan):
+        return head.run(interp, subst, _found)
+    return match_each(interp, head, dict(subst), _found)
 
 
 def unsatisfied_matches(interp: Interpretation, rules) -> Iterator[tuple]:
@@ -130,13 +286,13 @@ def unsatisfied_matches(interp: Interpretation, rules) -> Iterator[tuple]:
     matches in ``find_matches`` order.  Heads are checked lazily."""
     for rule in rules:
         for match in find_matches(interp, rule.body):
-            if not head_satisfied(interp, rule.head, match):
+            if not head_satisfied(interp, rule.head_plan, [match[v] for v in rule.frontier]):
                 yield rule, match
 
 
 def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:
     """Boolean conjunctive query entailment over one interpretation."""
-    return match_each(interp, q.atoms, {}, lambda _b: True, reorder=True)
+    return match_each(interp, q.atoms, {}, _found)
 
 
 def bcq_match(interp: Interpretation, q: BCQ) -> Optional[dict]:
@@ -147,5 +303,5 @@ def bcq_match(interp: Interpretation, q: BCQ) -> Optional[dict]:
         found.append(dict(binding))
         return True
 
-    match_each(interp, q.atoms, {}, keep, reorder=True)
+    match_each(interp, q.atoms, {}, keep)
     return found[0] if found else None

@@ -184,6 +184,13 @@ class Tgd:
     def is_datalog(self) -> bool:
         return not self.existentials
 
+    @functools.cached_property
+    def head_plan(self):
+        """The head as a ``matching.Plan`` with the frontier bound on entry
+        (frontier slots first, then the existentials), built on first use."""
+        from .matching import Plan  # matching imports this module
+        return Plan(self.head, self.frontier + self.existentials, len(self.frontier))
+
     def variables(self) -> Iterator[Variable]:
         seen = set()
         for atom in self.body + self.head:
@@ -201,21 +208,24 @@ class Tgd:
 class DatalogIndex:
     """Existential-free rules indexed for saturation.
 
-    ``by_body_pred`` maps a predicate to one ``(rule, body atom, rest of the
-    body)`` triple per body atom with that predicate, in rule order;
-    ``head_preds`` holds every predicate that some rule derives.
+    ``by_body_pred`` maps a predicate to one ``(plan, head)`` pair per body
+    atom with that predicate, in rule order: the rule's body plan seeded
+    with that atom, and its head over the plan's slots (see
+    ``matching.slot_atoms``); ``head_preds`` holds every predicate that some
+    rule derives.
     """
 
     def __init__(self, rules: Iterable[Tgd]):
+        from .matching import seeded_plans, slot_atoms  # matching imports this module
         self.by_body_pred: dict = {}
         head_preds = set()
         for rule in rules:
             if rule.existentials:
                 raise ValueError(f"rule {rule.rule_id} has existential variables")
-            body = rule.body
-            for k, atom in enumerate(body):
-                self.by_body_pred.setdefault(atom.pred, []).append(
-                    (rule, atom, body[:k] + body[k + 1:]))
+            variables = rule.frontier + rule.body_only
+            head = slot_atoms(rule.head, variables)
+            for atom, plan in seeded_plans(rule.body, variables):
+                self.by_body_pred.setdefault(atom.pred, []).append((plan, head))
             head_preds.update(h.pred for h in rule.head)
         self.head_preds = frozenset(head_preds)
 
@@ -296,7 +306,8 @@ class Interpretation:
 
     Iteration is in insertion order, and so is every index list, which
     keeps every consumer deterministic.  ``discard_terms`` deletes atoms in
-    place and leaves the others in that order.
+    place and leaves the others in that order.  ``matching.Plan`` reads the
+    two index dictionaries directly.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -357,19 +368,6 @@ class Interpretation:
 
     def by_pred(self, pred: str) -> list:
         return self._by_pred.get(pred, [])
-
-    def candidates(self, pattern: Atom, subst: Mapping[Variable, Term]) -> list:
-        """Smallest indexed fact list compatible with the bound positions."""
-        best = self._by_pred.get(pattern.pred, [])
-        for i, a in enumerate(pattern.args):
-            if isinstance(a, Variable):
-                a = subst.get(a)
-                if a is None:
-                    continue
-            lst = self._by_arg.get((pattern.pred, i, a), [])
-            if len(lst) < len(best):
-                best = lst
-        return best
 
     def copy(self) -> "Interpretation":
         return Interpretation(self._atoms)

@@ -396,7 +396,8 @@ class _GuidedReplayer:
             if substitute(atom, match) not in self.run.interp:
                 raise ReplayDivergence(
                     f"step {step_index}: body atom missing after translation")
-        if head_satisfied(self.run.interp, rule.head, match):
+        frontier = [match[v] for v in rule.frontier]
+        if head_satisfied(self.run.interp, rule.head_plan, frontier):
             self.skipped += 1
             return
         extension = self.run.apply(rule, match)

@@ -95,6 +95,37 @@ def model_check(program, interp) -> bool:
     return True
 
 
+def naive_omegas(program) -> dict:
+    """Omega of every existential, as ``(pred, 1-based index)`` pairs, by
+    rescanning every universal variable until nothing changes."""
+
+    def positions(atoms, var) -> frozenset:
+        return frozenset((atom.pred, i) for atom in atoms
+                         for i, a in enumerate(atom.args, start=1) if a == var)
+
+    body_pos = {}
+    head_pos = {}
+    universals = []
+    for rule in program.rules:
+        for v in rule.frontier + rule.body_only:
+            universals.append(v)
+            body_pos[v] = positions(rule.body, v)
+            head_pos[v] = positions(rule.head, v)
+    omegas = {}
+    for rule in program.rules:
+        for v in rule.existentials:
+            omega = set(positions(rule.head, v))
+            changed = True
+            while changed:
+                changed = False
+                for x in universals:
+                    if body_pos[x] <= omega and not head_pos[x] <= omega:
+                        omega |= head_pos[x]
+                        changed = True
+            omegas[v] = frozenset(omega)
+    return omegas
+
+
 def qbf_brute_force(quantifiers, clauses) -> bool:
     """Truth of a prenex CNF QBF by exhaustive assignment recursion.
 

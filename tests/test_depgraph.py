@@ -1,10 +1,16 @@
-import pytest
+import re
 
-from chasekit.corpus import gen_dexp, gen_sets, gen_sets_nonterm
+import pytest
+from hypothesis import given, settings
+
+from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
+                             instance_from_name)
 from chasekit.depgraph import (MissingCertificate, Position, build_ledgraph,
                                compute_omegas, compute_rank, positions_of,
                                scc_analysis)
 from chasekit.model import parse_program
+from oracles import naive_omegas
+from test_invariants import _layered_program
 
 
 def _var(program, rule_id, name):
@@ -157,3 +163,34 @@ def test_dot_export_mentions_rule_tagged_vertices(dexp):
     graph = build_ledgraph(dexp)
     dot = graph.to_dot(scc_analysis(graph))
     assert '"V@r2"' in dot and '"W@r4"' in dot and "cluster_0" in dot
+
+
+# -- omega closure against the rescanning oracle -----------------------------
+
+def _corpus_programs():
+    return [instance_from_name(name).program for name in CORPUS_NAMES]
+
+
+def _rename(text: str, prefix: str) -> str:
+    return re.sub(r"\b([a-z][A-Za-z0-9_]*)\(", lambda m: f"{prefix}{m.group(1)}(", text)
+
+
+def test_omegas_equal_the_rescanning_oracle_on_the_corpus():
+    for program in _corpus_programs():
+        assert compute_omegas(program) == naive_omegas(program)
+
+
+def test_omegas_equal_the_rescanning_oracle_on_unions():
+    texts = [p.to_text() for p in _corpus_programs()]
+    renamed = parse_program("".join(_rename(t, f"u{i}y") for i, t in
+                                    enumerate(texts * 3)))
+    shared = parse_program("".join(texts))    # copies that share predicates
+    for program in (renamed, shared):
+        assert compute_omegas(program) == naive_omegas(program)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layered_program())
+def test_omegas_equal_the_rescanning_oracle_on_layered_programs(case):
+    program = parse_program(case[0])
+    assert compute_omegas(program) == naive_omegas(program)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from chasekit.chase import Deterministic, chase
 from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
-from chasekit.matching import evaluate_bcq, find_matches, head_satisfied
-from chasekit.model import BCQ, Atom, Constant, Interpretation, Variable
+from chasekit.matching import (Plan, evaluate_bcq, find_matches, head_satisfied,
+                               seeded_plans)
+from chasekit.model import BCQ, Atom, Constant, Interpretation, Variable, atoms_variables
 from oracles import naive_matches
 
 # sha256 of the ordered match lists of find_matches(..., reorder=True) for
@@ -46,3 +47,71 @@ def test_walker_order_pinned(name):
     assert result.terminated
     assert _ordered_matches_digest(inst.program, result.interpretation) \
         == WALKER_ORDER_PINS[name]
+
+
+# -- the walker against the naive oracle -------------------------------------
+
+_VARS = [Variable(i, name) for i, name in enumerate("XYZW", start=1)]
+_CONSTS = [Constant(name) for name in "abc"]
+_ARITY = {"p": 2, "q": 1, "r": 3}
+
+
+@st.composite
+def _join_case(draw):
+    """Facts over three constants, a body of one to four atoms with
+    repeated variables and constants, and values for some of its
+    variables."""
+    def atom(terms):
+        pred = draw(st.sampled_from(sorted(_ARITY)))
+        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(_ARITY[pred])))
+
+    facts = [atom(_CONSTS) for _ in range(draw(st.integers(0, 14)))]
+    body = tuple(atom(_VARS * 3 + _CONSTS) for _ in range(draw(st.integers(1, 4))))
+    bound = {v: draw(st.sampled_from(_CONSTS)) for v in atoms_variables(body)
+             if draw(st.integers(0, 3)) == 0}
+    return Interpretation(facts), body, bound
+
+
+def _as_set(matches) -> list:
+    return [frozenset(m.items()) for m in matches]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_join_case())
+def test_walker_agrees_with_the_naive_oracle(case):
+    interp, body, bound = case
+    expected = naive_matches(body, list(interp), bound)
+    assert list(find_matches(interp, body, bound)) == expected
+    reordered = _as_set(find_matches(interp, body, bound, reorder=True))
+    assert len(set(reordered)) == len(reordered)
+    assert set(reordered) == set(_as_set(expected))
+    assert head_satisfied(interp, body, bound) == bool(expected)
+    assert evaluate_bcq(interp, BCQ(body)) == bool(naive_matches(body, list(interp)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_join_case())
+def test_compiled_plans_agree_with_the_naive_oracle(case):
+    interp, body, bound = case
+    facts = list(interp)
+    variables = tuple(bound) + tuple(v for v in atoms_variables(body) if v not in bound)
+    plan = Plan(body, variables, len(bound))
+    found: list = []
+    plan.run(interp, bound.values(), found.append)
+    got = _as_set(dict(zip(variables, v)) for v in found)
+    expected = _as_set(naive_matches(body, facts, bound))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(expected)
+    assert head_satisfied(interp, plan, tuple(bound.values())) == bool(expected)
+    # seeded with each body atom in turn, matched to each fact
+    variables = tuple(atoms_variables(body))
+    for k, (atom, seeded) in enumerate(seeded_plans(body, variables)):
+        rest = body[:k] + body[k + 1:]
+        for fact in facts:
+            found = []
+            seeded.run_from(interp, fact, found.append)
+            got = _as_set(dict(zip(variables, v)) for v in found)
+            want = [m for b in naive_matches((atom,), [fact])
+                    for m in _as_set(naive_matches(rest, facts, b))]
+            assert len(set(got)) == len(got)
+            assert set(got) == set(want)
