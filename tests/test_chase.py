@@ -130,6 +130,10 @@ TRACE_INSTANCES = {
     "qbf aea": (lambda: gen_qbf(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3)))), 100_000),
     "dexp-nonterm": (gen_dexp_nonterm, 500),
     "sets-nonterm": (gen_sets_nonterm, 500),
+    # the sentinels at the benchmark's cap, where most discovered matches
+    # are still pending when the chase stops
+    "dexp-nonterm cap 2000": (gen_dexp_nonterm, 2000),
+    "sets-nonterm cap 2000": (gen_sets_nonterm, 2000),
 }
 PINNED_TRACES = {
     ("dexp(2)", Deterministic()): ("5d2b2b95bd572a13ee944e9ca5d6b5605b4a2b44d4a621bf75f133d3305e8067", 77, 95),
@@ -150,6 +154,10 @@ PINNED_TRACES = {
     ("sets-nonterm", Deterministic()): ("87bd7a27fe913b1d7d0d91c3b0de0636c246643b479a9bb2d6ffe3d859965356", 500, 582),
     ("sets-nonterm", Seeded(1)): ("1dd0834a161ae2ca5873a4703ed831b9c8f048a2bb3bedcd5cc0fa88080cb56a", 500, 556),
     ("sets-nonterm", Seeded(7)): ("2a136c6443079a5abaa70f58afe9e83de7a413a6528190fad2204843005255f9", 500, 556),
+    ("dexp-nonterm cap 2000", Deterministic()): ("84173b34b7f5126faf8f0240820eebe0ddb13954a801dc176b8c5619082f57ae", 2000, 2482),
+    ("dexp-nonterm cap 2000", Seeded(7)): ("9f1fda1e7e445e8a9f4ac85a276c3a428353c3196266763036b4752cd3b69ae2", 2000, 2867),
+    ("sets-nonterm cap 2000", Deterministic()): ("48b745be02bf1ae02c6c4cc3cc4c7a66441df253a49014ddab3781f4baafdb31", 2000, 2256),
+    ("sets-nonterm cap 2000", Seeded(7)): ("de843c18ba63dc8e131980591717b69bb1253d6b2dca8d7299ef2742d0bf8e32", 2000, 2134),
 }
 
 
@@ -169,3 +177,4 @@ def test_trace_identity(name, strategy):
             for atom in step.added:
                 assert trace.producer_of(atom) == step.index
         assert all(trace.producer_of(atom) is None for atom in inst.database)
+
