@@ -1,6 +1,9 @@
 """Toolkit for existential rules: restricted chase, termination analysis,
 and space-bounded query answering."""
 
+import sys
+import types
+
 from .model import (Atom, BCQ, Constant, Database, Interpretation, KbError,
                     Null, ParseError, Program, Term, Tgd, ValidationError,
                     Variable, parse_facts, parse_program, parse_query)
@@ -28,6 +31,19 @@ from .corpus import (CorpusInstance, QbfFormula, gen_counter, gen_dexp,
                      gen_dexp_nonterm, gen_qbf, gen_sets, gen_sets_nonterm,
                      instance_from_name, qbf_truth)
 from .analysis import AnalysisReport, analyze
+
+
+class _ChaseModule(types.ModuleType):
+    """The ``chasekit.chase`` submodule, callable as its function ``chase``,
+    so that the package attribute is the module and ``from chasekit import
+    chase; chase(program, database)`` still runs the chase."""
+
+    def __call__(self, *args, **kwargs):
+        return self.chase(*args, **kwargs)
+
+
+chase = sys.modules[__name__ + ".chase"]
+chase.__class__ = _ChaseModule
 
 __all__ = [
     "Atom", "BCQ", "Constant", "Database", "Interpretation", "KbError", "Null",

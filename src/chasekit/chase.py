@@ -11,15 +11,21 @@ only while no existential-free rule has an unsatisfied match (Datalog
 first).  Fairness comes from per-rule FIFO match queues consumed round
 robin; the seeded strategy instead draws the next candidate at random.
 
-Satisfaction is decided when a candidate is popped, never when it is
-queued, so the queues and the seeded draws do not depend on it.  For a
-Datalog rule the match grounds the whole head, and the head is satisfied
-exactly when every ground head atom is already a fact.  For an existential
-rule, satisfaction depends on the frontier values alone and is monotone:
-the chase only adds facts, so a satisfied match stays satisfied, and an
-applied match is satisfied by the facts it added.  Each existential rule
-therefore remembers the frontier values of the matches it applied, and a
-rediscovered one is discarded without a homomorphism search.
+Candidates are found when a fact is added, and satisfaction is decided
+when a candidate is popped, never when it is queued, so the queues and the
+seeded draws do not depend on it.  For a Datalog rule the match grounds
+the whole head, and the head is satisfied exactly when every ground head
+atom is already a fact.  For an existential rule, satisfaction depends on
+the frontier values alone and is monotone: the chase only adds facts, so a
+satisfied match stays satisfied, and an applied match is satisfied by the
+facts it added.  Each existential rule therefore remembers the frontier
+values of the matches it applied, and a rediscovered one is discarded
+without a homomorphism search.  An existential rule with two or more body
+atoms queues a cursor for the matches of a new fact rather than the
+matches themselves, and the cursor yields them, over the facts of that
+moment, only when the queue reaches it.  A capped chase thus holds what it
+pops, not every match it finds, and its candidates and their order are
+those of queueing every match at once (see ``_RuleQueue``).
 """
 
 from __future__ import annotations
@@ -121,7 +127,26 @@ class ChaseResult:
 class _RuleQueue:
     """FIFO of discovered candidate matches for one rule, stored as value
     tuples aligned with ``vars``: the frontier first, then the body-only
-    variables.
+    variables, and, in a lazy queue, behind them a FIFO of ``cursors``.
+
+    A cursor ``(plan, fact, below)`` stands for the matches that the new
+    ``fact`` made: ``plan`` is the rule's body plan seeded with the body
+    atom the fact matched, and ``below`` the interpretation's watermark
+    taken when the fact was discovered.  The chase only adds facts, so the
+    facts numbered below the watermark are exactly those present then, and
+    ``plan.run_from(..., below)`` yields the matches an eager push would
+    have queued then, in the same order.  ``fill`` materialises the oldest
+    cursor into ``items``; every cursor is younger than every item, so the
+    FIFO order is that of the eager queue.
+
+    A queue is lazy when its rule is existential and has two or more body
+    atoms.  A Datalog queue is drained before the next existential step,
+    so deferring its candidates saves nothing and costs a bisect per
+    count; a single-atom body gives a cursor at most one match, which is
+    cheaper queued at once.  The deterministic strategy fills from a
+    cursor only when no item is left; the seeded strategy ``flush``es
+    every cursor before a draw, so its draws see the eager queue's exact
+    contents.
 
     Duplicates are kept: what a queue holds and in which order decides the
     seeded strategy's draws, so it never depends on satisfaction.  Whether
@@ -145,6 +170,8 @@ class _RuleQueue:
         self.rule = rule
         self.vars = rule.frontier + rule.body_only
         self.items: deque = deque()
+        self.cursors: deque = deque()
+        self.lazy = bool(rule.existentials) and len(rule.body) > 1
         self.n_frontier = len(rule.frontier)
         self.head_spec = slot_atoms(rule.head, self.vars)
         self.settled: set = set()
@@ -154,6 +181,15 @@ class _RuleQueue:
 
     def as_match(self, values: tuple) -> dict:
         return dict(zip(self.vars, values))
+
+    def fill(self, interp: Interpretation) -> None:
+        """Materialise the oldest cursor's matches into ``items``."""
+        plan, fact, below = self.cursors.popleft()
+        plan.run_from(interp, fact, self.items.append, below)
+
+    def flush(self, interp: Interpretation) -> None:
+        while self.cursors:
+            self.fill(interp)
 
     def pop_at(self, offset: int) -> tuple:
         values = self.items[offset]
@@ -189,19 +225,26 @@ class _Engine:
         self.datalog = [q for q in queues if q.rule.is_datalog]
         self.existential = [q for q in queues if not q.rule.is_datalog]
         self.rr = 0  # round-robin pointer over existential rules
-        # predicate -> (queue, plan seeded with the body atom) per body atom;
-        # a plan hands out matches as value tuples in the queue's order
+        self.lazy = any(q.lazy for q in queues)
+        # predicate -> (push, plan seeded with the body atom, lazy) per body
+        # atom; a plan hands out matches as value tuples in the queue's
+        # order, and a lazy queue takes a cursor instead
         self.body_index: dict = {}
         for q in queues:
+            push = q.cursors.append if q.lazy else q.items.append
             for atom, plan in seeded_plans(q.rule.body, q.vars):
-                self.body_index.setdefault(atom.pred, []).append((q.items.append, plan))
+                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy))
         for q in queues:
             Plan(q.rule.body, q.vars, reorder=False).run(self.interp, (), q.items.append)
 
-    def discover(self, fact: Atom) -> None:
-        """Enqueue every candidate match that involves a new fact."""
-        for push, plan in self.body_index.get(fact.pred, ()):
-            plan.run_from(self.interp, fact, push)
+    def discover(self, fact: Atom, below: Optional[int]) -> None:
+        """Enqueue every candidate match that involves a new fact, or, in a
+        lazy queue, a cursor for them with the watermark ``below``."""
+        for push, plan, lazy in self.body_index.get(fact.pred, ()):
+            if lazy:
+                push((plan, fact, below))
+            else:
+                plan.run_from(self.interp, fact, push)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1
@@ -225,8 +268,9 @@ class _Engine:
         for n in created:
             for y in rule.frontier:
                 self.trace.chain_edges.append((match[y], y, n))
+        below = self.interp.watermark() if self.lazy else None
         for fact in added:
-            self.discover(fact)
+            self.discover(fact, below)
 
     def run_datalog(self) -> Optional[ChaseResult]:
         """Apply unsatisfied Datalog matches until fixpoint (or the cap)."""
@@ -249,15 +293,22 @@ class _Engine:
             n = len(self.existential)
             for i in range(n):
                 q = self.existential[(self.rr + i) % n]
-                while q.items:
+                while q.items or q.cursors:
+                    if not q.items:
+                        q.fill(self.interp)
+                        continue
                     values = q.items.popleft()
                     if not q.satisfied(self.interp, values):
                         self.rr = (self.rr + i + 1) % n
                         return q, values
             return None
         # Seeded: draw uniformly among all pending candidates, discarding
-        # any that have become satisfied since they were enqueued.
+        # any that have become satisfied since they were enqueued; every
+        # cursor is materialised first, so the draw sees them all.
         while True:
+            for q in self.existential:
+                if q.cursors:
+                    q.flush(self.interp)
             pending = [q for q in self.existential if len(q)]
             total = sum(len(q) for q in pending)
             if not total:
@@ -290,7 +341,10 @@ def chase(program: Program, database: Database, strategy=Deterministic(),
 
     A ``terminated`` result is a model of the program over the database; a
     capped result signals *possible* nontermination, never a verdict.
+    Raises ValueError for a negative ``max_steps``.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must not be negative")
     return _Engine(program, database, strategy, max_steps).run()
 
 

@@ -24,6 +24,7 @@ callers that hold none, and bind into dictionaries keyed by variable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -51,6 +52,14 @@ class Plan:
     atoms around it.  ``variables`` holds every variable of the atoms, the
     seed and the entry.  Nothing is compiled before the first run, so a
     plan that never runs costs little.
+
+    A run may take a bound ``below`` from ``Interpretation.watermark``: it
+    then joins only the facts numbered below it, the facts present when
+    the watermark was taken, and picks the most constrained atom by how
+    many facts of each list lie below it.  Index lists are sorted by
+    number, so those facts are a prefix, counted by a bisect that a list
+    wholly below the bound skips.  A bounded run therefore finds exactly
+    the matches, in exactly the order, that an unbounded run found then.
 
     A node, built on the first visit of a set ``mask`` of matched atoms, is
     ``[lookups, steps]``: per remaining atom ``j`` (only the first without
@@ -141,48 +150,56 @@ class Plan:
         step = self._nodes[mask][1][j] = self._step(self.atoms[j], self._bound(mask), child)
         return step
 
-    def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool]) -> bool:
+    def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool],
+            below: Optional[int] = None) -> bool:
         """Call ``emit`` with the slot tuple of every match that extends
-        the entry ``values``; a truthy return stops the search, and the
-        result says whether it was stopped."""
+        the entry ``values``, over the facts numbered below ``below`` if
+        given; a truthy return stops the search, and the result says
+        whether it was stopped."""
         slots = list(values)
         slots += [None] * (len(self.variables) - len(slots))
         return self._scan(0, self.start or self._compile(), (_NO_FACT,), slots, emit,
-                          interp._by_pred, interp._by_arg)
+                          interp._by_pred, interp._by_arg,
+                          len if below is None else _counter(interp, below))
 
     def run_from(self, interp: Interpretation, fact: Atom,
-                 emit: Callable[[tuple], bool]) -> bool:
+                 emit: Callable[[tuple], bool], below: Optional[int] = None) -> bool:
         """``run`` with the seed atom matched to ``fact`` first."""
         step = self.start or self._compile()
         if len(fact.args) != step[0]:
             return False
         return self._scan(0, step, (fact,), [None] * len(self.variables), emit,
-                          interp._by_pred, interp._by_arg)
+                          interp._by_pred, interp._by_arg,
+                          len if below is None else _counter(interp, below))
 
     def _walk(self, mask: int, node: list, slots: list, emit, by_pred: dict,
-              by_arg: dict) -> bool:
-        """Pick the most constrained remaining atom and scan its candidates.
-        The interpretation's index dictionaries are read directly: this is
-        the hot loop of every chase and every fixpoint."""
+              by_arg: dict, count) -> bool:
+        """Pick the most constrained remaining atom and scan its candidates,
+        the first ``count(list)`` facts of a list.  The interpretation's
+        index dictionaries are read directly: this is the hot loop of every
+        chase and every fixpoint."""
         lookups, steps = node
         best = None
         least = pick = 0
         for j, pred, spec in lookups:
             facts = by_pred.get(pred, _EMPTY)
-            n = len(facts)
+            n = count(facts)
             for i, s, key in spec:
                 lst = by_arg.get(key if s < 0 else (pred, i, slots[s]), _EMPTY)
-                if len(lst) < n:
-                    facts, n = lst, len(lst)
+                m = count(lst)
+                if m < n:
+                    facts, n = lst, m
             if not n:
                 return False
             if best is None or n < least:
                 best, least, pick = facts, n, j
         step = steps[pick] or self._pick(mask, pick)
-        return self._scan(mask | 1 << pick, step, best, slots, emit, by_pred, by_arg)
+        if least < len(best):
+            best = best[:least]
+        return self._scan(mask | 1 << pick, step, best, slots, emit, by_pred, by_arg, count)
 
     def _scan(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
-              by_arg: dict) -> bool:
+              by_arg: dict, count) -> bool:
         """Match ``step``'s atom against each of ``facts`` and go on below."""
         _arity, get, expect, read, same, bind, child = step
         if read is not None:
@@ -200,9 +217,22 @@ class Plan:
             if child is None:
                 if emit(tuple(slots)):
                     return True
-            elif self._walk(mask, child, slots, emit, by_pred, by_arg):
+            elif self._walk(mask, child, slots, emit, by_pred, by_arg, count):
                 return True
         return False
+
+
+def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:
+    """How a bounded run counts an index list: its facts numbered below
+    ``below``."""
+    number = interp._atoms.__getitem__
+
+    def count(facts) -> int:
+        if not facts or number(facts[-1]) < below:
+            return len(facts)
+        return bisect_left(facts, below, key=number)
+
+    return count
 
 
 def seeded_plans(body, variables) -> list:

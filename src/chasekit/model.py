@@ -305,15 +305,23 @@ class Interpretation:
     """A set of variable-free atoms, indexed by predicate and by argument.
 
     Iteration is in insertion order, and so is every index list, which
-    keeps every consumer deterministic.  ``discard_terms`` deletes atoms in
-    place and leaves the others in that order.  ``matching.Plan`` reads the
-    two index dictionaries directly.
+    keeps every consumer deterministic.  ``_atoms`` maps each atom to its
+    number: the count of ``watermark`` calls before it was added, from a
+    counter that never goes back.  The atoms present when ``watermark``
+    returned ``b`` are exactly those numbered below ``b``, and the atoms
+    added between two calls share one number, so numbering costs no memory
+    per atom.  (The number was once kept per atom and dropped as unused;
+    bounded plan runs read it now.)  ``discard_terms`` deletes atoms in
+    place, leaves the others in their order and the counter where it is,
+    so every index list stays sorted by number.  ``matching.Plan`` reads
+    the two index dictionaries and the numbers directly.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        self._atoms: dict = {}       # ordered set of the atoms
+        self._atoms: dict = {}       # atom -> its number, in insertion order
         self._by_pred: dict = {}
         self._by_arg: dict = {}
+        self._number = 0
         for atom in atoms:
             self.add(atom)
 
@@ -323,11 +331,17 @@ class Interpretation:
             return False
         if not atom.is_ground():
             raise ValidationError(f"interpretations hold ground atoms only: {atom}")
-        self._atoms[atom] = None
+        self._atoms[atom] = self._number
         self._by_pred.setdefault(atom.pred, []).append(atom)
         for i, a in enumerate(atom.args):
             self._by_arg.setdefault((atom.pred, i, a), []).append(atom)
         return True
+
+    def watermark(self) -> int:
+        """A bound that the atoms present now are numbered below, and every
+        atom added later is not."""
+        self._number += 1
+        return self._number
 
     def discard_terms(self, terms: Iterable[Term]) -> None:
         """Delete every atom that mentions one of ``terms``, in place.

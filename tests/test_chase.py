@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
-from chasekit.chase import Deterministic, Seeded, chase, validate_trace
+from chasekit.chase import ChaseResult, Deterministic, Seeded, chase, validate_trace
 from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm,
                              gen_qbf, gen_sets, gen_sets_nonterm)
 from chasekit.datalog import saturate
@@ -178,3 +179,37 @@ def test_trace_identity(name, strategy):
                 assert trace.producer_of(atom) == step.index
         assert all(trace.producer_of(atom) is None for atom in inst.database)
 
+
+def test_capped_chase_holds_what_it_pops():
+    # the pairing rule of dexp-nonterm finds about n^2/16 matches by step n
+    # and pops a few of them; a capped chase must not keep the rest alive
+    inst = gen_dexp_nonterm()
+    tracemalloc.start()
+    try:
+        result = chase(inst.program, inst.database, Deterministic(), max_steps=4000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 4000
+    assert peak <= 1.5 * retained, f"peak {peak} bytes, retained {retained} bytes"
+
+
+def test_negative_max_steps_is_an_error():
+    inst = gen_dexp(1, True)
+    with pytest.raises(ValueError, match="max_steps"):
+        chase(inst.program, inst.database, max_steps=-1)
+    result = chase(inst.program, inst.database, max_steps=0)
+    assert (result.steps, result.terminated) == (0, False)
+
+
+def test_package_chase_is_the_module_and_still_runs_the_chase():
+    import chasekit
+    import chasekit.chase as module
+    from chasekit import chase as imported
+
+    assert chasekit.chase is module is imported
+    assert chasekit.chase.Seeded is Seeded and chasekit.chase.ChaseResult is ChaseResult
+    inst = gen_dexp(1, True)
+    expected = chase(inst.program, inst.database).trace.lines()
+    assert imported(inst.program, inst.database).trace.lines() == expected
+    assert chasekit.chase(inst.program, inst.database, max_steps=5000).trace.lines() == expected

@@ -2,6 +2,7 @@
 against the naive oracle."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,3 +116,63 @@ def test_compiled_plans_agree_with_the_naive_oracle(case):
                     for m in _as_set(naive_matches(rest, facts, b))]
             assert len(set(got)) == len(got)
             assert set(got) == set(want)
+
+
+# -- bounded runs -------------------------------------------------------------
+
+_FACTS = st.lists(st.sampled_from([Atom(p, args) for p in sorted(_ARITY)
+                                   for args in itertools.product(_CONSTS, repeat=_ARITY[p])]),
+                  max_size=14)
+
+
+def _all_runs(interp, body, bound, seeds, below=None) -> list:
+    """The ordered matches of the plan of ``body`` and of each of its
+    seeded plans from each of ``seeds``."""
+    variables = tuple(bound) + tuple(v for v in atoms_variables(body) if v not in bound)
+    found: list = []
+    Plan(body, variables, len(bound)).run(interp, bound.values(), found.append, below)
+    for _atom, seeded in seeded_plans(body, variables):
+        for fact in seeds:
+            found.append(fact)
+            seeded.run_from(interp, fact, found.append, below)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(_join_case(), st.data())
+def test_a_bounded_run_finds_what_a_run_found_at_its_watermark(case, data):
+    interp, body, bound = case
+    interp.discard_terms(data.draw(st.sets(st.sampled_from(_CONSTS), max_size=1)))
+    for atom in data.draw(_FACTS):
+        interp.add(atom)
+    then = list(interp)
+    expected = _all_runs(interp, body, bound, then)
+    below = interp.watermark()
+    for atom in data.draw(_FACTS):
+        interp.add(atom)
+    assert _all_runs(interp, body, bound, then, below) == expected
+    # numbers never go back, so every index list stays sorted by them
+    for facts in (*interp._by_pred.values(), *interp._by_arg.values()):
+        numbers = [interp._atoms[a] for a in facts]
+        assert numbers == sorted(numbers)
+
+
+def test_a_bounded_run_picks_atoms_by_the_counts_below_its_watermark():
+    a, b, c, d, e = (Constant(n) for n in "abcde")
+    x, y = _VARS[:2]
+    body = (Atom("p", (x, y)), Atom("q", (y,)))
+    interp = Interpretation([Atom("p", (a, b)), Atom("p", (c, d)),
+                             Atom("q", (d,)), Atom("q", (b,)), Atom("q", (e,))])
+    plan = Plan(body, (x, y))
+    then: list = []
+    plan.run(interp, (), then.append)
+    assert then == [(a, b), (c, d)]     # p first: two facts against three
+    below = interp.watermark()
+    interp.add(Atom("p", (e, e)))
+    interp.add(Atom("p", (b, e)))
+    now: list = []
+    plan.run(interp, (), now.append)
+    assert now == [(c, d), (a, b), (e, e), (b, e)]    # q first: three against four
+    bounded: list = []
+    plan.run(interp, (), bounded.append, below)
+    assert bounded == then
