@@ -144,8 +144,8 @@ class _RuleQueue:
     so deferring its candidates saves nothing and costs a bisect per
     count; a single-atom body gives a cursor at most one match, which is
     cheaper queued at once.  The deterministic strategy fills from a
-    cursor only when no item is left; the seeded strategy ``flush``es
-    every cursor before a draw, so its draws see the eager queue's exact
+    cursor only when no item is left; the seeded strategy fills from every
+    cursor before a draw, so its draws see the eager queue's exact
     contents.
 
     Duplicates are kept: what a queue holds and in which order decides the
@@ -187,10 +187,6 @@ class _RuleQueue:
         plan, fact, below = self.cursors.popleft()
         plan.run_from(interp, fact, self.items.append, below)
 
-    def flush(self, interp: Interpretation) -> None:
-        while self.cursors:
-            self.fill(interp)
-
     def pop_at(self, offset: int) -> tuple:
         values = self.items[offset]
         del self.items[offset]
@@ -225,6 +221,8 @@ class _Engine:
         self.datalog = [q for q in queues if q.rule.is_datalog]
         self.existential = [q for q in queues if not q.rule.is_datalog]
         self.rr = 0  # round-robin pointer over existential rules
+        # a watermark per step only when a cursor needs it: the facts of one
+        # step share its number, and without watermarks all facts share one
         self.lazy = any(q.lazy for q in queues)
         # predicate -> (push, plan seeded with the body atom, lazy) per body
         # atom; a plan hands out matches as value tuples in the queue's
@@ -307,8 +305,8 @@ class _Engine:
         # cursor is materialised first, so the draw sees them all.
         while True:
             for q in self.existential:
-                if q.cursors:
-                    q.flush(self.interp)
+                while q.cursors:
+                    q.fill(self.interp)
             pending = [q for q in self.existential if len(q)]
             total = sum(len(q) for q in pending)
             if not total:
