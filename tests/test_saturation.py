@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from chasekit import saturation
-from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
-                             instance_from_name)
+from chasekit.corpus import (CORPUS_NAMES, gen_counter, gen_dexp, gen_sets,
+                             gen_sets_nonterm, instance_from_name)
 from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
 from chasekit.model import Variable, parse_program
 from chasekit.saturation import (NonComposablePath, _is_acyclic, check_e_saturating,
@@ -276,3 +279,71 @@ def test_search_makes_no_step_check_after_a_failed_base_check(monkeypatch):
     assert comp.candidates_tried == 255
     assert report.step_pairs_checked == 64
     assert in_search == len(calls) == 64
+
+
+_SEARCHED = {
+    "ring(8)": lambda: _ring(8),
+    "ring(10)": lambda: _ring(10),
+    "dexp(2, True)": lambda: gen_dexp(2, True).program,
+    "dexp(2, False)": lambda: gen_dexp(2, False).program,
+    "counter(2)": lambda: gen_counter(2).program,
+    "sets(1)": lambda: gen_sets(1).program,
+}
+
+
+def _search_moves(monkeypatch, program) -> list:
+    """One entry per condition walk: the edge set, the first failing
+    condition, the base and step checks walked, and the base and step
+    propagation checks actually run (the others are memoized)."""
+    moves = []
+    walk = saturation._condition_checks
+    base, step = saturation.is_base_propagating, saturation.is_step_propagating
+
+    def recording(*args):
+        entry = [[(e.src.name, e.label.name, e.dst.name) for e in args[3]],
+                 None, 0, 0, 0, 0]
+        moves.append(entry)
+        for i, failure in walk(*args):
+            if i in (2, 3):
+                entry[i] += 1
+            if failure and entry[1] is None:
+                entry[1] = i
+            yield i, failure
+
+    def counting(check, slot):
+        def run(*args, **kwargs):
+            moves[-1][slot] += 1
+            return check(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(saturation, "_condition_checks", recording)
+    monkeypatch.setattr(saturation, "is_base_propagating", counting(base, 4))
+    monkeypatch.setattr(saturation, "is_step_propagating", counting(step, 5))
+    scc = scc_analysis(build_ledgraph(program))
+    result = find_saturating_certificate(program, scc)
+    return [result.verdict, [c.candidates_tried for c in result.components], moves]
+
+
+PINNED_MOVES = {
+    "ring(8)":
+        "1736a5d6a0bc9346f29afa41d786a98d1cb42b1573e82e1070b76c61bf273406",
+    "ring(10)":
+        "37e4f2bafdc703dda01be25c2067e0ac3e85682bb946d4566e9d1cb5c317e073",
+    "dexp(2, True)":
+        "40e9c49a5d5232db299645f53b2ea1ae9aec6f0c143b7631e1b4e9b529854579",
+    "dexp(2, False)":
+        "ce4d657d5100ce14e3d4ad2a87cf6d8f49a9b00d5bab64943241c0804c31bd15",
+    "counter(2)":
+        "40e9c49a5d5232db299645f53b2ea1ae9aec6f0c143b7631e1b4e9b529854579",
+    "sets(1)":
+        "629a2aad4e8eee81f62b2af5c941df638bbc77688823d465fbe856282cf931bd",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MOVES))
+def test_certificate_search_moves_pinned(monkeypatch, name):
+    # the search's candidates in order, where each one stopped and what it
+    # checked, independent of the hash seed
+    moves = _search_moves(monkeypatch, _SEARCHED[name]())
+    digest = hashlib.sha256(json.dumps(moves).encode()).hexdigest()
+    assert digest == PINNED_MOVES[name]
