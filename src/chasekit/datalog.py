@@ -15,11 +15,13 @@ rule iterable, which they index on the fly.
 implication ``body -> head`` by replacing every variable with a reserved
 fresh constant, saturating, and testing membership of the frozen head.
 Saturation only adds facts, and each fact it adds has the head predicate
-of some rule.  So a frozen head already inside the frozen body is entailed
-without saturating; a missing head atom whose predicate no rule derives is
-not entailed, again without saturating (with no rules this covers every
+of some rule.  So a head already inside the body is entailed without
+saturating; a missing head atom whose predicate no rule derives is not
+entailed, again without saturating (with no rules this covers every
 missing atom); and the fixpoint can stop at the first moment every missing
 head atom has been derived, since later rounds cannot take a fact away.
+Freezing is injective, so both shortcuts are decided on the atoms as
+given, and only a check that saturates freezes its atoms.
 """
 
 from __future__ import annotations
@@ -99,15 +101,20 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     rule raises ValueError on every call.  Head variables not occurring in
     the body are frozen as well, which makes the check test entailment of
     the implication with those variables also universally quantified.
+    Freezing is injective, so a head atom is in the frozen body exactly
+    when it is in the body: both shortcuts are decided on the atoms as
+    given, and only a check that must saturate freezes anything.
     """
     index = _indexed(rules)
-    frz = FreshConstants()
-    frozen_body = [frz.freeze(a) for a in body]
-    known = set(frozen_body)
-    missing = [a for a in map(frz.freeze, head) if a not in known]
+    body = tuple(body)
+    known = set(body)
+    missing = [a for a in head if a not in known]
     if not missing:
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    closure = saturate(index, frozen_body, missing)
-    return all(a in closure for a in missing)
+    frz = FreshConstants()
+    frozen_body = [frz.freeze(a) for a in body]
+    goal = [frz.freeze(a) for a in missing]
+    closure = saturate(index, frozen_body, goal)
+    return all(a in closure for a in goal)

@@ -14,6 +14,26 @@ conditions hold for every E-avoiding connection between E-edges.  The
 search enumerates feedback edge sets ascending by size and memoizes the
 individual propagation checks.
 
+Everything that does not depend on the candidate or the path is built once
+per search and kept in its ``PropagationCache``:
+
+* the fragments of the path queries.  An edge's fragment is its target
+  rule renamed apart, and it is cached by the edge and its occurrence in
+  the path (the first, the second, ...): a base path repeats no edge, and
+  a step pair at most repeats each edge once, so the occurrence keeps two
+  copies of one edge apart without renaming anything per path.  A query
+  joins the cached bodies and the cached heads relinked to the next step's
+  chain variable, so it costs one lookup per edge;
+* each cyclic component compiled over integer vertex and edge ids
+  (``_Component``), in the order of its sorted vertex ids and of the
+  graph's edges, never in the order of a set.  Removing a candidate's
+  edges is skipping their ids, so the acyclicity test and the path
+  enumeration build no dictionaries per candidate.
+
+The cache lives for one search only: the fragments' fresh variables are
+numbered from one counter of the cache, which is what keeps them apart, so
+two searches never share it, and no cache outlives an ``analyze`` call.
+
 Both ``check_e_saturating`` and the search walk the four conditions in the
 same order, one elementary check at a time (``_condition_checks``).  The
 report consumes the whole walk; the search drops a candidate at its first
@@ -29,11 +49,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .datalog import entails
 from .depgraph import DepEdge, LabelledDepGraph, SccAnalysis
-from .model import Program, Variable, substitute
+from .model import Atom, Program, Variable, substitute
 
 
 class NonComposablePath(Exception):
@@ -51,12 +72,24 @@ class PathQuery:
     body_parts: tuple           # per-step instantiated body conjunctions
     head_parts: tuple           # per-step head conjunctions, nulls chained
     chain_vars: tuple           # y~_1 .. y~_{k+1}
-    renamings: tuple            # per-step mapping rule variable -> fresh variable
+    renamings: tuple            # per-step read-only map rule variable -> fresh variable
 
 
 def path_query(program: Program, path: Iterable[DepEdge],
-               graph: Optional[LabelledDepGraph] = None) -> PathQuery:
-    """The conjunction accompanying a chain of rule applications along ``path``."""
+               graph: Optional[LabelledDepGraph] = None,
+               cache: Optional[PropagationCache] = None) -> PathQuery:
+    """The conjunction accompanying a chain of rule applications along ``path``.
+
+    Step i is the fragment of the i-th edge: its target rule renamed apart,
+    with the null the edge targets renamed to chain variable i+1.  That is
+    the next edge's label as renamed in the next fragment, or, after the
+    last step, a final variable that occurs in no fragment.  Chain variable
+    1 is the first edge's label.  The fragments and their relinked heads
+    come from ``cache`` and are built on first use there; without one, a
+    new cache is made for this call alone.  ``renamings`` holds read-only
+    views of the fragments' renamings, so no caller can change what later
+    queries of the same cache are built from.
+    """
     path = tuple(path)
     if not path:
         raise NonComposablePath("empty path has no query")
@@ -68,59 +101,37 @@ def path_query(program: Program, path: Iterable[DepEdge],
         for e in path:
             if e not in known:
                 raise NonComposablePath(f"{e} is not a graph edge")
-    fresh = program.fresh_variables("P")
-    renamings = []
-    for i, edge in enumerate(path, start=1):
-        rule = program.rule_of_var[edge.dst]
-        ren = {v: Variable(next(fresh).id, f"{v.name}~{i}") for v in rule.variables()}
-        renamings.append(ren)
-    chain = [renamings[0][path[0].label]]
-    for i in range(1, len(path)):
-        chain.append(renamings[i][path[i].label])
-    final = next(fresh)
-    chain.append(Variable(final.id, f"Y~{len(path) + 1}"))
-
-    body_parts = []
-    head_parts = []
-    atoms = []
-    for i, edge in enumerate(path):
-        rule = program.rule_of_var[edge.dst]
-        ren = dict(renamings[i])
-        body = tuple(substitute(a, ren) for a in rule.body)
-        ren[edge.dst] = chain[i + 1]     # the created null chains forward
-        head = tuple(substitute(a, ren) for a in rule.head)
-        body_parts.append(body)
-        head_parts.append(head)
-        atoms.extend(body)
-        atoms.extend(head)
-    return PathQuery(path, tuple(atoms), tuple(body_parts), tuple(head_parts),
-                     tuple(chain), tuple(dict(r) for r in renamings))
+    cache = cache or PropagationCache(program)
+    fragments = cache.fragments(path)
+    chain = [f.link for f in fragments]
+    chain.append(cache.final)
+    atoms: list = []
+    heads = []
+    for fragment, link in zip(fragments, chain[1:]):
+        head = fragment.head_linked(link)
+        atoms += fragment.body
+        atoms += head
+        heads.append(head)
+    return PathQuery(path, tuple(atoms), tuple(f.body for f in fragments), tuple(heads),
+                     tuple(chain), tuple(f.renaming for f in fragments))
 
 
-def _head_slots(program: Program, e: DepEdge) -> tuple:
-    """Slot variables of the rule behind ``e``: label, other frontier,
-    target existential, other existentials."""
-    rule = program.rule_of_var[e.dst]
-    z = tuple(v for v in rule.frontier if v != e.label)
-    w = tuple(v for v in rule.existentials if v != e.dst)
-    return rule, e.label, z, e.dst, w
-
-
-def is_base_propagating(program: Program, path: Iterable[DepEdge]) -> bool:
+def is_base_propagating(program: Program, path: Iterable[DepEdge],
+                        cache: Optional[PropagationCache] = None) -> bool:
     """Does the Datalog part re-derive the first head at the path's end?
 
     ``path`` is the certificate edge followed by an edge sequence avoiding
     the certificate set (possibly none).
     """
-    pq = path_query(program, path)
-    first_label = pq.renamings[0][pq.path[0].label]
-    conclusion = tuple(substitute(a, {first_label: pq.chain_vars[-1]})
-                       for a in pq.head_parts[0])
+    pq = path_query(program, path, cache=cache)
+    anchor = {pq.chain_vars[0]: pq.chain_vars[-1]}
+    conclusion = tuple(substitute(a, anchor) for a in pq.head_parts[0])
     return entails(program.datalog_index, pq.atoms, conclusion)
 
 
 def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
-                        path_b: Iterable[DepEdge], e_star: DepEdge) -> bool:
+                        path_b: Iterable[DepEdge], e_star: DepEdge,
+                        cache: Optional[PropagationCache] = None) -> bool:
     """Propagate a satisfied head of ``e_star``'s rule across a second cycle.
 
     ``path_a`` and ``path_b`` each start with a certificate edge followed by
@@ -128,25 +139,18 @@ def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
     context variables fresh, so entailment must not depend on them.
     """
     path_a, path_b = tuple(path_a), tuple(path_b)
-    pq = path_query(program, path_a + path_b)
+    cache = cache or PropagationCache(program)
+    pq = path_query(program, path_a + path_b, cache=cache)
     ell = len(path_a)
-    rule_star, y_star, z_star, v_star, w_star = _head_slots(program, e_star)
-    top = max(v.id for v in pq.chain_vars)
-    for ren in pq.renamings:
-        top = max(top, max(v.id for v in ren.values()))
-    counter = itertools.count(top + 1)
-    xz = {v: Variable(next(counter), f"Xz_{v.name}") for v in z_star}
-    xw = {v: Variable(next(counter), f"Xw_{v.name}") for v in w_star}
-    hyp_map = dict(xz)
-    hyp_map.update(xw)
-    hyp_map[y_star] = pq.chain_vars[ell]             # junction variable
-    hyp_map[v_star] = pq.chain_vars[1]               # null of the first traversal
-    conc_map = dict(xz)
-    conc_map.update(xw)
-    conc_map[y_star] = pq.chain_vars[-1]             # final variable
-    conc_map[v_star] = pq.chain_vars[ell + 1]        # null created by path_b's edge
-    hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in rule_star.head)
-    conclusion = tuple(substitute(a, conc_map) for a in rule_star.head)
+    hyp_map = dict(cache.context(e_star))
+    conc_map = dict(hyp_map)
+    hyp_map[e_star.label] = pq.chain_vars[ell]          # junction variable
+    hyp_map[e_star.dst] = pq.chain_vars[1]              # null of the first traversal
+    conc_map[e_star.label] = pq.chain_vars[-1]          # final variable
+    conc_map[e_star.dst] = pq.chain_vars[ell + 1]       # null created by path_b's edge
+    head = program.rule_of_var[e_star.dst].head
+    hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in head)
+    conclusion = tuple(substitute(a, conc_map) for a in head)
     return entails(program.datalog_index, hypothesis, conclusion)
 
 
@@ -157,60 +161,102 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
     path anchored wherever a target is itself a source.
 
     Returns (start_vertex, edge_tuple) pairs.  Requires the component
-    without ``e_set`` to be acyclic; raises PathBudgetExceeded past the cap.
+    without ``e_set`` to be acyclic; raises PathBudgetExceeded once more
+    than ``path_budget`` paths, the empty ones included, are found.
     """
     e_set = tuple(e_set)
-    remainder = _remainder(scc, component, e_set)
-    if not _is_acyclic(scc.components[component], remainder):
+    comp = _Component(scc.components[component], scc.intra_edges[component])
+    removed = comp.removed(e_set)
+    if not comp.acyclic(removed):
         raise ValueError("component minus the edge set is cyclic")
-    return _ebar_paths(remainder, e_set, path_budget)
-
-
-def _remainder(scc: SccAnalysis, component: int, e_set: tuple) -> list:
-    removed = set(e_set)
-    return [e for e in scc.intra_edges[component] if e not in removed]
-
-
-def _ebar_paths(remainder: list, e_set: tuple, path_budget: int) -> list:
-    """``enumerate_ebar_paths`` over an acyclic ``remainder``."""
-    starts = {e.dst for e in e_set}
-    ends = {e.src for e in e_set}
-    out_edges: dict = {}
-    for e in remainder:
-        out_edges.setdefault(e.src, []).append(e)
-    paths = []
-    for s in sorted(starts, key=lambda v: v.id):
-        if s in ends:
-            paths.append((s, ()))
-        stack = [(s, ())]
-        while stack:
-            v, prefix = stack.pop()
-            for e in out_edges.get(v, ()):
-                ext = prefix + (e,)
-                if e.dst in ends:
-                    paths.append((s, ext))
-                    if len(paths) > path_budget:
-                        raise PathBudgetExceeded(len(paths))
-                stack.append((e.dst, ext))
-    return paths
+    return comp.paths(e_set, removed, path_budget)
 
 
 def _is_acyclic(vertices, edges) -> bool:
-    """Kahn elimination: the graph is acyclic iff every vertex gets removed."""
-    succ: dict = {v: [] for v in vertices}
-    indegree = dict.fromkeys(succ, 0)
-    for e in edges:
-        succ[e.src].append(e.dst)
-        indegree[e.dst] += 1
-    ready = [v for v, d in indegree.items() if not d]
-    removed = 0
-    while ready:
-        removed += 1
-        for w in succ[ready.pop()]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return removed == len(succ)
+    """Whether the graph of ``edges`` over ``vertices`` has no cycle."""
+    return _Component(vertices, edges).acyclic(())
+
+
+class _Component:
+    """A graph over integer ids, compiled once: vertices are numbered in
+    the order of their variable ids and edges in the order given, so
+    nothing here depends on the order in which a set or dict iterates.  A
+    candidate edge set is a set of edge ids that the walks skip."""
+
+    def __init__(self, vertices, edges):
+        self.vertices = sorted(vertices, key=lambda v: v.id)
+        self.number = {v: i for i, v in enumerate(self.vertices)}
+        self.edges = tuple(edges)
+        self.edge_id = {e: i for i, e in enumerate(self.edges)}
+        self.dst = [self.number[e.dst] for e in self.edges]
+        self.out = [[] for _ in self.vertices]       # edge ids by source
+        self.indegree = [0] * len(self.vertices)
+        for i, e in enumerate(self.edges):
+            self.out[self.number[e.src]].append(i)
+            self.indegree[self.dst[i]] += 1
+
+    def removed(self, e_set: tuple) -> set:
+        """The ids of ``e_set``; ValueError names an edge not in the graph."""
+        try:
+            return {self.edge_id[e] for e in e_set}
+        except KeyError as missing:
+            edge = missing.args[0]
+            raise ValueError(f"{edge} is not an edge of the component") from None
+
+    def acyclic(self, removed) -> bool:
+        """Kahn elimination without the ``removed`` edges: the graph is
+        acyclic iff every vertex gets removed."""
+        dst, out = self.dst, self.out
+        indegree = self.indegree[:]
+        for i in removed:
+            indegree[dst[i]] -= 1
+        ready = [v for v, d in enumerate(indegree) if not d]
+        left = len(indegree)
+        while ready:
+            left -= 1
+            for i in out[ready.pop()]:
+                if i not in removed:
+                    w = dst[i]
+                    indegree[w] -= 1
+                    if not indegree[w]:
+                        ready.append(w)
+        return not left
+
+    def paths(self, e_set: tuple, removed: set, path_budget: int) -> list:
+        """``enumerate_ebar_paths`` once ``removed`` (the ids of ``e_set``)
+        leaves the component acyclic.
+
+        From each start in vertex order, a depth-first walk reports every
+        edge into an end when it scans the edge, then descends into the
+        edges in reverse scan order.  The walk extends one shared edge list
+        in place, so a path is copied only when it is reported.
+        """
+        dst, out, edges = self.dst, self.out, self.edges
+        ends = {self.number[e.src] for e in e_set}
+        paths = []
+        for start in sorted({self.number[e.dst] for e in e_set}):
+            vertex = self.vertices[start]
+            if start in ends:
+                paths.append((vertex, ()))
+                if len(paths) > path_budget:
+                    raise PathBudgetExceeded(len(paths))
+            v, depth, path, stack = start, 0, [], []
+            while True:
+                for i in out[v]:
+                    if i in removed:
+                        continue
+                    if dst[i] in ends:
+                        paths.append((vertex, (*path, edges[i])))
+                        if len(paths) > path_budget:
+                            raise PathBudgetExceeded(len(paths))
+                    stack.append((i, depth))
+                if not stack:
+                    break
+                i, depth = stack.pop()
+                del path[depth:]
+                path.append(edges[i])
+                v, depth = dst[i], depth + 1
+        return paths
 
 
 @dataclass
@@ -227,23 +273,113 @@ class CheckReport:
         return all(self.conditions)
 
 
+class _Fragment:
+    """The target rule of one edge, renamed apart, for one occurrence of
+    the edge in a path; ``link`` is the renamed edge label and ``null`` the
+    renamed edge target, which each query relinks to its chain."""
+
+    __slots__ = ("renaming", "body", "head", "link", "null", "_linked")
+
+    def __init__(self, program: Program, edge: DepEdge, renaming: dict):
+        rule = program.rule_of_var[edge.dst]
+        self.renaming = MappingProxyType(renaming)
+        self.body = tuple(substitute(a, renaming) for a in rule.body)
+        self.head = tuple(substitute(a, renaming) for a in rule.head)
+        self.link = renaming[edge.label]
+        self.null = renaming[edge.dst]
+        self._linked: dict = {}
+
+    def head_linked(self, chain: Variable) -> tuple:
+        """The head with ``null`` renamed to ``chain``, built once per chain."""
+        head = self._linked.get(chain)
+        if head is None:
+            null = self.null
+            head = self._linked[chain] = tuple(
+                Atom(a.pred, tuple(chain if t == null else t for t in a.args))
+                for a in self.head)
+        return head
+
+
 class PropagationCache:
-    """Memoizes base/step checks across certificate candidates."""
+    """What one certificate search builds once and reuses across its
+    candidates: the base and step verdicts per path, the path-query
+    fragments per (edge, occurrence), the fresh context variables of each
+    step check's ``e_star``, and the compiled components.
+
+    Every variable it makes is numbered from its own counter above the
+    program's variables, which keeps all of them apart; it belongs to one
+    program and one search and is dropped with it.
+    """
 
     def __init__(self, program: Program):
         self.program = program
         self.base: dict = {}
         self.step: dict = {}
+        self._ids = itertools.count(program.max_var_id + 1)
+        self._fragments: dict = {}     # (edge, occurrence) -> _Fragment
+        self._contexts: dict = {}      # e_star -> {rule variable: fresh variable}
+        self._components: dict = {}    # vertex frozenset -> _Component
+        self.final = self._variable("Y~")
+
+    def _variable(self, name: str) -> Variable:
+        return Variable(next(self._ids), name)
+
+    def fragments(self, path: tuple) -> list:
+        """The fragment of every edge of ``path``; an edge's k-th occurrence
+        gets its k-th fragment, so repeated edges stay variable-disjoint."""
+        if len(set(path)) == len(path):
+            keys = zip(path, itertools.repeat(0))
+        else:
+            seen: dict = {}
+            keys = []
+            for e in path:
+                seen[e] = seen.get(e, -1) + 1
+                keys.append((e, seen[e]))
+        out = []
+        for key in keys:
+            fragment = self._fragments.get(key)
+            if fragment is None:
+                edge, k = key
+                rule = self.program.rule_of_var[edge.dst]
+                renaming = {v: self._variable(f"{v.name}~{k + 1}")
+                            for v in rule.variables()}
+                fragment = self._fragments[key] = _Fragment(self.program, edge, renaming)
+            out.append(fragment)
+        return out
+
+    def context(self, e_star: DepEdge) -> dict:
+        """Fresh variables for the head variables of ``e_star``'s rule other
+        than its label and its target: the step check's fixed context."""
+        ctx = self._contexts.get(e_star)
+        if ctx is None:
+            rule = self.program.rule_of_var[e_star.dst]
+            ctx = {v: self._variable(f"Xz_{v.name}")
+                   for v in rule.frontier if v != e_star.label}
+            ctx.update((v, self._variable(f"Xw_{v.name}"))
+                       for v in rule.existentials if v != e_star.dst)
+            self._contexts[e_star] = ctx
+        return ctx
+
+    def component(self, scc: SccAnalysis, index: int) -> _Component:
+        """Component ``index`` compiled; within one program its vertices
+        determine its edges."""
+        vertices = scc.components[index]
+        comp = self._components.get(vertices)
+        if comp is None:
+            comp = self._components[vertices] = _Component(vertices,
+                                                           scc.intra_edges[index])
+        return comp
 
     def base_ok(self, path: tuple) -> bool:
         if path not in self.base:
-            self.base[path] = is_base_propagating(self.program, path)
+            self.base[path] = is_base_propagating(self.program, path, self)
         return self.base[path]
 
     def step_ok(self, path_a: tuple, path_b: tuple, e_star: DepEdge) -> bool:
         key = (path_a, path_b, e_star)
         if key not in self.step:
-            self.step[key] = is_step_propagating(self.program, path_a, path_b, e_star)
+            self.step[key] = is_step_propagating(self.program, path_a, path_b, e_star,
+                                                 self)
         return self.step[key]
 
 
@@ -257,8 +393,9 @@ def _condition_checks(program: Program, scc: SccAnalysis, component: int,
     step pair, in a fixed order.  A check runs only when its pair is
     requested, so a caller that stops at the first failure skips the rest.
     """
-    remainder = _remainder(scc, component, e_set)
-    acyclic = _is_acyclic(scc.components[component], remainder)
+    comp = cache.component(scc, component)
+    removed = comp.removed(e_set)
+    acyclic = comp.acyclic(removed)
     yield 0, None if acyclic else "cycle survives edge removal"
     by_target: dict = {}
     for e in e_set:
@@ -268,7 +405,7 @@ def _condition_checks(program: Program, scc: SccAnalysis, component: int,
                                        f"{sorted(l.name for l in by_target[bad])}")
     if not acyclic or bad is not None:
         return
-    ebar = _ebar_paths(remainder, e_set, path_budget)
+    ebar = comp.paths(e_set, removed, path_budget)
     for e in e_set:
         for start, cont in ebar:
             if start == e.dst:
@@ -293,10 +430,6 @@ def check_e_saturating(program: Program, scc: SccAnalysis, component: int,
     """Evaluate the four certificate conditions for one component and edge set."""
     cache = cache or PropagationCache(program)
     e_set = tuple(e_set)
-    intra = set(scc.intra_edges[component])
-    for e in e_set:
-        if e not in intra:
-            raise ValueError(f"{e} is not an edge of component {component}")
     conditions = [True] * 4
     checked = [0] * 4
     counterexample = None

@@ -8,7 +8,8 @@ checks without sharing code paths with them.
 
 from __future__ import annotations
 
-from chasekit.model import Atom, Constant, Variable
+from chasekit.model import Atom, Constant, Variable, substitute
+from chasekit.saturation import PathQuery
 
 
 def _naive_unify(pattern: Atom, fact: Atom, binding: dict):
@@ -79,6 +80,35 @@ def naive_entails(rules, body, head) -> bool:
     frozen_body = {freeze(a) for a in body}
     frozen_head = {freeze(a) for a in head}
     return frozen_head <= naive_materialize(rules, frozen_body)
+
+
+def naive_path_query(program, path) -> PathQuery:
+    """The query of a composable ``path``, renaming every rule apart per
+    step: fresh variables are numbered above the program's, step i's copy
+    of variable X is named ``X~i``, and the null created by step i is
+    renamed to the next step's label (or a final ``Y~k+1``)."""
+    path = tuple(path)
+    fresh = program.fresh_variables("P")
+    renamings = []
+    for i, edge in enumerate(path, start=1):
+        rule = program.rule_of_var[edge.dst]
+        renamings.append({v: Variable(next(fresh).id, f"{v.name}~{i}")
+                          for v in rule.variables()})
+    chain = [ren[edge.label] for ren, edge in zip(renamings, path)]
+    chain.append(Variable(next(fresh).id, f"Y~{len(path) + 1}"))
+    body_parts, head_parts, atoms = [], [], []
+    for i, edge in enumerate(path):
+        rule = program.rule_of_var[edge.dst]
+        ren = dict(renamings[i])
+        body = tuple(substitute(a, ren) for a in rule.body)
+        ren[edge.dst] = chain[i + 1]     # the created null chains forward
+        head = tuple(substitute(a, ren) for a in rule.head)
+        body_parts.append(body)
+        head_parts.append(head)
+        atoms.extend(body)
+        atoms.extend(head)
+    return PathQuery(path, tuple(atoms), tuple(body_parts), tuple(head_parts),
+                     tuple(chain), tuple(renamings))
 
 
 def model_check(program, interp) -> bool:

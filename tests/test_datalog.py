@@ -197,3 +197,37 @@ def test_saturate_with_a_goal_stops_inside_the_fixpoint(case, data):
             part = set(saturate(rule_set, facts, goal))
             assert set(facts) <= part <= full
             assert (set(goal) <= part) == (set(goal) <= full)
+
+
+@st.composite
+def _unfrozen_case(draw):
+    """Rules of ``_datalog_case``; a body over p, q, r and the underivable
+    s, with variables and constants; a head mixing body atoms, derived
+    atoms, and atoms over variables, constants and a variable absent from
+    the body."""
+    rules, _facts = draw(_datalog_case())
+    terms = st.sampled_from(_vars + _consts)
+    atom = st.builds(lambda p, s, t: Atom(p, (s, t)),
+                     st.sampled_from(_preds + ["s"]), terms, terms)
+    body = draw(st.lists(atom, max_size=5))
+    head_terms = st.sampled_from(_vars + _consts + [Variable(999, "W")])
+    head_atom = st.builds(lambda p, s, t: Atom(p, (s, t)),
+                          st.sampled_from(_preds + ["s"]), head_terms, head_terms)
+    if body:
+        head_atom = st.sampled_from(body) | head_atom
+    # body variables taken as constants: what the rules derive is entailed
+    derived = sorted(naive_materialize(rules, body) - set(body), key=str)
+    if derived:
+        head_atom = st.sampled_from(derived) | head_atom
+    return rules, body, draw(st.lists(head_atom, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unfrozen_case())
+def test_entails_on_unfrozen_atoms_agrees_with_naive_oracle(case):
+    # both shortcuts are taken before freezing; an underivable s-atom in
+    # the body must still count as present
+    rules, body, head = case
+    expected = naive_entails(rules, body, head)
+    assert entails(rules, body, head) == expected
+    assert entails(rules, iter(body), iter(head)) == expected

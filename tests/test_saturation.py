@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,12 +8,14 @@ from chasekit import saturation
 from chasekit.corpus import (CORPUS_NAMES, gen_counter, gen_dexp, gen_sets,
                              gen_sets_nonterm, instance_from_name)
 from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
-from chasekit.model import Variable, parse_program
-from chasekit.saturation import (NonComposablePath, _is_acyclic, check_e_saturating,
+from chasekit.datalog import entails
+from chasekit.model import Variable, parse_program, substitute
+from chasekit.saturation import (NonComposablePath, PathBudgetExceeded, PathQuery,
+                                 PropagationCache, _is_acyclic, check_e_saturating,
                                  enumerate_ebar_paths, find_saturating_certificate,
                                  is_base_propagating, is_step_propagating,
                                  path_query)
-from oracles import naive_entails
+from oracles import naive_entails, naive_path_query
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +350,179 @@ def test_certificate_search_moves_pinned(monkeypatch, name):
     moves = _search_moves(monkeypatch, _SEARCHED[name]())
     digest = hashlib.sha256(json.dumps(moves).encode()).hexdigest()
     assert digest == PINNED_MOVES[name]
+
+
+@pytest.mark.parametrize("generate, budget, verdict", [
+    (lambda: gen_sets(1), 0, "inconclusive"),
+    (lambda: gen_sets(1), 1, "saturating"),
+    (lambda: gen_dexp(2, True), 0, "inconclusive"),
+    (lambda: gen_dexp(2, True), 1, "inconclusive"),
+    (lambda: gen_dexp(2, True), 2, "saturating")])
+def test_path_budget_counts_the_empty_path(generate, budget, verdict):
+    # sets(1) has one path, the empty one; dexp's certificate has two
+    program = generate().program
+    scc = scc_analysis(build_ledgraph(program))
+    result = find_saturating_certificate(program, scc, path_budget=budget)
+    assert result.verdict == verdict
+
+
+def test_ebar_path_budget_zero_enumerates_none():
+    program = gen_sets(1).program
+    scc = scc_analysis(build_ledgraph(program))
+    with pytest.raises(PathBudgetExceeded):
+        enumerate_ebar_paths(scc, 0, scc.intra_edges[0], path_budget=0)
+    assert enumerate_ebar_paths(scc, 0, scc.intra_edges[0], path_budget=1) == \
+        [(scc.intra_edges[0][0].dst, ())]
+
+
+# two existentials of one rule, each fed by the other's cycle: a path may
+# pass through two different edges into that rule
+_TWO_NULLS = """a(X) -> b(X,V), c(X,W) .
+b(X,Y) -> a(Y) .
+c(X,Y) -> a(Y) .
+b(X,Y), c(X,Z) -> c(Y,Z) .
+"""
+
+
+def _checked(monkeypatch, program) -> tuple:
+    """The base paths and step pairs the search checks, in order, and
+    step pairs ``(e,)+a, (e,)+b`` over each single-edge feedback set."""
+    base, step = [], []
+    original_base = saturation.is_base_propagating
+    original_step = saturation.is_step_propagating
+
+    def record_base(program, path, *rest):
+        base.append(path)
+        return original_base(program, path, *rest)
+
+    def record_step(program, path_a, path_b, e_star, *rest):
+        step.append((path_a, path_b, e_star))
+        return original_step(program, path_a, path_b, e_star, *rest)
+
+    scc = scc_analysis(build_ledgraph(program))
+    with monkeypatch.context() as m:
+        m.setattr(saturation, "is_base_propagating", record_base)
+        m.setattr(saturation, "is_step_propagating", record_step)
+        find_saturating_certificate(program, scc)
+    for ci in scc.nontrivial():
+        for e in scc.intra_edges[ci]:
+            try:
+                ebar = enumerate_ebar_paths(scc, ci, (e,))
+            except ValueError:       # not a feedback set
+                continue
+            into = [c for s, c in ebar if (c[-1].dst if c else s) == e.src]
+            step += [((e,) + a, (e,) + b, e) for a in into for _, b in ebar]
+    return base, step
+
+
+def _bijection(old: PathQuery, new: PathQuery) -> dict:
+    """The variable bijection taking ``old`` to ``new``; fails the test if
+    the two differ otherwise."""
+    assert old.path == new.path
+    assert [len(p) for p in old.body_parts] == [len(p) for p in new.body_parts]
+    assert [len(p) for p in old.head_parts] == [len(p) for p in new.head_parts]
+    assert old.atoms == sum((b + h for b, h in zip(old.body_parts, old.head_parts)), ())
+    assert new.atoms == sum((b + h for b, h in zip(new.body_parts, new.head_parts)), ())
+    forward, backward = {}, {}
+    pairs = [(x, y) for a, b in zip(old.atoms, new.atoms) for x, y in
+             zip((a.pred,) + a.args, (b.pred,) + b.args)]
+    pairs += list(zip(old.chain_vars, new.chain_vars))
+    for r_old, r_new in zip(old.renamings, new.renamings):
+        assert r_old.keys() == r_new.keys()
+        pairs += [(r_old[v], r_new[v]) for v in r_old]
+    for x, y in pairs:
+        if isinstance(x, Variable) or isinstance(y, Variable):
+            assert isinstance(x, Variable) and isinstance(y, Variable)
+            assert forward.setdefault(x, y) == y and backward.setdefault(y, x) == x
+        else:
+            assert x == y
+    return forward
+
+
+def _naive_step(program, path_a, path_b, e_star):
+    """Hypothesis and conclusion of a step check built from the oracle query."""
+    pq = naive_path_query(program, path_a + path_b)
+    ell = len(path_a)
+    rule = program.rule_of_var[e_star.dst]
+    top = max(v.id for r in pq.renamings for v in r.values())
+    fresh = iter(range(max(top, pq.chain_vars[-1].id) + 1, 1 << 30))
+    context = {v: Variable(next(fresh), f"C_{v.name}")
+               for v in rule.frontier + rule.existentials
+               if v not in (e_star.label, e_star.dst)}
+    hyp = dict(context)
+    hyp[e_star.label], hyp[e_star.dst] = pq.chain_vars[ell], pq.chain_vars[1]
+    conc = dict(context)
+    conc[e_star.label], conc[e_star.dst] = pq.chain_vars[-1], pq.chain_vars[ell + 1]
+    return (pq.atoms + tuple(substitute(a, hyp) for a in rule.head),
+            tuple(substitute(a, conc) for a in rule.head))
+
+
+_ORACLE_PROGRAMS = dict(_SEARCHED, **{"two nulls": lambda: parse_program(_TWO_NULLS)})
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_PROGRAMS))
+def test_path_queries_agree_with_naive_oracle(monkeypatch, name):
+    program = _ORACLE_PROGRAMS[name]()
+    datalog = program.datalog_rules()
+    base, step = _checked(monkeypatch, program)
+    assert base and step
+    cache = PropagationCache(program)      # shared, as in one search
+    for path in base:
+        old, new = naive_path_query(program, path), path_query(program, path, cache=cache)
+        _bijection(old, new)
+        conclusion = [substitute(a, {old.chain_vars[0]: old.chain_vars[-1]})
+                      for a in old.head_parts[0]]
+        expected = naive_entails(datalog, old.atoms, conclusion)
+        assert is_base_propagating(program, path, cache) == expected
+        assert is_base_propagating(program, path) == expected
+    entailed = []
+    monkeypatch.setattr(saturation, "entails",
+                        lambda *args: entailed.append(args[1:]) or entails(*args))
+    for path_a, path_b, e_star in step:
+        new = path_query(program, path_a + path_b, cache=cache)
+        _bijection(naive_path_query(program, path_a + path_b), new)
+        # the two traversals, and repeated edges, are variable-disjoint
+        for r1, r2 in itertools.combinations(new.renamings, 2):
+            assert not set(r1.values()) & set(r2.values())
+        hypothesis, conclusion = _naive_step(program, path_a, path_b, e_star)
+        expected = naive_entails(datalog, hypothesis, conclusion)
+        assert is_step_propagating(program, path_a, path_b, e_star, cache) == expected
+        assert is_step_propagating(program, path_a, path_b, e_star) == expected
+        # the context variables of the hypothesis occur nowhere in the query
+        body, head = entailed[-2]
+        assert body[:len(new.atoms)] == new.atoms
+        ell = len(path_a)
+        linked = {new.chain_vars[ell], new.chain_vars[1]}
+        context = {v for a in body[len(new.atoms):] for v in a.variables()} - linked
+        assert not context & {v for a in new.atoms for v in a.variables()}
+        assert context <= {v for a in head for v in a.variables()} | linked
+
+
+def test_oracle_covers_two_edges_into_one_rule_and_repeated_edges(monkeypatch):
+    program = parse_program(_TWO_NULLS)
+    base, step = _checked(monkeypatch, program)
+    rule_of = program.rule_of_var
+    assert any(len({e.dst for e in p}) > 1 and len({rule_of[e.dst] for e in p}) == 1
+               for p in base + [a + b for a, b, _ in step])
+    ring_steps = _checked(monkeypatch, _ring(8))[1]
+    assert any(a[0] == b[0] for a, b, _ in ring_steps)
+    assert any(len(set(a + b)) < len(a + b) for a, b, _ in ring_steps)
+
+
+def test_path_query_renamings_are_read_only(dexp):
+    program, graph, _ = dexp
+    cache = PropagationCache(program)
+    path = (_edge(graph, "X"), _edge(graph, "X1"))
+    pq = path_query(program, path, cache=cache)
+    with pytest.raises(TypeError):
+        pq.renamings[0][path[0].label] = path[0].label
+    assert path_query(program, path, cache=cache) == pq
+
+
+def test_edges_outside_the_component_are_rejected(dexp):
+    program, graph, scc = dexp
+    foreign = DepEdge(Variable(10_000, "U"), Variable(10_001, "Y"), Variable(10_002, "W"))
+    with pytest.raises(ValueError, match="not an edge"):
+        check_e_saturating(program, scc, 0, (foreign,))
+    with pytest.raises(ValueError, match="not an edge"):
+        enumerate_ebar_paths(scc, 0, (foreign,))
