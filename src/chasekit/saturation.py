@@ -54,7 +54,7 @@ from typing import Iterable, Optional
 
 from .datalog import entails
 from .depgraph import DepEdge, LabelledDepGraph, SccAnalysis
-from .model import Atom, Program, Variable, substitute
+from .model import Atom, Program, Tgd, Variable, substitute
 
 
 class NonComposablePath(Exception):
@@ -280,8 +280,7 @@ class _Fragment:
 
     __slots__ = ("renaming", "body", "head", "link", "null", "_linked")
 
-    def __init__(self, program: Program, edge: DepEdge, renaming: dict):
-        rule = program.rule_of_var[edge.dst]
+    def __init__(self, rule: Tgd, edge: DepEdge, renaming: dict):
         self.renaming = MappingProxyType(renaming)
         self.body = tuple(substitute(a, renaming) for a in rule.body)
         self.head = tuple(substitute(a, renaming) for a in rule.head)
@@ -327,23 +326,16 @@ class PropagationCache:
     def fragments(self, path: tuple) -> list:
         """The fragment of every edge of ``path``; an edge's k-th occurrence
         gets its k-th fragment, so repeated edges stay variable-disjoint."""
-        if len(set(path)) == len(path):
-            keys = zip(path, itertools.repeat(0))
-        else:
-            seen: dict = {}
-            keys = []
-            for e in path:
-                seen[e] = seen.get(e, -1) + 1
-                keys.append((e, seen[e]))
+        seen: dict = {}
         out = []
-        for key in keys:
-            fragment = self._fragments.get(key)
+        for edge in path:
+            k = seen[edge] = seen.get(edge, -1) + 1
+            fragment = self._fragments.get((edge, k))
             if fragment is None:
-                edge, k = key
                 rule = self.program.rule_of_var[edge.dst]
                 renaming = {v: self._variable(f"{v.name}~{k + 1}")
                             for v in rule.variables()}
-                fragment = self._fragments[key] = _Fragment(self.program, edge, renaming)
+                fragment = self._fragments[edge, k] = _Fragment(rule, edge, renaming)
             out.append(fragment)
         return out
 
