@@ -142,15 +142,17 @@ def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
     cache = cache or PropagationCache(program)
     pq = path_query(program, path_a + path_b, cache=cache)
     ell = len(path_a)
-    hyp_map = dict(cache.context(e_star))
+    rule = program.rule_of_var[e_star.dst]
+    context = [v for v in rule.frontier + rule.existentials
+               if v not in (e_star.label, e_star.dst)]
+    hyp_map = {v: cache.variable(f"C_{v.name}") for v in context}
     conc_map = dict(hyp_map)
     hyp_map[e_star.label] = pq.chain_vars[ell]          # junction variable
     hyp_map[e_star.dst] = pq.chain_vars[1]              # null of the first traversal
     conc_map[e_star.label] = pq.chain_vars[-1]          # final variable
     conc_map[e_star.dst] = pq.chain_vars[ell + 1]       # null created by path_b's edge
-    head = program.rule_of_var[e_star.dst].head
-    hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in head)
-    conclusion = tuple(substitute(a, conc_map) for a in head)
+    hypothesis = pq.atoms + tuple(substitute(a, hyp_map) for a in rule.head)
+    conclusion = tuple(substitute(a, conc_map) for a in rule.head)
     return entails(program.datalog_index, hypothesis, conclusion)
 
 
@@ -302,12 +304,12 @@ class _Fragment:
 class PropagationCache:
     """What one certificate search builds once and reuses across its
     candidates: the base and step verdicts per path, the path-query
-    fragments per (edge, occurrence), the fresh context variables of each
-    step check's ``e_star``, and the compiled components.
+    fragments per (edge, occurrence) and the compiled components.
 
-    Every variable it makes is numbered from its own counter above the
-    program's variables, which keeps all of them apart; it belongs to one
-    program and one search and is dropped with it.
+    Every variable it makes, in a fragment or for a step check's context,
+    is numbered from its own counter above the program's variables, which
+    keeps all of them apart; it belongs to one program and one search and
+    is dropped with it.
     """
 
     def __init__(self, program: Program):
@@ -316,11 +318,10 @@ class PropagationCache:
         self.step: dict = {}
         self._ids = itertools.count(program.max_var_id + 1)
         self._fragments: dict = {}     # (edge, occurrence) -> _Fragment
-        self._contexts: dict = {}      # e_star -> {rule variable: fresh variable}
         self._components: dict = {}    # vertex frozenset -> _Component
-        self.final = self._variable("Y~")
+        self.final = self.variable("Y~")
 
-    def _variable(self, name: str) -> Variable:
+    def variable(self, name: str) -> Variable:
         return Variable(next(self._ids), name)
 
     def fragments(self, path: tuple) -> list:
@@ -333,24 +334,11 @@ class PropagationCache:
             fragment = self._fragments.get((edge, k))
             if fragment is None:
                 rule = self.program.rule_of_var[edge.dst]
-                renaming = {v: self._variable(f"{v.name}~{k + 1}")
+                renaming = {v: self.variable(f"{v.name}~{k + 1}")
                             for v in rule.variables()}
                 fragment = self._fragments[edge, k] = _Fragment(rule, edge, renaming)
             out.append(fragment)
         return out
-
-    def context(self, e_star: DepEdge) -> dict:
-        """Fresh variables for the head variables of ``e_star``'s rule other
-        than its label and its target: the step check's fixed context."""
-        ctx = self._contexts.get(e_star)
-        if ctx is None:
-            rule = self.program.rule_of_var[e_star.dst]
-            ctx = {v: self._variable(f"Xz_{v.name}")
-                   for v in rule.frontier if v != e_star.label}
-            ctx.update((v, self._variable(f"Xw_{v.name}"))
-                       for v in rule.existentials if v != e_star.dst)
-            self._contexts[e_star] = ctx
-        return ctx
 
     def component(self, scc: SccAnalysis, index: int) -> _Component:
         """Component ``index`` compiled; within one program its vertices
