@@ -20,8 +20,6 @@ saturating; a missing head atom whose predicate no rule derives is not
 entailed, again without saturating (with no rules this covers every
 missing atom); and the fixpoint can stop at the first moment every missing
 head atom has been derived, since later rounds cannot take a fact away.
-Freezing is injective, so both shortcuts are decided on the atoms as
-given, and only a check that saturates freezes its atoms.
 """
 
 from __future__ import annotations
