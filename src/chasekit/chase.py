@@ -16,16 +16,15 @@ when a candidate is popped, never when it is queued, so the queues and the
 seeded draws do not depend on it.  For a Datalog rule the match grounds
 the whole head, and the head is satisfied exactly when every ground head
 atom is already a fact.  For an existential rule, satisfaction depends on
-the frontier values alone and is monotone: the chase only adds facts, so a
-satisfied match stays satisfied, and an applied match is satisfied by the
-facts it added.  Each existential rule therefore remembers the frontier
-values of the matches it applied, and a rediscovered one is discarded
-without a homomorphism search.  An existential rule with two or more body
-atoms queues a cursor for the matches of a new fact rather than the
-matches themselves, and the cursor yields them, over the facts of that
-moment, only when the queue reaches it.  A capped chase thus holds what it
-pops, not every match it finds, and its candidates and their order are
-those of queueing every match at once (see ``_RuleQueue``).
+the frontier values alone and is decided by the rule's head plan.  Every
+rule's joins are compiled once, on the rule (see ``Tgd``), so a second
+chase of the same program compiles nothing.  An existential rule with two
+or more body atoms queues a cursor for the matches of a new fact rather
+than the matches themselves, and the cursor yields them, over the facts
+of that moment, only when the queue reaches it.  A capped chase thus
+holds what it pops, not every match it finds, and its candidates and
+their order are those of queueing every match at once (see
+``_RuleQueue``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matching import Plan, head_satisfied, seeded_plans, slot_atoms, unsatisfied_matches
+from .matching import head_satisfied, unsatisfied_matches
 from .model import (Atom, Database, Interpretation, Null, Program, Tgd,
                     Variable, substitute)
 
@@ -126,8 +125,9 @@ class ChaseResult:
 
 class _RuleQueue:
     """FIFO of discovered candidate matches for one rule, stored as value
-    tuples aligned with ``vars``: the frontier first, then the body-only
-    variables, and, in a lazy queue, behind them a FIFO of ``cursors``.
+    tuples over the slots of the rule's ``body_plan``: the frontier first,
+    then the body-only variables, and, in a lazy queue, behind them a FIFO
+    of ``cursors``.
 
     A cursor ``(plan, fact, below)`` stands for the matches that the new
     ``fact`` made: ``plan`` is the rule's body plan seeded with the body
@@ -150,37 +150,25 @@ class _RuleQueue:
 
     Duplicates are kept: what a queue holds and in which order decides the
     seeded strategy's draws, so it never depends on satisfaction.  Whether
-    a popped candidate is already satisfied is decided by ``satisfied``:
-
-    * A Datalog rule's match fixes every head variable, so its head is
-      satisfied exactly when each ground head atom is already a fact.
-      ``head_spec`` holds the head atoms over the slots of the value tuple.
-    * An existential rule's head check depends on the frontier values only.
-      The chase only adds facts, so an applied match stays satisfied by the
-      facts it added.  ``settled`` holds the frontier values of every
-      candidate handed out for application, and a later pop of the same
-      values is discarded without a homomorphism search; any other is
-      checked by the rule's ``head_plan``.
-      Candidates found satisfied are not stored: on the corpus programs
-      none is popped again, and storing them kept about 12k tuples alive
-      through a ``sets(6)`` chase.
+    a popped candidate is already satisfied is decided by ``satisfied``: a
+    Datalog rule's match fixes every head variable, so its head is
+    satisfied exactly when each ground atom of its ``head_slots`` is
+    already a fact; an existential rule's head is checked by its
+    ``head_plan`` on the frontier values.
     """
 
     def __init__(self, rule: Tgd):
         self.rule = rule
-        self.vars = rule.frontier + rule.body_only
         self.items: deque = deque()
         self.cursors: deque = deque()
         self.lazy = bool(rule.existentials) and len(rule.body) > 1
         self.n_frontier = len(rule.frontier)
-        self.head_spec = slot_atoms(rule.head, self.vars)
-        self.settled: set = set()
 
     def __len__(self) -> int:
         return len(self.items)
 
     def as_match(self, values: tuple) -> dict:
-        return dict(zip(self.vars, values))
+        return dict(zip(self.rule.body_plan.variables, values))
 
     def fill(self, interp: Interpretation) -> None:
         """Materialise the oldest cursor's matches into ``items``."""
@@ -197,15 +185,11 @@ class _RuleQueue:
         candidate out: the caller applies it or stops the chase."""
         if not self.rule.existentials:
             # an Atom is the tuple (pred, args), so the plain tuple finds it
-            for pred, args in self.head_spec:
+            for pred, args in self.rule.head_slots:
                 if (pred, args(values)) not in interp:
                     return False
             return True
-        key = values[:self.n_frontier]
-        if key in self.settled or head_satisfied(interp, self.rule.head_plan, key):
-            return True
-        self.settled.add(key)
-        return False
+        return head_satisfied(interp, self.rule.head_plan, values[:self.n_frontier])
 
 
 class _Engine:
@@ -224,16 +208,15 @@ class _Engine:
         # a watermark per step only when a cursor needs it: the facts of one
         # step share its number, and without watermarks all facts share one
         self.lazy = any(q.lazy for q in queues)
-        # predicate -> (push, plan seeded with the body atom, lazy) per body
-        # atom; a plan hands out matches as value tuples in the queue's
-        # order, and a lazy queue takes a cursor instead
+        # predicate -> (push, the rule's plan seeded with the body atom, lazy)
+        # per body atom; a lazy queue takes a cursor instead of the matches
         self.body_index: dict = {}
         for q in queues:
             push = q.cursors.append if q.lazy else q.items.append
-            for atom, plan in seeded_plans(q.rule.body, q.vars):
+            for atom, plan in q.rule.seeded_plans:
                 self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy))
         for q in queues:
-            Plan(q.rule.body, q.vars, reorder=False).run(self.interp, (), q.items.append)
+            q.rule.body_plan.run(self.interp, (), q.items.append)
 
     def discover(self, fact: Atom, below: Optional[int]) -> None:
         """Enqueue every candidate match that involves a new fact, or, in a

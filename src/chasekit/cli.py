@@ -174,9 +174,9 @@ def cmd_examples(args) -> int:
         params["n"] = args.n
     if args.name == "dexp":
         params["props"] = not args.no_props
-    if args.quantifiers:
+    if args.quantifiers is not None:
         params["quantifiers"] = args.quantifiers
-    if args.clauses:
+    if args.clauses is not None:
         params["clauses"] = _parse_clauses(args.clauses)
     inst = instance_from_name(args.name, **params)
     out = Path(args.out)

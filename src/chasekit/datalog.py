@@ -73,24 +73,6 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     return result
 
 
-class FreshConstants:
-    """Injective map from variables into the reserved constant namespace."""
-
-    def __init__(self):
-        self._map: dict = {}
-
-    def __getitem__(self, v: Variable) -> Constant:
-        c = self._map.get(v)
-        if c is None:
-            c = Constant(f"{_FREEZE_PREFIX}{len(self._map)}_{v.name}")
-            self._map[v] = c
-        return c
-
-    def freeze(self, atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple(self[a] if isinstance(a, Variable) else a
-                                     for a in atom.args))
-
-
 def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
             head: Iterable[Atom]) -> bool:
     """True iff ``rules`` entail ``forall vars . body -> head``.
@@ -111,8 +93,14 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    frz = FreshConstants()
-    frozen_body = [frz.freeze(a) for a in body]
-    goal = [frz.freeze(a) for a in missing]
+    frozen: dict = {}   # variable -> its reserved constant, numbered apart
+
+    def freeze(atom: Atom) -> Atom:
+        return Atom(atom.pred, tuple(
+            frozen.setdefault(a, Constant(f"{_FREEZE_PREFIX}{len(frozen)}_{a.name}"))
+            if isinstance(a, Variable) else a for a in atom.args))
+
+    frozen_body = [freeze(a) for a in body]
+    goal = [freeze(a) for a in missing]
     closure = saturate(index, frozen_body, goal)
     return all(a in closure for a in goal)

@@ -18,8 +18,10 @@ such set of atoms: the index lookups of every remaining atom and, for the
 atom picked, the positions to compare with fixed values, the repeated
 positions to compare with each other, and the positions to bind.
 
-``match_each`` and the functions built on it compile a plan per call, for
-callers that hold none, and bind into dictionaries keyed by variable.
+A rule compiles its own plans once (see ``model.Tgd``), and every engine
+that applies it runs those.  ``match_each`` and the functions built on it
+compile a plan per call, for queries and other joins that no rule holds,
+and bind into dictionaries keyed by variable.
 """
 
 from __future__ import annotations
@@ -298,26 +300,26 @@ def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
     return iter(out)
 
 
-def head_satisfied(interp: Interpretation, head, subst) -> bool:
-    """Can ``subst`` extend over the head-only variables so the head embeds?
-
-    ``head`` is a conjunction of atoms and ``subst`` a mapping from
-    variables to terms, or ``head`` is a ``Plan`` and ``subst`` the values
-    of its entry-bound slots.
-    """
-    if isinstance(head, Plan):
-        return head.run(interp, subst, _found)
-    return match_each(interp, head, dict(subst), _found)
+def head_satisfied(interp: Interpretation, head: Plan, values) -> bool:
+    """Do the entry ``values`` of the plan ``head`` extend so that its atoms
+    embed?  ``head`` is usually a rule's ``head_plan``, and ``values`` the
+    frontier's values."""
+    return head.run(interp, values, _found)
 
 
 def unsatisfied_matches(interp: Interpretation, rules) -> Iterator[tuple]:
     """Every ``(rule, match)`` whose match embeds the rule's body but does
     not satisfy its head, rule by rule in the given order, each rule's
-    matches in ``find_matches`` order.  Heads are checked lazily."""
+    matches in the order of its ``body_plan`` (that of ``find_matches``).
+    Heads are checked lazily."""
     for rule in rules:
-        for match in find_matches(interp, rule.body):
-            if not head_satisfied(interp, rule.head_plan, [match[v] for v in rule.frontier]):
-                yield rule, match
+        plan = rule.body_plan
+        found: list = []
+        plan.run(interp, (), found.append)
+        n = len(rule.frontier)
+        for values in found:
+            if not head_satisfied(interp, rule.head_plan, values[:n]):
+                yield rule, dict(zip(plan.variables, values))
 
 
 def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:

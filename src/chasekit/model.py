@@ -154,6 +154,12 @@ class Tgd:
     ``frontier`` holds the variables shared between body and head,
     ``existentials`` the head-only variables (in head occurrence order),
     ``body_only`` the remaining body variables.
+
+    The rule's joins are compiled once, on first use, and shared by every
+    engine that applies it.  ``body_plan``, ``seeded_plans`` and
+    ``head_slots`` work over the slots of ``frontier + body_only``, so a
+    match is the tuple of its frontier values followed by its body-only
+    values; ``head_plan`` binds the frontier on entry.
     """
 
     rule_id: int
@@ -185,19 +191,30 @@ class Tgd:
         return not self.existentials
 
     @functools.cached_property
-    def head_plan(self):
-        """The head as a ``matching.Plan`` with the frontier bound on entry
-        (frontier slots first, then the existentials), built on first use."""
-        from .matching import Plan  # matching imports this module
-        return Plan(self.head, self.frontier + self.existentials, len(self.frontier))
+    def body_plan(self) -> matching.Plan:
+        """The body as a plan that matches its atoms in the given order."""
+        return matching.Plan(self.body, self.frontier + self.body_only, reorder=False)
 
-    def variables(self) -> Iterator[Variable]:
-        seen = set()
-        for atom in self.body + self.head:
-            for v in atom.variables():
-                if v not in seen:
-                    seen.add(v)
-                    yield v
+    @functools.cached_property
+    def seeded_plans(self) -> list:
+        """The body's plans seeded with each body atom in turn
+        (``matching.seeded_plans``)."""
+        return matching.seeded_plans(self.body, self.body_plan.variables)
+
+    @functools.cached_property
+    def head_slots(self) -> tuple:
+        """The head as ``(pred, args)`` pairs over the body's slots
+        (``matching.slot_atoms``), which a match grounds in a Datalog rule."""
+        return matching.slot_atoms(self.head, self.body_plan.variables)
+
+    @functools.cached_property
+    def head_plan(self) -> matching.Plan:
+        """The head as a plan with the frontier bound on entry (frontier
+        slots first, then the existentials)."""
+        return matching.Plan(self.head, self.frontier + self.existentials, len(self.frontier))
+
+    def variables(self) -> list:
+        return atoms_variables(self.body + self.head)
 
     def __str__(self) -> str:
         b = ", ".join(str(a) for a in self.body)
@@ -209,23 +226,19 @@ class DatalogIndex:
     """Existential-free rules indexed for saturation.
 
     ``by_body_pred`` maps a predicate to one ``(plan, head)`` pair per body
-    atom with that predicate, in rule order: the rule's body plan seeded
-    with that atom, and its head over the plan's slots (see
-    ``matching.slot_atoms``); ``head_preds`` holds every predicate that some
-    rule derives.
+    atom with that predicate, in rule order: the rule's seeded plan for
+    that atom and its ``head_slots``; ``head_preds`` holds every predicate
+    that some rule derives.
     """
 
     def __init__(self, rules: Iterable[Tgd]):
-        from .matching import seeded_plans, slot_atoms  # matching imports this module
         self.by_body_pred: dict = {}
         head_preds = set()
         for rule in rules:
             if rule.existentials:
                 raise ValueError(f"rule {rule.rule_id} has existential variables")
-            variables = rule.frontier + rule.body_only
-            head = slot_atoms(rule.head, variables)
-            for atom, plan in seeded_plans(rule.body, variables):
-                self.by_body_pred.setdefault(atom.pred, []).append((plan, head))
+            for atom, plan in rule.seeded_plans:
+                self.by_body_pred.setdefault(atom.pred, []).append((plan, rule.head_slots))
             head_preds.update(h.pred for h in rule.head)
         self.head_preds = frozenset(head_preds)
 
@@ -608,3 +621,7 @@ def parse_query(text: str, signature: Optional[dict] = None) -> BCQ:
     if parser.here.kind != "eof":
         raise ParseError("trailing input after query", parser.here.line, parser.here.column)
     return BCQ(tuple(a for a, _ in atoms))
+
+
+# matching imports this module, so it is imported once this one is complete
+from . import matching  # noqa: E402

@@ -8,7 +8,7 @@ from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm
                              gen_qbf, gen_sets, gen_sets_nonterm)
 from chasekit.datalog import saturate
 from chasekit.depgraph import build_ledgraph
-from chasekit.matching import evaluate_bcq
+from chasekit.matching import Plan, evaluate_bcq
 from chasekit.model import Null, parse_facts, parse_program, parse_query
 from oracles import model_check
 
@@ -213,3 +213,34 @@ def test_package_chase_is_the_module_and_still_runs_the_chase():
     expected = chase(inst.program, inst.database).trace.lines()
     assert imported(inst.program, inst.database).trace.lines() == expected
     assert chasekit.chase(inst.program, inst.database, max_steps=5000).trace.lines() == expected
+
+
+# -- each rule's plans are compiled once, on the rule --------------------------
+
+def test_a_second_chase_of_a_program_compiles_nothing(plan_compiles):
+    inst = gen_sets(3)
+    first = chase(inst.program, inst.database, Seeded(7))
+    assert plan_compiles
+    plan_compiles.clear()
+    again = chase(inst.program, inst.database, Seeded(7))
+    assert again.trace.lines() == first.trace.lines()
+    assert plan_compiles == []
+
+
+def test_the_chase_runs_the_datalog_plans_that_saturate_runs(monkeypatch):
+    inst = gen_sets(3)
+    program = inst.program
+    indexed = {id(plan) for entries in program.datalog_index.by_body_pred.values()
+               for plan, _head in entries}
+    ran: list = []
+    original = Plan.run_from
+
+    def recording(plan, *args, **kwargs):
+        ran.append(plan)
+        return original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(Plan, "run_from", recording)
+    chase(program, inst.database)
+    datalog_runs = {id(plan) for plan in ran
+                    if program.rule_of_var[plan.variables[0]].is_datalog}
+    assert datalog_runs and datalog_runs <= indexed

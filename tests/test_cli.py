@@ -220,6 +220,8 @@ _ALT6 = ["query", "alt6/qbf.tgd", "alt6/qbf.facts", "alt6/qbf.query"]
     (["examples", "counter", "--levels", "0", "--out", "ex"], 2),
     # a search path deeper than Python's recursion limit
     ([*_ALT6, "--engine", "tree-search", "--m-bound", "1000", "--search-budget", "3000"], 3),
+    (["examples", "qbf", "--quantifiers", "", "--out", "ex"], 2),
+    (["examples", "qbf", "--clauses", "", "--out", "ex"], 2),
 ])
 def test_exit_code_contract(contract_dir, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(contract_dir)

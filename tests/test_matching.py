@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from chasekit.chase import Deterministic, chase
 from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
 from chasekit.matching import (Plan, evaluate_bcq, find_matches, head_satisfied,
-                               seeded_plans)
-from chasekit.model import BCQ, Atom, Constant, Interpretation, Variable, atoms_variables
+                               seeded_plans, unsatisfied_matches)
+from chasekit.model import BCQ, Atom, Constant, Interpretation, Tgd, Variable, atoms_variables
 from oracles import naive_matches
 
 # sha256 of the ordered match lists of find_matches(..., reorder=True) for
@@ -86,7 +86,6 @@ def test_walker_agrees_with_the_naive_oracle(case):
     reordered = _as_set(find_matches(interp, body, bound, reorder=True))
     assert len(set(reordered)) == len(reordered)
     assert set(reordered) == set(_as_set(expected))
-    assert head_satisfied(interp, body, bound) == bool(expected)
     assert evaluate_bcq(interp, BCQ(body)) == bool(naive_matches(body, list(interp)))
 
 
@@ -176,3 +175,46 @@ def test_a_bounded_run_picks_atoms_by_the_counts_below_its_watermark():
     bounded: list = []
     plan.run(interp, (), bounded.append, below)
     assert bounded == then
+
+
+# -- unsatisfied matches, by the rules' own plans ----------------------------
+
+@st.composite
+def _rules_case(draw):
+    """Facts and a body as in ``_join_case``, and one or two rules with
+    such bodies; a head may hold variables that its body lacks."""
+    interp, body, _bound = draw(_join_case())
+    bodies = [body] + [draw(_join_case())[1] for _ in range(draw(st.integers(0, 1)))]
+    rules = []
+    for rule_id, body in enumerate(bodies):
+        preds = draw(st.lists(st.sampled_from(sorted(_ARITY)), min_size=1, max_size=2))
+        head = tuple(Atom(p, tuple(draw(st.sampled_from(_VARS + _CONSTS))
+                                   for _ in range(_ARITY[p]))) for p in preds)
+        rules.append(Tgd(rule_id, body, head))
+    return interp, rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rules_case())
+def test_unsatisfied_matches_are_the_naive_ones_in_order(case):
+    interp, rules = case
+    facts = list(interp)
+    expected = []
+    for rule in rules:
+        for match in naive_matches(rule.body, facts):
+            frontier = {v: match[v] for v in rule.frontier}
+            if not naive_matches(rule.head, facts, frontier):
+                expected.append((rule.rule_id, match))
+    got = [(rule.rule_id, match) for rule, match in unsatisfied_matches(interp, rules)]
+    assert got == expected
+
+
+def test_a_second_unsatisfied_matches_call_compiles_nothing(plan_compiles):
+    inst = gen_sets(3)
+    rules = inst.program.rules
+    interp = chase(inst.program, inst.database).interpretation
+    interp.add(Atom("elem", (Constant("fresh"),)))
+    first = list(unsatisfied_matches(interp, rules))
+    plan_compiles.clear()
+    assert list(unsatisfied_matches(interp, rules)) == first != []
+    assert plan_compiles == []
