@@ -150,11 +150,9 @@ class _RuleQueue:
 
     Duplicates are kept: what a queue holds and in which order decides the
     seeded strategy's draws, so it never depends on satisfaction.  Whether
-    a popped candidate is already satisfied is decided by ``satisfied``: a
-    Datalog rule's match fixes every head variable, so its head is
-    satisfied exactly when each ground atom of its ``head_slots`` is
-    already a fact; an existential rule's head is checked by its
-    ``head_plan`` on the frontier values.
+    a popped candidate is already satisfied is decided when it is popped:
+    a Datalog rule's by ``_Engine.run_datalog``, an existential rule's by
+    ``satisfied``.
     """
 
     def __init__(self, rule: Tgd):
@@ -181,14 +179,9 @@ class _RuleQueue:
         return values
 
     def satisfied(self, interp: Interpretation, values: tuple) -> bool:
-        """Is the candidate ``values`` satisfied?  A False answer hands the
-        candidate out: the caller applies it or stops the chase."""
-        if not self.rule.existentials:
-            # an Atom is the tuple (pred, args), so the plain tuple finds it
-            for pred, args in self.rule.head_slots:
-                if (pred, args(values)) not in interp:
-                    return False
-            return True
+        """Is the existential candidate ``values`` satisfied?  A False
+        answer hands the candidate out: the caller applies it or stops the
+        chase."""
         return head_satisfied(interp, self.rule.head_plan, values[:self.n_frontier])
 
 
@@ -254,14 +247,22 @@ class _Engine:
             self.discover(fact, below)
 
     def run_datalog(self) -> Optional[ChaseResult]:
-        """Apply unsatisfied Datalog matches until fixpoint (or the cap)."""
+        """Apply unsatisfied Datalog matches until fixpoint (or the cap).
+        A match grounds the whole head, so it is satisfied exactly when
+        each ground atom of the rule's ``head_slots`` is already a fact."""
+        interp = self.interp
         progress = True
         while progress:
             progress = False
             for q in self.datalog:
+                head = q.rule.head_slots
                 while q.items:
                     values = q.items.popleft()
-                    if q.satisfied(self.interp, values):
+                    # an Atom is the tuple (pred, args), so the plain tuple finds it
+                    for pred, args in head:
+                        if (pred, args(values)) not in interp:
+                            break
+                    else:   # every head atom is a fact already
                         continue
                     if len(self.trace.steps) >= self.max_steps:
                         return ChaseResult(False, self.interp, self.trace)
