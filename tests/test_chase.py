@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -178,6 +179,34 @@ def test_trace_identity(name, strategy):
             for atom in step.added:
                 assert trace.producer_of(atom) == step.index
         assert all(trace.producer_of(atom) is None for atom in inst.database)
+
+
+# (instance, strategy) -> sha256 of ``json.dumps(trace.to_dict())``: the
+# dumped dicts keep the key order of each step's match and extension, which
+# the sorted match of a trace line hides
+DICT_INSTANCES = {
+    "dexp(2)": lambda: gen_dexp(2, True),
+    "sets(3)": lambda: gen_sets(3),
+    "qbf aeaea": lambda: gen_qbf(QbfFormula("aeaea", tuple((i, -i) for i in range(1, 6)))),
+}
+PINNED_DICTS = {
+    ("dexp(2)", Deterministic()): "22b117d7814dbbc8474d7e9d410beb714a4d011d929378711d1493c232d5f2c9",
+    ("dexp(2)", Seeded(7)): "b0f9769ab45255c6786f3b6c70c6957b7d094f14641d375a3ea8118c1cd52918",
+    ("sets(3)", Deterministic()): "3114f2e0b876ff053e467313e08cb8fdbf33344b0f276765b2bba297f7ac2131",
+    ("sets(3)", Seeded(7)): "365eef89719e1970251d7fc9f3f789006ab7730dd4b57b6dccb8484ecfcf724a",
+    ("qbf aeaea", Deterministic()): "e966e88589cd6288248c0f9c05291977f7e9b0cb55fde65dc6e9fb0c3dc610a4",
+    ("qbf aeaea", Seeded(7)): "005fed33f1f3bbb9af861d4679aa1ff6d9f6139ed7380823fb9712dfb910e793",
+}
+
+
+@pytest.mark.parametrize("name, strategy", list(PINNED_DICTS),
+                         ids=[f"{n}-{s}" for n, s in PINNED_DICTS])
+def test_trace_dict_pinned(name, strategy):
+    inst = DICT_INSTANCES[name]()
+    result = chase(inst.program, inst.database, strategy)
+    assert result.terminated
+    digest = hashlib.sha256(json.dumps(result.trace.to_dict()).encode()).hexdigest()
+    assert digest == PINNED_DICTS[name, strategy]
 
 
 def test_capped_chase_holds_what_it_pops():

@@ -58,14 +58,38 @@ def test_validate_trace_catches_reused_null():
     assert len(creators) >= 2
     first_null = creators[0].created_nulls[0]
     bad = creators[1]
-    for v, t in list(bad.extension.items()):
-        if isinstance(t, Null):
-            bad.extension[v] = first_null
+    bad.extension = {v: first_null if isinstance(t, Null) else t
+                     for v, t in bad.extension.items()}
     bad.new_facts = tuple(
         Atom(a.pred, tuple(first_null if isinstance(t, Null) else t for t in a.args))
         for a in bad.new_facts)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="not fresh"):
         validate_trace(inst.program, result.trace)
+
+
+# an existential rule beside a Datalog rule over the same facts: the Datalog
+# step comes first, and a trace without it fires the existential rule early
+_EARLY = "p(X) -> s(X) .\np(X) -> r(X,V) .\nr(X,Y) -> u(Y) .\nr(X,Y) -> t(Y,W) .\n"
+
+
+def test_validate_trace_rejects_first_existential_step_before_fixpoint():
+    program = parse_program(_EARLY)
+    result = chase(program, parse_facts("p(a) ."))
+    validate_trace(program, result.trace)
+    assert [s.rule_id for s in result.trace.steps] == [1, 2, 3, 4]
+    # the database's p(a) leaves rule 1 unsatisfied at the first existential step
+    result.trace.steps = result.trace.steps[1:]
+    with pytest.raises(AssertionError, match="step 2: Datalog rule 1 was not at fixpoint"):
+        validate_trace(program, result.trace)
+
+
+def test_validate_trace_rejects_later_existential_step_before_fixpoint():
+    program = parse_program(_EARLY)
+    result = chase(program, parse_facts("p(a) ."))
+    # step 2's r(a, n2_V) leaves rule 3 unsatisfied when step 4 fires rule 4
+    del result.trace.steps[2]
+    with pytest.raises(AssertionError, match="step 4: Datalog rule 3 was not at fixpoint"):
+        validate_trace(program, result.trace)
 
 
 def test_null_forest_rejects_two_parents():
