@@ -399,8 +399,7 @@ def check_order_soundness(trace: ChaseTrace, tree: TermTree,
 def check_locality(program: Program, trace: ChaseTrace, tree: TermTree) -> None:
     """Body and head terms of every step must lie on single root paths."""
     for step in trace.steps:
-        rule = program.rule(step.rule_id)
-        body_terms = [step.match[v] for v in rule.frontier + rule.body_only]
-        tree.path_of_terms(body_terms)
-        head_terms = [step.extension[v] for v in rule.frontier + rule.existentials]
-        tree.path_of_terms(head_terms)
+        # the frontier's values are the first slots
+        n_frontier = len(program.rule(step.rule_id).frontier)
+        tree.path_of_terms(step.values)
+        tree.path_of_terms(step.values[:n_frontier] + step.created_nulls)

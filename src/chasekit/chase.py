@@ -49,19 +49,48 @@ class Seeded:
     seed: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ChaseStep:
+    """One rule application, kept as the slots it was computed over.
+
+    ``values`` is the match as its rule's queue held it, over the first
+    slots of ``variables`` (the rule's ``step_variables``, shared by all
+    its steps); ``created_nulls`` fill the existentials' slots.  ``match``
+    and ``extension`` are dicts built from them on each read, and
+    assigning either replaces the slots it covers.  ``added`` is
+    ``new_facts`` itself when every head atom was new.
+    """
+
     index: int
     rule_id: int
-    match: dict                # body variables -> terms
-    extension: dict            # match plus existentials -> fresh nulls
+    variables: tuple           # body variables, then existentials
+    values: tuple              # body variables -> terms, by slot
     new_facts: tuple           # the instantiated head
     added: tuple               # head atoms that were actually new
-    created_nulls: tuple
+    created_nulls: tuple       # existentials -> fresh nulls, by slot
+
+    @property
+    def match(self) -> dict:
+        """Body variables -> terms."""
+        return dict(zip(self.variables, self.values))
+
+    @match.setter
+    def match(self, match: dict) -> None:
+        self.values = tuple(match[v] for v in self.variables[:len(self.values)])
+
+    @property
+    def extension(self) -> dict:
+        """The match plus existentials -> fresh nulls."""
+        return dict(zip(self.variables, self.values + self.created_nulls))
+
+    @extension.setter
+    def extension(self, extension: dict) -> None:
+        terms = tuple(extension[v] for v in self.variables)
+        self.values, self.created_nulls = terms[:len(self.values)], terms[len(self.values):]
 
     def line(self) -> str:
         bind = ", ".join(f"{v.name}={t}" for v, t in
-                         sorted(self.match.items(), key=lambda kv: kv[0].name))
+                         sorted(zip(self.variables, self.values), key=lambda vt: vt[0].name))
         new = ", ".join(str(a) for a in self.new_facts)
         return f"step {self.index}: rule {self.rule_id}, match {{{bind}}}, new {{{new}}}"
 
@@ -69,8 +98,9 @@ class ChaseStep:
         return {
             "index": self.index,
             "rule": self.rule_id,
-            "match": {v.name: str(t) for v, t in self.match.items()},
-            "extension": {v.name: str(t) for v, t in self.extension.items()},
+            "match": {v.name: str(t) for v, t in zip(self.variables, self.values)},
+            "extension": {v.name: str(t) for v, t in
+                          zip(self.variables, self.values + self.created_nulls)},
             "newFacts": [str(a) for a in self.new_facts],
             "added": [str(a) for a in self.added],
             "createdNulls": [n.name for n in self.created_nulls],
@@ -165,9 +195,6 @@ class _RuleQueue:
     def __len__(self) -> int:
         return len(self.items)
 
-    def as_match(self, values: tuple) -> dict:
-        return dict(zip(self.rule.body_plan.variables, values))
-
     def fill(self, interp: Interpretation) -> None:
         """Materialise the oldest cursor's matches into ``items``."""
         plan, fact, below = self.cursors.popleft()
@@ -226,22 +253,22 @@ class _Engine:
 
     def apply(self, q: _RuleQueue, values: tuple) -> None:
         rule = q.rule
-        match = q.as_match(values)
-        index = len(self.trace.steps) + 1
-        extension = dict(match)
-        created = []
-        for v in rule.existentials:
-            n = self.fresh_null(index, v)
-            extension[v] = n
-            created.append(n)
-            self.trace.var_of_null[n] = v
-        new_facts = tuple(substitute(a, extension) for a in rule.head)
-        added = tuple(a for a in new_facts if self.interp.add(a))
-        self.trace.steps.append(ChaseStep(index, rule.rule_id, match, extension,
-                                          new_facts, added, tuple(created)))
+        trace = self.trace
+        index = len(trace.steps) + 1
+        created = tuple([self.fresh_null(index, v) for v in rule.existentials])
+        trace.var_of_null.update(zip(created, rule.existentials))
+        slots = values + created     # values itself when nothing was created
+        new_facts = tuple([Atom(pred, args(slots)) for pred, args in rule.head_slots])
+        add = self.interp.add
+        added = tuple([a for a in new_facts if add(a)])
+        if len(added) == len(new_facts):
+            added = new_facts
+        trace.steps.append(ChaseStep(index, rule.rule_id, rule.step_variables, values,
+                                     new_facts, added, created))
         for n in created:
-            for y in rule.frontier:
-                self.trace.chain_edges.append((match[y], y, n))
+            # the frontier's values are the first slots
+            for t, y in zip(values, rule.frontier):
+                trace.chain_edges.append((t, y, n))
         below = self.interp.watermark() if self.lazy else None
         for fact in added:
             self.discover(fact, below)
@@ -331,18 +358,23 @@ def chase(program: Program, database: Database, strategy=Deterministic(),
 
 
 def step_violation(program: Program, interp: Interpretation, rule: Tgd,
-                   match: dict) -> Optional[str]:
+                   match: dict, new: Optional[list] = None) -> Optional[str]:
     """The first chase-step condition that applying ``rule`` at ``match`` to
     ``interp`` breaks, or None: the match embeds the body, it is not yet
     satisfied, and an existential rule fires only when no Datalog rule has
     an unsatisfied match.  Uses the matcher only, never the chase's queues.
+
+    Given ``new``, the facts added since an earlier state of ``interp`` at
+    which every Datalog match was satisfied, only the Datalog matches that
+    use one of them are checked: satisfaction only grows as facts are
+    added, so the others still hold.
     """
     if any(substitute(atom, match) not in interp for atom in rule.body):
         return "match does not embed the body"
     if head_satisfied(interp, rule.head_plan, [match[v] for v in rule.frontier]):
         return "match was already satisfied"
     if rule.existentials:
-        for dl, _match in unsatisfied_matches(interp, program.datalog_rules()):
+        for dl, _match in unsatisfied_matches(interp, program.datalog_rules(), new):
             return f"Datalog rule {dl.rule_id} was not at fixpoint"
     return None
 
@@ -352,23 +384,31 @@ def validate_trace(program: Program, trace: ChaseTrace) -> None:
 
     Checks, step by step, the conditions of ``step_violation``, then that
     fresh nulls were really fresh and that the new facts are exactly the
-    instantiated head.
+    instantiated head.  The Datalog fixpoint is checked over every fact at
+    the first existential step, and from then on over the facts added
+    since the previous existential step's check, so the replay costs about
+    what the chase did.
     Raises AssertionError on the first violation, also under ``python -O``.
     """
     interp = Interpretation(trace.database)
     seen_nulls: set = set()
+    new = None     # facts added since the last existential step's check
     for step in trace.steps:
         rule = program.rule(step.rule_id)
-        violation = step_violation(program, interp, rule, step.match)
+        violation = step_violation(program, interp, rule, step.match, new)
         if violation is not None:
             raise AssertionError(f"step {step.index}: {violation}")
-        for v in rule.existentials:
-            n = step.extension[v]
+        if len(step.created_nulls) != len(rule.existentials):
+            raise AssertionError(f"step {step.index}: wrong number of nulls")
+        for n in step.created_nulls:
             if not isinstance(n, Null) or n in seen_nulls:
                 raise AssertionError(f"step {step.index}: null {n} is not fresh")
             seen_nulls.add(n)
-        expect = tuple(substitute(a, step.extension) for a in rule.head)
-        if expect != step.new_facts:
+        slots = step.values + step.created_nulls
+        if step.new_facts != tuple(Atom(pred, args(slots)) for pred, args in rule.head_slots):
             raise AssertionError(f"step {step.index}: head mismatch")
+        if rule.existentials:
+            new = []
         for atom in step.new_facts:
-            interp.add(atom)
+            if interp.add(atom) and new is not None:
+                new.append(atom)

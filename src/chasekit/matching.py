@@ -307,19 +307,30 @@ def head_satisfied(interp: Interpretation, head: Plan, values) -> bool:
     return head.run(interp, values, _found)
 
 
-def unsatisfied_matches(interp: Interpretation, rules) -> Iterator[tuple]:
+def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tuple]:
     """Every ``(rule, match)`` whose match embeds the rule's body but does
     not satisfy its head, rule by rule in the given order, each rule's
     matches in the order of its ``body_plan`` (that of ``find_matches``).
+    Given the facts ``new``, only the matches that map some body atom onto
+    one of them, found by the rule's ``seeded_plans``, in seed order; a
+    match that uses several of them may come more than once.
     Heads are checked lazily."""
+    if new is not None:
+        new_of: dict = {}
+        for fact in new:
+            new_of.setdefault(fact.pred, []).append(fact)
     for rule in rules:
-        plan = rule.body_plan
         found: list = []
-        plan.run(interp, (), found.append)
+        if new is None:
+            rule.body_plan.run(interp, (), found.append)
+        else:
+            for atom, plan in rule.seeded_plans:
+                for fact in new_of.get(atom.pred, ()):
+                    plan.run_from(interp, fact, found.append)
         n = len(rule.frontier)
         for values in found:
             if not head_satisfied(interp, rule.head_plan, values[:n]):
-                yield rule, dict(zip(plan.variables, values))
+                yield rule, dict(zip(rule.body_plan.variables, values))
 
 
 def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:

@@ -156,10 +156,11 @@ class Tgd:
     ``body_only`` the remaining body variables.
 
     The rule's joins are compiled once, on first use, and shared by every
-    engine that applies it.  ``body_plan``, ``seeded_plans`` and
-    ``head_slots`` work over the slots of ``frontier + body_only``, so a
-    match is the tuple of its frontier values followed by its body-only
-    values; ``head_plan`` binds the frontier on entry.
+    engine that applies it.  ``body_plan`` and ``seeded_plans`` work over
+    the slots of ``frontier + body_only``, so a match is the tuple of its
+    frontier values followed by its body-only values; ``head_slots`` reads
+    the head over those slots followed by the existentials' (the
+    ``step_variables``); ``head_plan`` binds the frontier on entry.
     """
 
     rule_id: int
@@ -202,10 +203,17 @@ class Tgd:
         return matching.seeded_plans(self.body, self.body_plan.variables)
 
     @functools.cached_property
+    def step_variables(self) -> tuple:
+        """The variables of a step's slots: the body's, then the
+        existentials."""
+        return self.frontier + self.body_only + self.existentials
+
+    @functools.cached_property
     def head_slots(self) -> tuple:
-        """The head as ``(pred, args)`` pairs over the body's slots
-        (``matching.slot_atoms``), which a match grounds in a Datalog rule."""
-        return matching.slot_atoms(self.head, self.body_plan.variables)
+        """The head as ``(pred, args)`` pairs over the ``step_variables``
+        (``matching.slot_atoms``): a match grounds it in a Datalog rule, a
+        match and its fresh nulls in any rule."""
+        return matching.slot_atoms(self.head, self.step_variables)
 
     @functools.cached_property
     def head_plan(self) -> matching.Plan:

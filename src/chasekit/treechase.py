@@ -257,9 +257,7 @@ class TaskTreeBuilder:
                     lst.append(step.index)
         self.body_path: dict = {}
         for step in trace.steps:
-            rule = program.rule(step.rule_id)
-            terms = [step.match[v] for v in rule.frontier + rule.body_only]
-            self.body_path[step.index] = tree.path_of_terms(terms)
+            self.body_path[step.index] = tree.path_of_terms(step.values)
 
     def _latest_before(self, key: tuple, limit: int) -> Optional[int]:
         lst = self.atom_steps.get(key)
@@ -383,8 +381,7 @@ class _GuidedReplayer:
         step = self.reference.trace.steps[step_index - 1]
         rule = self.program.rule(step.rule_id)
         match = {}
-        for v in rule.frontier + rule.body_only:
-            image = step.match[v]
+        for v, image in zip(step.variables, step.values):
             if isinstance(image, Constant):
                 match[v] = image
             elif image in self.inv:
@@ -404,8 +401,8 @@ class _GuidedReplayer:
         self.replayed += 1
         for t in self.run.popped:
             del self.inv[self.to_chase(t)]
-        for v in rule.existentials:
-            self.tau[extension[v]] = step.extension[v]
+        for v, image in zip(rule.existentials, step.created_nulls):
+            self.tau[extension[v]] = image
             self._admit(self.inv, extension[v])
         self.check_homomorphism(self.run.added)
 

@@ -223,6 +223,26 @@ def test_capped_chase_holds_what_it_pops():
     assert peak <= 1.5 * retained, f"peak {peak} bytes, retained {retained} bytes"
 
 
+
+def test_steps_are_compact():
+    # a step keeps its match as the popped slot tuple, in a slotted object,
+    # and shares new_facts as added when every head atom was new
+    inst = gen_sets(5)
+    tracemalloc.start()
+    try:
+        result = chase(inst.program, inst.database, Deterministic())
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = result.trace.steps
+    assert result.terminated and len(steps) == 1305
+    assert not any(hasattr(s, "__dict__") for s in steps)
+    assert all(s.added is s.new_facts for s in steps if len(s.added) == len(s.new_facts))
+    # the whole result, interpretation and plans included: about 790 bytes
+    # a step on CPython 3.11, against about 1,270 with two dicts a step
+    assert retained / len(steps) < 950, f"{retained / len(steps):.0f} bytes a step"
+
+
 def test_negative_max_steps_is_an_error():
     inst = gen_dexp(1, True)
     with pytest.raises(ValueError, match="max_steps"):

@@ -7,7 +7,7 @@ import pytest
 
 from chasekit.analysis import analyze
 from chasekit.arboreal import build_term_tree, check_locality, check_order_soundness
-from chasekit.chase import Deterministic, chase
+from chasekit.chase import Deterministic, chase, validate_trace
 from chasekit.matching import evaluate_bcq
 from chasekit.model import Null, parse_facts, parse_program, parse_query
 from chasekit.treechase import tree_chase_guided
@@ -71,6 +71,7 @@ def test_chain_chase_matches_the_closed_form_and_its_invariants(k, n):
     program, db = sets_chain(k, n)
     result = chase(program, db, Deterministic(), 20_000)
     assert result.terminated
+    validate_trace(program, result.trace)
     nulls = {t for atom in result.interpretation for t in atom.args if isinstance(t, Null)}
     assert len(nulls) == expected_nulls(k, n)
     report = analyze(program)
