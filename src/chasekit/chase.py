@@ -90,7 +90,7 @@ class ChaseStep:
 
     def line(self) -> str:
         bind = ", ".join(f"{v.name}={t}" for v, t in
-                         sorted(zip(self.variables, self.values), key=lambda vt: vt[0].name))
+                         sorted(self.match.items(), key=lambda kv: kv[0].name))
         new = ", ".join(str(a) for a in self.new_facts)
         return f"step {self.index}: rule {self.rule_id}, match {{{bind}}}, new {{{new}}}"
 
@@ -98,9 +98,8 @@ class ChaseStep:
         return {
             "index": self.index,
             "rule": self.rule_id,
-            "match": {v.name: str(t) for v, t in zip(self.variables, self.values)},
-            "extension": {v.name: str(t) for v, t in
-                          zip(self.variables, self.values + self.created_nulls)},
+            "match": {v.name: str(t) for v, t in self.match.items()},
+            "extension": {v.name: str(t) for v, t in self.extension.items()},
             "newFacts": [str(a) for a in self.new_facts],
             "added": [str(a) for a in self.added],
             "createdNulls": [n.name for n in self.created_nulls],
