@@ -258,8 +258,7 @@ class _Engine:
         trace.var_of_null.update(zip(created, rule.existentials))
         slots = values + created     # values itself when nothing was created
         new_facts = tuple([Atom(pred, args(slots)) for pred, args in rule.head_slots])
-        add = self.interp.add
-        added = tuple([a for a in new_facts if add(a)])
+        added = tuple([a for a in new_facts if self.interp.add(a)])
         if len(added) == len(new_facts):
             added = new_facts
         trace.steps.append(ChaseStep(index, rule.rule_id, rule.step_variables, values,
