@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import os
 import pickle
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,3 +250,60 @@ def test_parse_is_renamed_apart_and_reparses(text):
     assert len(ids) == len(set(ids))
     again = parse_program(p.to_text())
     assert again.to_text() == p.to_text()
+
+
+def _corpus_texts() -> list:
+    """Rule, fact and query texts from the corpus: a union of its programs
+    under renamed predicates, QBF and sets facts, and queries."""
+    from chasekit import corpus
+    qbf = corpus.gen_qbf(corpus.QbfFormula("aea", ((1, -2), (2, 3), (-1, -3))))
+    parts = [corpus.gen_dexp(1, True), corpus.gen_counter(1), corpus.gen_sets(2), qbf,
+             corpus.gen_dexp_nonterm(), corpus.gen_sets_nonterm()]
+    union = "".join(re.sub(r"\b([a-z]\w*)\(", rf"u{i}_\1(", inst.program.to_text())
+                    for i, inst in enumerate(parts))
+    return [union, qbf.database.to_text(), corpus.gen_sets(2).database.to_text(),
+            str(qbf.queries[0]), str(corpus.gen_sets(2).queries[0]),
+            "% quoted\np('hello world', 'x-y', b_2) -> q(X, 'a b') .\n",
+            "?- p('x y', Z), q(Z, 0) .\n"]
+
+
+# No backslash: neither the base texts nor the insertions hold one, so
+# quoted-constant escapes other than a quote cannot move this pin.
+_INSERTIONS = list("aqZX0_(),.->?'% \n\t\r\u00e9\u00a0$") + [", X", ",0", " . ", "->", "?-"]
+
+
+def _outcome(parse, text: str):
+    try:
+        result = parse(text)
+    except ParseError as err:
+        return (type(err).__name__, err.message, err.line, err.column)
+    if isinstance(result, Database):
+        return result.to_text()
+    if hasattr(result, "rules"):
+        return (result.to_text(), [(r.rule_id, [(v.id, v.name) for v in r.variables()])
+                                   for r in result.rules], sorted(result.signature.items()))
+    return str(result)
+
+
+def test_parse_outcomes_pinned():
+    """Seeded insert, delete and replace mutations of corpus texts: what the
+    three parsers return, or the message and position of each error."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for base in _corpus_texts():
+        for k in range(120):
+            chars = list(base)
+            for _ in range(1 + k % 3):
+                op = rng.choice("idr")
+                i = rng.randrange(len(chars) + (op == "i"))
+                if op == "d":
+                    del chars[i]
+                elif op == "i":
+                    chars.insert(i, rng.choice(_INSERTIONS))
+                else:
+                    chars[i] = rng.choice(_INSERTIONS)
+            text = base if k == 0 else "".join(chars)
+            for parse in (parse_program, parse_facts, parse_query):
+                digest.update(repr(_outcome(parse, text)).encode())
+    assert digest.hexdigest() == (
+        "c5cd2d63906bd7ca69b74b61d0755c2a98ea044fd4873bdb87e8dffe8d8e5c8a")
