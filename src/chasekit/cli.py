@@ -40,11 +40,11 @@ def _count(text: str) -> int:
 
 
 def _load_program(path: str):
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+    return parse_program(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _load_facts(path: str, signature):
-    return parse_facts(Path(path).read_text(encoding="utf-8"), signature)
+    return parse_facts(Path(path).read_text(encoding="utf-8-sig"), signature)
 
 
 def cmd_parse(args) -> int:
@@ -118,7 +118,7 @@ def cmd_query(args) -> int:
     signature = dict(program.signature)
     for atom in database:
         signature.setdefault(atom.pred, atom.arity)
-    q = parse_query(Path(args.query).read_text(encoding="utf-8"), signature)
+    q = parse_query(Path(args.query).read_text(encoding="utf-8-sig"), signature)
     if args.engine == "full":
         result = chase(program, database, Deterministic(), args.max_steps)
         if not result.terminated:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .model import Atom, Constant, DatalogIndex, Interpretation, Tgd, Variable
+from .model import (Atom, Constant, DatalogIndex, Interpretation, Tgd, atoms_variables,
+                    substitute)
 
 # Frozen constants live outside the user namespace: quoted constants cannot
 # contain control characters, so no parsed program can ever mention these.
@@ -93,14 +94,10 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    frozen: dict = {}   # variable -> its reserved constant, numbered apart
-
-    def freeze(atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple(
-            frozen.setdefault(a, Constant(f"{_FREEZE_PREFIX}{len(frozen)}_{a.name}"))
-            if isinstance(a, Variable) else a for a in atom.args))
-
-    frozen_body = [freeze(a) for a in body]
-    goal = [freeze(a) for a in missing]
+    # each variable's reserved constant, numbered apart by first occurrence
+    frozen = {v: Constant(f"{_FREEZE_PREFIX}{i}_{v.name}")
+              for i, v in enumerate(atoms_variables(body + tuple(missing)))}
+    frozen_body = [substitute(a, frozen) for a in body]
+    goal = [substitute(a, frozen) for a in missing]
     closure = saturate(index, frozen_body, goal)
     return all(a in closure for a in goal)

@@ -1,9 +1,11 @@
-"""Terms, atoms, rules, programs, databases, queries, and their text formats.
+r"""Terms, atoms, rules, programs, databases, queries, and their text formats.
 
 The concrete grammar:
 
   * variables start with an uppercase letter (``X``, ``Zp``),
   * constants start with a lowercase letter or digit, or are single-quoted,
+    where ``\'``, ``\\`` and ``\n`` stand for a quote, a backslash and a
+    line break,
   * a rule is ``B1, ..., Bn -> H1, ..., Hm .``,
   * a fact is a ground atom terminated by ``.``,
   * a query is ``?- A1, ..., Ak .``,
@@ -77,7 +79,7 @@ class Constant(_Term):
     def __str__(self) -> str:
         if _PLAIN_CONSTANT.fullmatch(self.name):
             return self.name
-        return "'" + self.name.replace("'", "\\'") + "'"
+        return "'" + self.name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n") + "'"
 
 
 class _Numbered(_Term):
@@ -173,19 +175,27 @@ class Tgd:
     def __post_init__(self):
         if not self.body or not self.head:
             raise ValidationError(f"rule {self.rule_id}: body and head must be nonempty")
-        for atom in self.body + self.head:
-            for a in atom.args:
-                if isinstance(a, Null):
-                    raise ValidationError(f"rule {self.rule_id}: nulls may not occur in rules")
-        body_vars = atoms_variables(self.body)
-        head_vars = atoms_variables(self.head)
-        body_set = set(body_vars)
-        frontier = tuple(v for v in head_vars if v in body_set)
-        existentials = tuple(v for v in head_vars if v not in body_set)
-        body_only = tuple(v for v in body_vars if v not in set(frontier))
+        body_vars = self._variables_of(self.body)
+        head_vars = self._variables_of(self.head)
+        frontier = tuple(v for v in head_vars if v in body_vars)
+        existentials = tuple(v for v in head_vars if v not in body_vars)
+        body_only = tuple(v for v in body_vars if v not in head_vars)
         object.__setattr__(self, "frontier", frontier)
         object.__setattr__(self, "existentials", existentials)
         object.__setattr__(self, "body_only", body_only)
+        object.__setattr__(self, "_variables", (*body_vars, *existentials))
+
+    def _variables_of(self, atoms: tuple) -> dict:
+        """The variables of ``atoms`` as dict keys, in first-occurrence
+        order; a null is rejected."""
+        seen: dict = {}
+        for atom in atoms:
+            for a in atom.args:
+                if isinstance(a, Variable):
+                    seen[a] = None
+                elif isinstance(a, Null):
+                    raise ValidationError(f"rule {self.rule_id}: nulls may not occur in rules")
+        return seen
 
     @property
     def is_datalog(self) -> bool:
@@ -222,7 +232,8 @@ class Tgd:
         return matching.Plan(self.head, self.frontier + self.existentials, len(self.frontier))
 
     def variables(self) -> list:
-        return atoms_variables(self.body + self.head)
+        """The rule's variables in first-occurrence order, body first."""
+        return list(self._variables)
 
     def __str__(self) -> str:
         b = ", ".join(str(a) for a in self.body)
@@ -261,10 +272,11 @@ class Program:
         seen_ids: set = set()
         for rule in self.rules:
             for atom in rule.body + rule.head:
-                arity = self.signature.setdefault(atom.pred, atom.arity)
-                if arity != atom.arity:
+                arity = len(atom.args)
+                known = self.signature.setdefault(atom.pred, arity)
+                if known != arity:
                     raise ValidationError(
-                        f"predicate {atom.pred} used with arities {arity} and {atom.arity}")
+                        f"predicate {atom.pred} used with arities {known} and {arity}")
             for v in rule.variables():
                 if v.id in seen_ids:
                     raise ValidationError(
@@ -457,122 +469,114 @@ class BCQ:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser
 # ---------------------------------------------------------------------------
 
 import re
 
 _PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*")
 
+# One match per token: the whitespace and comments in front of it, then the
+# token itself.  A character that starts no token is a token of its own, and
+# the end of the text an empty one.  The last alternative matches whatever
+# the others do not, so the scan never backtracks into what it skipped.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<arrow>->)
-      | (?P<qmark>\?-)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<comma>,)
-      | (?P<dot>\.)
-      | (?P<quoted>'(?:[^'\\\n]|\\')*')
-      | (?P<name>[A-Za-z0-9_][A-Za-z0-9_]*)
-    """,
+    r"""(?:\s+|%[^\n]*)*
+        ( -> | \?- | [(),.]
+        | '(?:[^'\\\n]|\\[\\n'])*'
+        | [A-Za-z0-9_]+
+        | .?
+        )""",
     re.VERBOSE,
 )
 
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_") | _UPPER
+# every one-character token that a text may hold; any other is an error
+_ONE_CHARACTER_TOKENS = frozenset("(),.") | _NAME_START
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"\\": "\\", "n": "\n", "'": "'"}
 
 
 class _Parser:
+    """Reads the token strings of one text by index.  A token's line and
+    column are worked out only when an error reports them."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)   # the last one is always ""
         self.pos = 0
 
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """The error at token ``index`` (the current one by default).  A
+        character that starts no token, anywhere in the text, is reported
+        instead, at the first such character."""
+        for i, tok in enumerate(self.tokens):
+            if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
+                index, message = i, f"unexpected character {tok!r}"
+                break
+        if index is None:
+            index = self.pos
+        offset = next(itertools.islice(_TOKEN_RE.finditer(self.text), index, None)).start(1)
+        return ParseError(message, self.text.count("\n", 0, offset) + 1,
+                          offset - self.text.rfind("\n", 0, offset))
 
-    def take(self, kind: str) -> _Token:
-        tok = self.here
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+    def take(self, token: str, kind: str) -> None:
+        found = self.tokens[self.pos]
+        if found != token:
+            raise self.error(f"expected {kind}, found {found or 'end of input'!r}")
         self.pos += 1
-        return tok
-
-    def at_end(self) -> bool:
-        return self.here.kind == "eof"
-
-    def parse_term(self, var_ids: dict, fresh: Iterator[int]) -> Term:
-        tok = self.here
-        if tok.kind == "quoted":
-            self.pos += 1
-            return Constant(tok.text[1:-1].replace("\\'", "'"))
-        if tok.kind == "name":
-            self.pos += 1
-            if tok.text[0].isupper():
-                if tok.text not in var_ids:
-                    var_ids[tok.text] = Variable(next(fresh), tok.text)
-                return var_ids[tok.text]
-            return Constant(tok.text)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
 
     def parse_atom(self, var_ids: dict, fresh: Iterator[int]) -> tuple:
-        tok = self.take("name")
-        if tok.text[0].isupper():
-            raise ParseError(f"predicate names start lowercase: {tok.text}", tok.line, tok.column)
-        self.take("lpar")
+        """The atom at the current token, and the index of its predicate."""
+        tokens = self.tokens
+        at = self.pos
+        pred = tokens[at]
+        if pred[:1] not in _NAME_START:
+            raise self.error(f"expected name, found {pred or 'end of input'!r}")
+        if pred[0] in _UPPER:
+            raise self.error(f"predicate names start lowercase: {pred}")
+        self.pos = at + 1
+        self.take("(", "lpar")
+        i = self.pos
         args = []
-        if self.here.kind != "rpar":
-            args.append(self.parse_term(var_ids, fresh))
-            while self.here.kind == "comma":
-                self.pos += 1
-                args.append(self.parse_term(var_ids, fresh))
-        self.take("rpar")
-        return Atom(tok.text, tuple(args)), tok
+        if tokens[i] != ")":
+            while True:
+                tok = tokens[i]
+                first = tok[:1]
+                if first in _UPPER:
+                    var = var_ids.get(tok)
+                    if var is None:
+                        var = var_ids[tok] = Variable(next(fresh), tok)
+                    args.append(var)
+                elif first in _NAME_START:
+                    args.append(Constant(tok))
+                elif first == "'" and len(tok) > 1:
+                    args.append(Constant(_ESCAPE.sub(lambda m: _ESCAPED[m[1]], tok[1:-1])))
+                else:
+                    raise self.error(f"expected a term, found {tok!r}", i)
+                i += 1
+                if tokens[i] != ",":
+                    break
+                i += 1
+        self.pos = i
+        self.take(")", "rpar")
+        return Atom(pred, tuple(args)), at
 
     def parse_atom_list(self, var_ids: dict, fresh: Iterator[int]) -> list:
         out = [self.parse_atom(var_ids, fresh)]
-        while self.here.kind == "comma":
+        while self.tokens[self.pos] == ",":
             self.pos += 1
             out.append(self.parse_atom(var_ids, fresh))
         return out
 
-
-def _check_arity(signature: dict, atom: Atom, tok: _Token):
-    known = signature.setdefault(atom.pred, atom.arity)
-    if known != atom.arity:
-        raise ParseError(
-            f"predicate {atom.pred} used with arity {atom.arity}, expected {known}",
-            tok.line, tok.column)
+    def check_arity(self, signature: dict, atom: Atom, at: int) -> None:
+        arity = len(atom.args)
+        known = signature.setdefault(atom.pred, arity)
+        if known != arity:
+            raise self.error(
+                f"predicate {atom.pred} used with arity {arity}, expected {known}", at)
 
 
 def parse_program(text: str) -> Program:
@@ -582,14 +586,14 @@ def parse_program(text: str) -> Program:
     rules = []
     signature: dict = {}
     rule_id = itertools.count(1)
-    while not parser.at_end():
+    while parser.tokens[parser.pos]:
         var_ids: dict = {}
         body = parser.parse_atom_list(var_ids, fresh)
-        parser.take("arrow")
+        parser.take("->", "arrow")
         head = parser.parse_atom_list(var_ids, fresh)
-        parser.take("dot")
-        for atom, tok in body + head:
-            _check_arity(signature, atom, tok)
+        parser.take(".", "dot")
+        for atom, at in body + head:
+            parser.check_arity(signature, atom, at)
         rules.append(Tgd(next(rule_id),
                          tuple(a for a, _ in body),
                          tuple(a for a, _ in head)))
@@ -602,14 +606,14 @@ def parse_facts(text: str, signature: Optional[dict] = None) -> Database:
     fresh = itertools.count(1)
     signature = dict(signature) if signature else {}
     db = Database()
-    while not parser.at_end():
+    while parser.tokens[parser.pos]:
         var_ids: dict = {}
-        atom, tok = parser.parse_atom(var_ids, fresh)
-        parser.take("dot")
+        atom, at = parser.parse_atom(var_ids, fresh)
+        parser.take(".", "dot")
         if var_ids:
             name = next(iter(var_ids))
-            raise ParseError(f"fact is not ground: variable {name}", tok.line, tok.column)
-        _check_arity(signature, atom, tok)
+            raise parser.error(f"fact is not ground: variable {name}", at)
+        parser.check_arity(signature, atom, at)
         db.add(atom)
     return db
 
@@ -618,16 +622,16 @@ def parse_query(text: str, signature: Optional[dict] = None) -> BCQ:
     parser = _Parser(text)
     fresh = itertools.count(1)
     signature = dict(signature) if signature else {}
-    tok = parser.take("qmark")
-    if parser.here.kind == "dot":
-        raise ParseError("empty query", parser.here.line, parser.here.column)
+    parser.take("?-", "qmark")
+    if parser.tokens[parser.pos] == ".":
+        raise parser.error("empty query")
     var_ids: dict = {}
     atoms = parser.parse_atom_list(var_ids, fresh)
-    parser.take("dot")
-    for atom, t in atoms:
-        _check_arity(signature, atom, t)
-    if parser.here.kind != "eof":
-        raise ParseError("trailing input after query", parser.here.line, parser.here.column)
+    parser.take(".", "dot")
+    for atom, at in atoms:
+        parser.check_arity(signature, atom, at)
+    if parser.tokens[parser.pos]:
+        raise parser.error("trailing input after query")
     return BCQ(tuple(a for a, _ in atoms))
 
 

@@ -157,6 +157,20 @@ def test_chase_term_tree_export(tmp_path, capsys):
     assert "root" in out.read_text()
 
 
+def test_inputs_starting_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    main(["examples", "qbf", "--quantifiers", "ea",
+          "--clauses", "1,2;1,-2", "--out", str(tmp_path)])
+    args = []
+    for suffix in ("tgd", "facts", "query"):
+        path = tmp_path / f"qbf.{suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        args.append(str(path))
+    capsys.readouterr()
+    assert main(["parse", args[0]]) == 0
+    assert main(["query", *args, "--engine", "full"]) == 0
+    assert capsys.readouterr().out.strip().endswith("entailed")
+
+
 def test_chase_term_tree_refused_for_non_arboreous(dexp_files, tmp_path, capsys):
     program, facts = dexp_files
     rc = main(["chase", str(program), str(facts),

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from chasekit.depgraph import DepEdge
 from chasekit.model import (Atom, Constant, Database, Interpretation, Null, ParseError,
-                            ValidationError, Variable, parse_facts,
+                            Program, Tgd, ValidationError, Variable, parse_facts,
                             parse_program, parse_query)
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -66,6 +66,28 @@ def test_comments_and_quoted_constants():
     p = parse_program("% a comment\np('hello world') -> q('hello world') .")
     const = p.rules[0].body[0].args[0]
     assert const == Constant("hello world")
+
+
+@given(st.text())
+def test_any_constant_name_round_trips(name):
+    c, x = Constant(name), Variable(1, "X")
+    db = Database([Atom("p", (c,))])
+    assert list(parse_facts(db.to_text())) == list(db)
+    program = Program([Tgd(1, (Atom("p", (c, x)),), (Atom("q", (x, c)),))])
+    (rule,) = parse_program(program.to_text()).rules
+    assert rule.body[0].args[0] == c and rule.head[0].args[1] == c
+
+
+def test_quoted_constant_escapes():
+    assert str(Constant("a\\")) == "'a\\\\'"
+    assert str(Constant("x\ny")) == "'x\\ny'"
+    (atom,) = parse_facts("p('\\\\n', 'it\\'s', '\\n') .")
+    assert atom.args == (Constant("\\n"), Constant("it's"), Constant("\n"))
+    for text in ("p('a\\') .", "p('a\\b') .", "p('a\nb') ."):
+        with pytest.raises(ParseError) as err:
+            parse_facts(text)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "unexpected character \"'\"", 1, 3)
 
 
 def test_facts_parsing_and_arity_extension():
