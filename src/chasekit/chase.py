@@ -25,6 +25,14 @@ of that moment, only when the queue reaches it.  A capped chase thus
 holds what it pops, not every match it finds, and its candidates and
 their order are those of queueing every match at once (see
 ``_RuleQueue``).
+
+A Datalog rule's seeded plans skip the matches that agree with an earlier
+match of the same run on the frontier and differ from it only in body-only
+values that nothing after them reads (see ``matching``).  That leaves every
+trace as it was: such a match grounds the same head as its earlier twin.
+A Datalog queue is no strategy's to draw from, and its FIFO pops the twin
+first, which is applied or found satisfied; the skipped match would only
+have been popped after it and found satisfied.
 """
 
 from __future__ import annotations
@@ -177,11 +185,16 @@ class _RuleQueue:
     cursor before a draw, so its draws see the eager queue's exact
     contents.
 
-    Duplicates are kept: what a queue holds and in which order decides the
-    seeded strategy's draws, so it never depends on satisfaction.  Whether
-    a popped candidate is already satisfied is decided when it is popped:
-    a Datalog rule's by ``_Engine.run_datalog``, an existential rule's by
-    ``satisfied``.
+    A Datalog queue is a FIFO under both strategies, and its seeded plans
+    skip matches whose frontier repeats that of a match pushed earlier by
+    the same run: each would come after its twin and find its head already
+    satisfied, so the trace does not change.
+
+    Duplicates are kept otherwise: what a queue holds and in which order
+    decides the seeded strategy's draws, so it never depends on
+    satisfaction.  Whether a popped candidate is already satisfied is
+    decided when it is popped: a Datalog rule's by ``_Engine.run_datalog``,
+    an existential rule's by ``satisfied``.
     """
 
     def __init__(self, rule: Tgd):

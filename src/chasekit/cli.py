@@ -39,12 +39,20 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _read(path: str) -> str:
+    """A file's text as written: a leading byte-order mark is dropped, and
+    line breaks are not translated, so a carriage return inside a quoted
+    constant stays part of its name."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        return f.read()
+
+
 def _load_program(path: str):
-    return parse_program(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_program(_read(path))
 
 
 def _load_facts(path: str, signature):
-    return parse_facts(Path(path).read_text(encoding="utf-8-sig"), signature)
+    return parse_facts(_read(path), signature)
 
 
 def cmd_parse(args) -> int:
@@ -118,7 +126,7 @@ def cmd_query(args) -> int:
     signature = dict(program.signature)
     for atom in database:
         signature.setdefault(atom.pred, atom.arity)
-    q = parse_query(Path(args.query).read_text(encoding="utf-8-sig"), signature)
+    q = parse_query(_read(args.query), signature)
     if args.engine == "full":
         result = chase(program, database, Deterministic(), args.max_steps)
         if not result.terminated:

@@ -1,19 +1,26 @@
-"""Bottom-up Datalog saturation and the frozen-constant entailment check.
+"""Bottom-up Datalog saturation and the frozen-variable entailment check.
 
 ``saturate`` computes the least fixpoint of a set of existential-free rules
 the way the chase discovers matches: each fact, given or derived, is taken
 once from a worklist and handed to the rule plans seeded with a body atom
-of its predicate, which match the rest of the body around it.  Every match is found at the
-latest when the last of its facts is taken, since the others are present
-by then.
+of its predicate, which match the rest of the body around it.  Every match
+is found at the latest when the last of its facts is taken, since the
+others are present by then.  Those plans keep only the frontier, which
+grounds the head, so a run skips the facts that would only bind body-only
+variables to other values that nothing after them reads: each match it
+skips derives the same head as one it yields, and the fixpoint is
+unchanged.
 
 A program's Datalog part is indexed once, on first use, by the
 ``Program.datalog_index`` property; both functions take that index or any
 rule iterable, which they index on the fly.
 
 ``entails`` decides whether the rules entail a universally quantified
-implication ``body -> head`` by replacing every variable with a reserved
-fresh constant, saturating, and testing membership of the frozen head.
+implication ``body -> head`` by replacing every variable with a frozen term
+of its own, saturating, and testing membership of the frozen head.  A
+frozen term is of a class that only ``entails`` makes and never hands
+out: no parser, chase or tree runner produces one and no input atom holds
+one, so it equals no constant or null of the rules or the body.
 Saturation only adds facts, and each fact it adds has the head predicate
 of some rule.  So a head already inside the body is entailed without
 saturating; a missing head atom whose predicate no rule derives is not
@@ -26,12 +33,15 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .model import (Atom, Constant, DatalogIndex, Interpretation, Tgd, atoms_variables,
+from .model import (Atom, DatalogIndex, Interpretation, Tgd, _Numbered, atoms_variables,
                     substitute)
 
-# Frozen constants live outside the user namespace: quoted constants cannot
-# contain control characters, so no parsed program can ever mention these.
-_FREEZE_PREFIX = "\x00frz_"
+
+class _Frozen(_Numbered):
+    """A variable frozen by ``entails``, numbered by first occurrence."""
+
+    __slots__ = ()
+    _tag = "f"
 
 
 def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
@@ -94,8 +104,7 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    # each variable's reserved constant, numbered apart by first occurrence
-    frozen = {v: Constant(f"{_FREEZE_PREFIX}{i}_{v.name}")
+    frozen = {v: _Frozen(i, v.name)
               for i, v in enumerate(atoms_variables(body + tuple(missing)))}
     frozen_body = [substitute(a, frozen) for a in body]
     goal = [substitute(a, frozen) for a in missing]

@@ -18,6 +18,17 @@ such set of atoms: the index lookups of every remaining atom and, for the
 atom picked, the positions to compare with fixed values, the repeated
 positions to compare with each other, and the positions to bind.
 
+A plan may keep only its first ``keep`` slots: its caller reads nothing
+else of a match.  A slot is then *dead* at a step that binds it when it is
+not kept and no atom matched after that step reads it.  Such a step skips
+every fact whose live bindings repeat an earlier fact of the same scan:
+below it the same matches would come again with only dead slots changed.
+So the run yields a subsequence of the full run's matches, in order, and
+each match it drops has an earlier match it yields that equals it on the
+kept slots, as a semi-join reduction would leave them.  A Datalog rule's
+seeded plans keep its frontier, which grounds its head (see
+``model.Tgd.seeded_plans``).
+
 A rule compiles its own plans once (see ``model.Tgd``), and every engine
 that applies it runs those.  ``match_each`` and the functions built on it
 compile a plan per call, for queries and other joins that no rule holds,
@@ -63,27 +74,37 @@ class Plan:
     wholly below the bound skips.  A bounded run therefore finds exactly
     the matches, in exactly the order, that an unbounded run found then.
 
+    With ``keep``, a run may drop a match whose first ``keep`` slots equal
+    those of an earlier match of the same run (see the module docstring);
+    without it, every match comes.
+
     A node, built on the first visit of a set ``mask`` of matched atoms, is
     ``[lookups, steps]``: per remaining atom ``j`` (only the first without
     reordering) ``(j, pred, ((position, slot or -1, static key), ...))``,
     and per atom the step that matches it there, built when first picked.
-    A step is ``(arity, get, expect, read, same, bind, child)``: ``get``
-    reads the positions fixed by a constant or a bound slot, to compare
-    with ``expect`` or, when a slot is among them, with what ``read`` reads
-    off the slots; ``same`` pairs a repeated new variable with its first
-    position; ``bind`` takes each new variable's first position into its
-    slot; ``child`` is the next node, None after the last atom.
+    A step is ``(arity, get, expect, read, same, bind, child, scan)``:
+    ``get`` reads the positions fixed by a constant or a bound slot, to
+    compare with ``expect`` or, when a slot is among them, with what
+    ``read`` reads off the slots; ``same`` pairs a repeated new variable
+    with its first position; ``bind`` takes each new variable's first
+    position into its slot; ``child`` is the next node, None after the last
+    atom; ``scan`` is the routine that runs the step, chosen when it is
+    built: ``_scan``, or ``_collapse`` for a step that binds a dead slot,
+    whose tuple ends with ``live``, the getter of its live bindings (None
+    when it has none).
     """
 
-    __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "start", "_nodes")
+    __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "keep", "start",
+                 "_nodes")
 
     def __init__(self, atoms, variables, n_bound: int = 0, reorder: bool = True,
-                 seed: Optional[Atom] = None):
+                 seed: Optional[Atom] = None, keep: Optional[int] = None):
         self.atoms = tuple(atoms)
         self.variables = variables
         self.n_bound = n_bound
         self.reorder = reorder
         self.seed = seed
+        self.keep = keep
         self.start = None
 
     def _compile(self) -> tuple:
@@ -143,13 +164,22 @@ class Plan:
         else:   # constants and slots mixed: at least two values, a tuple
             read = partial(_read_args, tuple(expect))
         return (len(atom.args), itemgetter(*fixed) if fixed else None, _shaped(expect),
-                read, tuple(same), tuple(bind), child)
+                read, tuple(same), tuple(bind), child, Plan._scan)
 
     def _pick(self, mask: int, j: int) -> tuple:
-        """The step matching atom ``j`` after the atoms in ``mask``."""
+        """The step matching atom ``j`` after the atoms in ``mask``, scanned
+        by ``_collapse`` when it binds a dead slot."""
         after = mask | 1 << j
         child = self._node(after) if after != (1 << len(self.atoms)) - 1 else None
-        step = self._nodes[mask][1][j] = self._step(self.atoms[j], self._bound(mask), child)
+        step = self._step(self.atoms[j], self._bound(mask), child)
+        if self.keep is not None:
+            later = {self.variables.index(v) for k, a in enumerate(self.atoms)
+                     if not after >> k & 1 for v in a.variables()}
+            bind = step[5]
+            live = [idx for idx, s in bind if s < self.keep or s in later]
+            if len(live) < len(bind):
+                step = step[:7] + (Plan._collapse, itemgetter(*live) if live else None)
+        self._nodes[mask][1][j] = step
         return step
 
     def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool],
@@ -198,12 +228,12 @@ class Plan:
         step = steps[pick] or self._pick(mask, pick)
         if least < len(best):
             best = best[:least]
-        return self._scan(mask | 1 << pick, step, best, slots, emit, by_pred, by_arg, count)
+        return step[7](self, mask | 1 << pick, step, best, slots, emit, by_pred, by_arg, count)
 
     def _scan(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
               by_arg: dict, count) -> bool:
         """Match ``step``'s atom against each of ``facts`` and go on below."""
-        _arity, get, expect, read, same, bind, child = step
+        _arity, get, expect, read, same, bind, child, _scan = step
         if read is not None:
             expect = read(slots)
         # a slot bound here is only read below this level, so backtracking
@@ -223,6 +253,39 @@ class Plan:
                 return True
         return False
 
+    def _collapse(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
+                  by_arg: dict, count) -> bool:
+        """``_scan`` for a step that binds a dead slot: a fact whose live
+        bindings, those that ``live`` reads, repeat an earlier fact's is
+        skipped, since below it the same matches would come again with only
+        the dead slots changed.  Without live bindings the first fact that
+        fits stands for all."""
+        _arity, get, expect, read, same, bind, child, _collapse, live = step
+        if read is not None:
+            expect = read(slots)
+        seen: set = set()
+        for fact in facts:
+            fa = fact.args
+            if get is not None and get(fa) != expect:
+                continue
+            if same and any(fa[i] != fa[j] for i, j in same):
+                continue
+            if live is not None:
+                key = live(fa)
+                if key in seen:
+                    continue
+                seen.add(key)
+            for idx, s in bind:
+                slots[s] = fa[idx]
+            if child is None:
+                if emit(tuple(slots)):
+                    return True
+            elif self._walk(mask, child, slots, emit, by_pred, by_arg, count):
+                return True
+            if live is None:
+                return False
+        return False
+
 
 def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:
     """How a bounded run counts an index list: its facts numbered below
@@ -237,10 +300,11 @@ def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:
     return count
 
 
-def seeded_plans(body, variables) -> list:
+def seeded_plans(body, variables, keep: Optional[int] = None) -> list:
     """One plan per body atom, seeded with that atom and matching the rest
-    of the body around it, as ``(atom, plan)`` in body order."""
-    return [(atom, Plan(body[:k] + body[k + 1:], variables, seed=atom))
+    of the body around it, as ``(atom, plan)`` in body order; ``keep`` as
+    in ``Plan``."""
+    return [(atom, Plan(body[:k] + body[k + 1:], variables, seed=atom, keep=keep))
             for k, atom in enumerate(body)]
 
 
@@ -313,7 +377,10 @@ def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tup
     matches in the order of its ``body_plan`` (that of ``find_matches``).
     Given the facts ``new``, only the matches that map some body atom onto
     one of them, found by the rule's ``seeded_plans``, in seed order; a
-    match that uses several of them may come more than once.
+    match that uses several of them may come more than once.  A Datalog
+    rule's seeded plans yield one match per dead-slot class: of the matches
+    of one run that differ only in slots that no later atom reads, the
+    first, whose frontier, and so whose head, is that of all of them.
     Heads are checked lazily."""
     if new is not None:
         new_of: dict = {}

@@ -209,8 +209,12 @@ class Tgd:
     @functools.cached_property
     def seeded_plans(self) -> list:
         """The body's plans seeded with each body atom in turn
-        (``matching.seeded_plans``)."""
-        return matching.seeded_plans(self.body, self.body_plan.variables)
+        (``matching.seeded_plans``).  A Datalog rule's plans keep only the
+        frontier, which grounds the whole head, so they skip a match whose
+        body-only values differ from an earlier one's only where nothing
+        later reads them: it would ground the same head."""
+        return matching.seeded_plans(self.body, self.body_plan.variables,
+                                     len(self.frontier) if self.is_datalog else None)
 
     @functools.cached_property
     def step_variables(self) -> tuple:

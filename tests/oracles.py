@@ -8,7 +8,7 @@ checks without sharing code paths with them.
 
 from __future__ import annotations
 
-from chasekit.model import Atom, Constant, Variable, substitute
+from chasekit.model import Atom, Variable, substitute
 from chasekit.saturation import PathQuery
 
 
@@ -64,7 +64,10 @@ def naive_materialize(rules, facts) -> set:
 
 
 def naive_entails(rules, body, head) -> bool:
-    """Freeze variables to fresh constants, materialize, test the head."""
+    """Freeze variables to fresh terms, materialize, test the head.  A
+    frozen variable is the plain tuple ``("frozen", i)``, numbered by first
+    occurrence: no chasekit term has that tag, so it equals no constant or
+    null of the rules or the body, whatever their names."""
     frz = {}
 
     def freeze(atom: Atom) -> Atom:
@@ -72,7 +75,7 @@ def naive_entails(rules, body, head) -> bool:
         for a in atom.args:
             if isinstance(a, Variable):
                 if a not in frz:
-                    frz[a] = Constant(f"\x00oracle_{len(frz)}")
+                    frz[a] = ("frozen", len(frz))
                 a = frz[a]
             args.append(a)
         return Atom(atom.pred, tuple(args))

@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chasekit.cli import main
+from chasekit.model import Atom, Constant, Database
 
 
 @pytest.fixture
@@ -169,6 +173,21 @@ def test_inputs_starting_with_a_byte_order_mark_are_read(tmp_path, capsys):
     assert main(["parse", args[0]]) == 0
     assert main(["query", *args, "--engine", "full"]) == 0
     assert capsys.readouterr().out.strip().endswith("entailed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text())
+def test_any_constant_survives_a_file(name):
+    # the printer escapes only a backslash, a quote and a line feed, so a
+    # carriage return must reach the parser as it was written
+    database = Database([Atom("p", (Constant(name),))])
+    with tempfile.TemporaryDirectory() as tmp:
+        program, facts, trace = (Path(tmp) / f for f in ("r.tgd", "r.facts", "trace.json"))
+        program.write_text("p(X) -> q(X) .\n", encoding="utf-8")
+        facts.write_text(database.to_text(), encoding="utf-8")
+        assert main(["chase", str(program), str(facts), "--trace-json", str(trace)]) == 0
+        read = json.loads(trace.read_text(encoding="utf-8"))["database"]
+    assert read == [str(atom) for atom in database]
 
 
 def test_chase_term_tree_refused_for_non_arboreous(dexp_files, tmp_path, capsys):

@@ -177,6 +177,74 @@ def test_a_bounded_run_picks_atoms_by_the_counts_below_its_watermark():
     assert bounded == then
 
 
+# -- collapsing plans ----------------------------------------------------------
+
+def _is_collapse_of(collapsed: list, full: list, keep: int) -> bool:
+    """Is ``collapsed`` the matches of ``full`` with some removed, in the
+    same order, each removed one equal on the first ``keep`` slots to an
+    earlier kept one?  A plan finds each match once, so a match of
+    ``full`` is kept exactly when it is the next one of ``collapsed``."""
+    prefixes = set()
+    rest = iter(collapsed)
+    kept = next(rest, None)
+    for match in full:
+        if match == kept:
+            prefixes.add(match[:keep])
+            kept = next(rest, None)
+        elif match[:keep] not in prefixes:
+            return False
+    return kept is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_join_case())
+def test_a_collapsing_plan_drops_only_repeats_of_its_kept_slots(case):
+    interp, body, bound = case
+    facts = list(interp)
+    variables = tuple(bound) + tuple(v for v in atoms_variables(body) if v not in bound)
+    full: list = []
+    Plan(body, variables, len(bound)).run(interp, bound.values(), full.append)
+    keeping_all = seeded_plans(body, variables)
+    for keep in range(len(variables) + 1):
+        collapsed: list = []
+        Plan(body, variables, len(bound), keep=keep).run(interp, bound.values(),
+                                                        collapsed.append)
+        assert _is_collapse_of(collapsed, full, keep)
+        for (_, whole), (_, part) in zip(keeping_all, seeded_plans(body, variables, keep)):
+            for fact in facts:
+                full_run: list = []
+                whole.run_from(interp, fact, full_run.append)
+                collapsed = []
+                part.run_from(interp, fact, collapsed.append)
+                assert _is_collapse_of(collapsed, full_run, keep)
+
+
+def test_a_collapsing_plan_skips_facts_that_differ_in_dead_slots_only():
+    a, b, c, d = (Constant(n) for n in "abcd")
+    x, y, z = _VARS[:3]
+    interp = Interpretation([Atom("p", (a, b)), Atom("p", (a, c)), Atom("p", (d, b)),
+                             Atom("q", (c,)), Atom("q", (d,))])
+    # Y is dead: a second p-fact for X=a adds nothing that is kept
+    plan = Plan((Atom("p", (x, y)),), (x, y), keep=1)
+    found: list = []
+    plan.run(interp, (), found.append)
+    assert found == [(a, b), (d, b)]
+    # Z binds nothing kept or read later: the first q-fact stands for all
+    plan = Plan((Atom("p", (x, y)), Atom("q", (z,))), (x, y, z), reorder=False, keep=2)
+    found = []
+    plan.run(interp, (), found.append)
+    assert found == [(a, b, c), (a, c, c), (d, b, c)]
+    # a Datalog rule's seeded plans keep its frontier, its body plan all
+    rule = Tgd(1, (Atom("p", (x, y)), Atom("q", (z,))), (Atom("r", (x,)),))
+    (_, seeded), _ = rule.seeded_plans
+    found = []
+    seeded.run_from(interp, Atom("p", (a, b)), found.append)
+    assert found == [(a, b, c)]
+    found = []
+    rule.body_plan.run(interp, (), found.append)
+    assert len(found) == 6
+
+
 # -- unsatisfied matches, by the rules' own plans ----------------------------
 
 @st.composite
