@@ -5,8 +5,8 @@ import re
 import pytest
 
 from chasekit.analysis import analyze
-from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_qbf, gen_sets,
-                             gen_sets_nonterm)
+from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm, gen_qbf,
+                             gen_sets, gen_sets_nonterm)
 from chasekit.model import DatalogIndex, parse_program
 
 
@@ -70,6 +70,16 @@ def _ring(n):
                                  for i in range(n)))
 
 
+def _union():
+    """Two copies each of six corpus programs, every copy under its own
+    predicate prefix, as the analyze-union benchmark builds its unions."""
+    parts = [gen_dexp(1, True), gen_counter(1), gen_sets(1),
+             gen_qbf(QbfFormula("e", ((1,),))), gen_dexp_nonterm(), gen_sets_nonterm()]
+    texts = [inst.program.to_text() for inst in parts] * 2
+    return parse_program("".join(re.sub(r"\b([a-z][A-Za-z0-9]*)\(", rf"u{i}y\1(", text)
+                                 for i, text in enumerate(texts)))
+
+
 # program -> (candidate budget, sha256 of the sorted-key JSON of to_dict()
 # without timing), frozen from the analyzer that checked every candidate in
 # full: stopping a candidate at its first failed condition must not change
@@ -93,6 +103,8 @@ PINNED_REPORTS = {
                  "c3e6a94e96ebed975ae480b13dca6016838bfd4f1ba5ab05b8d81aef35a79c16"),
     "ring(50)": (lambda: _ring(50), 120,
                  "1e1533e882b8687b772eb4e71c8f3d3d0d3def9e3bdcba93eccc2578552e9d22"),
+    "union of 12": (_union, 4096,
+                    "a12410135f270bb3769fb0a1e4440a1746c43d4dac5c15348eccc9dd2f45eac9"),
 }
 
 
