@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .chase import ChaseTrace
-from .depgraph import (LabelledDepGraph, Position, RankReport, SccAnalysis,
-                       positions_of)
-from .model import Atom, Null, Program, Term, Variable
+from .depgraph import LabelledDepGraph, RankReport, SccAnalysis
+from .model import Atom, Null, Position, Program, Term, Variable
 
 
 class InvariantViolation(Exception):
@@ -347,13 +346,10 @@ def compute_position_order(program: Program, graph: LabelledDepGraph,
 
     omega_hat = frozenset().union(*(graph.omega[v] for v in chat_set)) \
         if chat_set else frozenset()
-    affected: dict = {}
-    for rule in program.rules:
-        hit = []
-        for v in list(rule.frontier) + list(rule.body_only):
-            if positions_of(program, v, "body") <= omega_hat:
-                hit.append(v)
-        affected[rule.rule_id] = tuple(hit)
+    positions = program.positions
+    affected = {rule.rule_id: tuple(v for v in rule.frontier + rule.body_only
+                                    if omega_hat.issuperset(positions[v][0]))
+                for rule in program.rules}
     return PositionOrder(frozenset(pairs), var_leq, omega_hat, affected)
 
 

@@ -1,4 +1,4 @@
-"""Bottom-up Datalog saturation and the frozen-variable entailment check.
+"""Bottom-up Datalog saturation and the entailment check.
 
 ``saturate`` computes the least fixpoint of a set of existential-free rules
 the way the chase discovers matches: each fact, given or derived, is taken
@@ -11,16 +11,25 @@ variables to other values that nothing after them reads: each match it
 skips derives the same head as one it yields, and the fixpoint is
 unchanged.
 
+``saturate`` reads every term of its input as an opaque value, variables
+included: a plan's slots are the variables of the rule's own atoms, and a
+fact's arguments are only compared by equality.  So it inserts its input
+without the ground test of ``Interpretation.add``, and a derived fact,
+built from values already in the fixpoint and the rules' constants, skips
+it too.  Groundness is checked where atoms enter from outside: by
+``Interpretation.add``, ``Database.add`` and the parsers.
+
 A program's Datalog part is indexed once, on first use, by the
 ``Program.datalog_index`` property; both functions take that index or any
 rule iterable, which they index on the fly.
 
 ``entails`` decides whether the rules entail a universally quantified
-implication ``body -> head`` by replacing every variable with a frozen term
-of its own, saturating, and testing membership of the frozen head.  A
-frozen term is of a class that only ``entails`` makes and never hands
-out: no parser, chase or tree runner produces one and no input atom holds
-one, so it equals no constant or null of the rules or the body.
+implication ``body -> head`` by saturating the body as it is and testing
+membership of the head: the canonical-database test (Chandra and Merlin,
+1977).  That test needs each variable to be a value that equals no
+constant or null and no other variable, and a variable already is one,
+since the tag of a term keeps it apart from every constant and null, and no
+rule spells a variable as a constant.
 Saturation only adds facts, and each fact it adds has the head predicate
 of some rule.  So a head already inside the body is entailed without
 saturating; a missing head atom whose predicate no rule derives is not
@@ -33,15 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .model import (Atom, DatalogIndex, Interpretation, Tgd, _Numbered, atoms_variables,
-                    substitute)
-
-
-class _Frozen(_Numbered):
-    """A variable frozen by ``entails``, numbered by first occurrence."""
-
-    __slots__ = ()
-    _tag = "f"
+from .model import Atom, DatalogIndex, Interpretation, Tgd
 
 
 def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
@@ -51,7 +52,9 @@ def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
 def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
              goal: Iterable[Atom] = ()) -> Interpretation:
     """Least fixpoint of ``rules`` over ``facts``, any iterable of atoms
-    (an interpretation too), which is read once and not modified.
+    (an interpretation too), which is read once and not modified.  Its
+    terms are opaque values: a variable in ``facts`` is not rejected, and
+    stands for itself.
 
     ``rules`` is a prebuilt index or any iterable of rules, indexed here.
     With a nonempty ``goal`` the fixpoint stops as soon as every goal atom
@@ -59,7 +62,10 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     exactly when the whole fixpoint does.
     """
     index = _indexed(rules).by_body_pred
-    result = Interpretation(facts)
+    result = Interpretation()
+    insert = result._insert
+    for fact in facts:
+        insert(fact)
     goal = set(goal)
     missing = {a for a in goal if a not in result}
     if goal and not missing:
@@ -75,7 +81,7 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
             for values in matches:
                 for pred, args in head:
                     new = Atom(pred, args(values))
-                    if result.add(new):
+                    if insert(new):
                         if new in missing:
                             missing.remove(new)
                             if not missing:
@@ -89,12 +95,11 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     """True iff ``rules`` entail ``forall vars . body -> head``.
 
     ``rules`` is a prebuilt index or any iterable of rules; an existential
-    rule raises ValueError on every call.  Head variables not occurring in
-    the body are frozen as well, which makes the check test entailment of
-    the implication with those variables also universally quantified.
-    Freezing is injective, so a head atom is in the frozen body exactly
-    when it is in the body: both shortcuts are decided on the atoms as
-    given, and only a check that must saturate freezes anything.
+    rule raises ValueError on every call.  The body is saturated as given,
+    its variables standing for themselves; a head variable that is not in
+    the body occurs in no fact of the fixpoint, so a head atom holding one
+    is entailed only when it is in the body, as the implication with that
+    variable also universally quantified requires.
     """
     index = _indexed(rules)
     body = tuple(body)
@@ -104,9 +109,5 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    frozen = {v: _Frozen(i, v.name)
-              for i, v in enumerate(atoms_variables(body + tuple(missing)))}
-    frozen_body = [substitute(a, frozen) for a in body]
-    goal = [substitute(a, frozen) for a in missing]
-    closure = saturate(index, frozen_body, goal)
-    return all(a in closure for a in goal)
+    closure = saturate(index, body, missing)
+    return all(a in closure for a in missing)

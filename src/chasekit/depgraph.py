@@ -20,29 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .model import Program, Variable
-
-
-class Position(NamedTuple):
-    pred: str
-    index: int      # 1-based
-
-    def __str__(self) -> str:
-        return f"<{self.pred},{self.index}>"
+from .model import Position, Program, Variable
 
 
 def positions_of(program: Program, var: Variable, side: str) -> frozenset:
-    """All predicate positions where ``var`` occurs in its rule's body or head."""
-    rule = program.rule_of_var.get(var)
-    if rule is None:
+    """All predicate positions where ``var`` occurs in its rule's body or head
+    (from ``Program.positions``)."""
+    both = program.positions.get(var)
+    if both is None:
         raise KeyError(f"unknown variable {var}")
-    atoms = rule.body if side == "body" else rule.head
-    out = set()
-    for atom in atoms:
-        for i, a in enumerate(atom.args, start=1):
-            if a == var:
-                out.add(Position(atom.pred, i))
-    return frozenset(out)
+    return frozenset(both[0] if side == "body" else both[1])
 
 
 def compute_omegas(program: Program) -> dict:
@@ -54,14 +41,13 @@ def compute_omegas(program: Program) -> dict:
     zero adds its head positions.  So each existential costs the positions
     and universals it reaches, not a rescan of every universal per round.
     """
+    positions = program.positions
     body_count = {}
-    head_pos = {}
     readers: dict = {}    # position -> universals with that body position
     for rule in program.rules:
         for v in rule.frontier + rule.body_only:
-            body = positions_of(program, v, "body")
+            body = positions[v][0]
             body_count[v] = len(body)
-            head_pos[v] = positions_of(program, v, "head")
             for p in body:
                 readers.setdefault(p, []).append(v)
     omegas = {}
@@ -69,7 +55,7 @@ def compute_omegas(program: Program) -> dict:
         for v in rule.existentials:
             omega: set = set()
             missing: dict = {}
-            todo = list(positions_of(program, v, "head"))
+            todo = list(positions[v][1])
             while todo:
                 p = todo.pop()
                 if p in omega:
@@ -78,7 +64,7 @@ def compute_omegas(program: Program) -> dict:
                 for x in readers.get(p, ()):
                     left = missing[x] = missing.get(x, body_count[x]) - 1
                     if not left:
-                        todo.extend(head_pos[x])
+                        todo.extend(positions[x][1])
             omegas[v] = frozenset(omega)
     return omegas
 
@@ -125,16 +111,37 @@ class LabelledDepGraph:
 
 
 def build_ledgraph(program: Program) -> LabelledDepGraph:
+    """The graph, with its edges ordered by rule, then target, then label,
+    then source in vertex order.  The sources of the edges labelled ``y``
+    are the vertices whose omega holds every body position of ``y``: the
+    intersection of what a position index, a bit set of vertex numbers per
+    position, gives for each of them."""
     omegas = compute_omegas(program)
     vertices = tuple(omegas)
+    holders: dict = {}
+    for n, u in enumerate(vertices):
+        for p in omegas[u]:
+            holders[p] = holders.get(p, 0) | 1 << n
+    everyone = (1 << len(vertices)) - 1
+    positions = program.positions
     edges = []
     for rule in program.rules:
+        if not rule.existentials:
+            continue
+        sources = []
+        for y in rule.frontier:
+            held = everyone
+            for p in positions[y][0]:
+                held &= holders.get(p, 0)
+            found = []
+            while held:
+                low = held & -held
+                found.append(vertices[low.bit_length() - 1])
+                held ^= low
+            sources.append(found)
         for w in rule.existentials:
-            for y in rule.frontier:
-                b_y = positions_of(program, y, "body")
-                for u in vertices:
-                    if b_y <= omegas[u]:
-                        edges.append(DepEdge(u, y, w))
+            for y, found in zip(rule.frontier, sources):
+                edges.extend(DepEdge(u, y, w) for u in found)
     return LabelledDepGraph(program, vertices, tuple(edges), omegas)
 
 
@@ -226,19 +233,18 @@ def scc_analysis(graph: LabelledDepGraph) -> SccAnalysis:
         if a != b:
             preds[b].add(a)
 
-    def comp_key(i: int) -> tuple:
-        rule_ids = sorted(graph.program.rule_of_var[v].rule_id for v in components[i])
-        var_ids = sorted(v.id for v in components[i])
-        return (rule_ids[0], var_ids[0])
-
+    # no two components share a variable, so no two keys tie
+    rule_of_var = graph.program.rule_of_var
+    key = [(min(rule_of_var[v].rule_id for v in comp), min(v.id for v in comp))
+           for comp in components]
     order: list = []
     placed: set = set()
     remaining = set(range(len(components)))
     while remaining:
-        ready = sorted((i for i in remaining if preds[i] <= placed), key=comp_key)
-        order.append(ready[0])
-        placed.add(ready[0])
-        remaining.discard(ready[0])
+        first = min((i for i in remaining if preds[i] <= placed), key=key.__getitem__)
+        order.append(first)
+        placed.add(first)
+        remaining.discard(first)
 
     ordered = tuple(components[i] for i in order)
     comp_of = {}
@@ -246,22 +252,22 @@ def scc_analysis(graph: LabelledDepGraph) -> SccAnalysis:
         for v in comp:
             comp_of[v] = i
 
-    lambda_of = {}
-    beta_of = {}
-    for v in graph.vertices:
-        labels = frozenset(e.label for e in graph.edges
-                           if e.dst == v and comp_of[e.src] == comp_of[v])
-        lambda_of[v] = labels
-        beta_of[v] = len(labels)
+    # one pass over the edges, each list in edge order
+    labels: dict = {v: [] for v in graph.vertices}
+    intra: tuple = tuple([] for _ in ordered)
+    incoming: tuple = tuple([] for _ in ordered)
+    for e in graph.edges:
+        a, b = comp_of[e.src], comp_of[e.dst]
+        if a == b:
+            labels[e.dst].append(e.label)
+            intra[a].append(e)
+        else:
+            incoming[b].append(e)
+    lambda_of = {v: frozenset(labels[v]) for v in graph.vertices}
+    beta_of = {v: len(lambda_of[v]) for v in graph.vertices}
     beta = tuple(max((beta_of[v] for v in comp), default=0) for comp in ordered)
-    intra = tuple(tuple(e for e in graph.edges
-                        if comp_of[e.src] == i and comp_of[e.dst] == i)
-                  for i, _ in enumerate(ordered))
-    incoming = tuple(tuple(e for e in graph.edges
-                           if comp_of[e.dst] == i and comp_of[e.src] != i)
-                     for i, _ in enumerate(ordered))
     return SccAnalysis(graph, ordered, comp_of, lambda_of, beta_of, beta,
-                       intra, incoming)
+                       tuple(map(tuple, intra)), tuple(map(tuple, incoming)))
 
 
 # ---------------------------------------------------------------------------

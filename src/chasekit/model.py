@@ -131,6 +131,16 @@ class Atom(NamedTuple):
         return not any(isinstance(a, Variable) for a in self.args)
 
 
+class Position(NamedTuple):
+    """An argument position of a predicate."""
+
+    pred: str
+    index: int      # 1-based
+
+    def __str__(self) -> str:
+        return f"<{self.pred},{self.index}>"
+
+
 def atoms_variables(atoms: Iterable[Atom]) -> list:
     """Distinct variables of a conjunction, in first-occurrence order."""
     seen: dict = {}
@@ -300,6 +310,27 @@ class Program:
         """The Datalog part indexed for saturation, built on first use."""
         return DatalogIndex(self._datalog)
 
+    @functools.cached_property
+    def positions(self) -> dict:
+        """Each variable's ``(body positions, head positions)``, two tuples
+        of distinct ``Position``s in first-occurrence order, from one walk
+        over each rule's atoms; built on first use.  The program keeps the
+        map as long as it lives, so it holds tuples, not sets, and one
+        ``Position`` object per position."""
+        out: dict = {}
+        interned: dict = {}
+        for rule in self.rules:
+            sides = {v: ({}, {}) for v in rule.variables()}
+            for side, atoms in enumerate((rule.body, rule.head)):
+                for atom in atoms:
+                    for i, a in enumerate(atom.args, start=1):
+                        if a in sides:
+                            p = Position(atom.pred, i)
+                            sides[a][side][interned.setdefault(p, p)] = None
+            for v, (body, head) in sides.items():
+                out[v] = (tuple(body), tuple(head))
+        return out
+
     def existential_rules(self) -> tuple:
         return tuple(r for r in self.rules if not r.is_datalog)
 
@@ -339,7 +370,13 @@ class Program:
 # ---------------------------------------------------------------------------
 
 class Interpretation:
-    """A set of variable-free atoms, indexed by predicate and by argument.
+    """A set of atoms, indexed by predicate and by argument.
+
+    ``add`` rejects an atom that holds a variable, so every interpretation
+    that the parsers, the chase and the tree runner build is ground.  Only
+    ``datalog.saturate`` inserts without that check, through ``_insert``:
+    it reads every term as an opaque value, so ``entails`` saturates a
+    conjunction whose variables stand for themselves.
 
     Iteration is in insertion order, and so is every index list, which
     keeps every consumer deterministic.  ``_atoms`` maps each atom to its
@@ -368,6 +405,18 @@ class Interpretation:
             return False
         if not atom.is_ground():
             raise ValidationError(f"interpretations hold ground atoms only: {atom}")
+        self._atoms[atom] = self._number
+        self._by_pred.setdefault(atom.pred, []).append(atom)
+        for i, a in enumerate(atom.args):
+            self._by_arg.setdefault((atom.pred, i, a), []).append(atom)
+        return True
+
+    def _insert(self, atom: Atom) -> bool:
+        """``add`` without the ground test, for terms that are opaque values.
+        (The body is repeated, not shared: ``add`` is hot enough in parsing
+        that one more call shows.)"""
+        if atom in self._atoms:
+            return False
         self._atoms[atom] = self._number
         self._by_pred.setdefault(atom.pred, []).append(atom)
         for i, a in enumerate(atom.args):

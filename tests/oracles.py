@@ -128,26 +128,26 @@ def model_check(program, interp) -> bool:
     return True
 
 
+def _positions(atoms, var) -> frozenset:
+    return frozenset((atom.pred, i) for atom in atoms
+                     for i, a in enumerate(atom.args, start=1) if a == var)
+
+
 def naive_omegas(program) -> dict:
     """Omega of every existential, as ``(pred, 1-based index)`` pairs, by
     rescanning every universal variable until nothing changes."""
-
-    def positions(atoms, var) -> frozenset:
-        return frozenset((atom.pred, i) for atom in atoms
-                         for i, a in enumerate(atom.args, start=1) if a == var)
-
     body_pos = {}
     head_pos = {}
     universals = []
     for rule in program.rules:
         for v in rule.frontier + rule.body_only:
             universals.append(v)
-            body_pos[v] = positions(rule.body, v)
-            head_pos[v] = positions(rule.head, v)
+            body_pos[v] = _positions(rule.body, v)
+            head_pos[v] = _positions(rule.head, v)
     omegas = {}
     for rule in program.rules:
         for v in rule.existentials:
-            omega = set(positions(rule.head, v))
+            omega = set(_positions(rule.head, v))
             changed = True
             while changed:
                 changed = False
@@ -157,6 +157,65 @@ def naive_omegas(program) -> dict:
                         changed = True
             omegas[v] = frozenset(omega)
     return omegas
+
+
+def naive_ledgraph(program) -> dict:
+    """The labelled dependency graph and its component tables, from the
+    definitions alone.
+
+    The edges come from ``naive_omegas``: ``u -(y)-> w`` for every
+    existential ``w``, frontier variable ``y`` of its rule and vertex ``u``
+    whose omega holds every body position of ``y``, ordered by rule, ``w``,
+    ``y`` and then ``u`` in vertex order, as ``(u, y, w)`` tuples.  The
+    components are the classes of mutual reachability, in the topological
+    order of the condensation that places, among the components whose
+    predecessors are all placed, the one with the smallest rule id, then
+    variable id, first.  Labels, confluence and the intra-component and
+    incoming edges are filtered from the edges, vertex by vertex and
+    component by component."""
+    omegas = naive_omegas(program)
+    vertices = tuple(omegas)
+    edges = tuple((u, y, w) for rule in program.rules for w in rule.existentials
+                  for y in rule.frontier for u in vertices
+                  if _positions(rule.body, y) <= omegas[u])
+    succ = {u: [w for src, _y, w in edges if src == u] for u in vertices}
+    reach = {}
+    for u in vertices:
+        seen, todo = {u}, [u]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach[u] = seen
+    classes = []
+    for u in vertices:
+        comp = frozenset(v for v in vertices if v in reach[u] and u in reach[v])
+        if comp not in classes:
+            classes.append(comp)
+    preds = [{i for i, c in enumerate(classes) if c != d
+              and any(u in c and w in d for u, _y, w in edges)} for d in classes]
+    order = []
+    while len(order) < len(classes):
+        ready = [i for i in range(len(classes)) if i not in order and preds[i] <= set(order)]
+        order.append(min(ready, key=lambda i: (
+            min(program.rule_of_var[v].rule_id for v in classes[i]),
+            min(v.id for v in classes[i]))))
+    components = [classes[i] for i in order]
+    comp_of = {v: i for i, c in enumerate(components) for v in c}
+    lambda_of = {v: frozenset(y for u, y, w in edges if w == v and comp_of[u] == comp_of[v])
+                 for v in vertices}
+    beta_of = {v: len(lambda_of[v]) for v in vertices}
+    return {
+        "vertices": vertices, "edges": edges, "components": tuple(components),
+        "component_of": comp_of, "lambda_of": lambda_of, "beta_of": beta_of,
+        "beta": tuple(max((beta_of[v] for v in c), default=0) for c in components),
+        "intra_edges": tuple(tuple(e for e in edges if comp_of[e[0]] == i == comp_of[e[2]])
+                             for i in range(len(components))),
+        "incoming_edges": tuple(tuple(e for e in edges
+                                      if comp_of[e[2]] == i != comp_of[e[0]])
+                                for i in range(len(components))),
+    }
 
 
 def qbf_brute_force(quantifiers, clauses) -> bool:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chasekit.cli import main
 from chasekit.model import Atom, Constant, Database
+from test_model import _corpus_texts, _mutate
 
 
 @pytest.fixture
@@ -268,3 +272,49 @@ def test_exit_code_contract(contract_dir, monkeypatch, capsys, argv, code):
     assert "Traceback" not in err
     if code:
         assert err.strip()
+
+
+# the corpus texts that parse as rule files: the union and the quoted rule
+_RULE_TEXTS = [t for t in _corpus_texts() if "->" in t]
+_BUDGET = st.integers(-2, 6).map(str)
+
+
+@st.composite
+def _analysis_run(draw):
+    """A command of the analysis family, its flags with budgets that may be
+    0 or negative, and a rule file: random bytes, or a corpus rule text
+    under a few seeded edits."""
+    command = draw(st.sampled_from(["parse", "analyze", "graph"]))
+    flags = []
+    if command == "parse" and draw(st.booleans()):
+        flags.append("--echo")
+    if command == "analyze":
+        flags += ["--budget", draw(_BUDGET), "--path-budget", draw(_BUDGET)]
+        if draw(st.booleans()):
+            flags.append("--json")
+    if draw(st.integers(0, 3)) == 0:
+        data = draw(st.binary(max_size=120))
+    else:
+        base = draw(st.sampled_from(_RULE_TEXTS))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        data = _mutate(rng, base, draw(st.integers(0, 3))).encode()
+    return command, flags, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_analysis_run())
+def test_the_analysis_commands_keep_the_exit_code_contract(run):
+    command, flags, data = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rules.tgd"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, str(path), *flags])
+            except SystemExit as stop:      # argparse rejects a flag value
+                code = stop.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()

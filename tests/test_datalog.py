@@ -234,6 +234,38 @@ def test_entails_on_unfrozen_atoms_agrees_with_naive_oracle(case):
 
 
 @st.composite
+def _own_variables_case(draw):
+    """Rules of ``_datalog_case``, and a body and head over the rules' own
+    ``Variable`` objects mixed with constants: a plan's slots are those
+    very variables, while in a fact they are values like any constant.
+    The head draws from the body, from what the rules derive over it and
+    from fresh atoms over the same terms."""
+    rules, _facts = draw(_datalog_case())
+    own = sorted({v for rule in rules for v in rule.variables()})
+    terms = st.sampled_from(own + _consts)
+    atom = st.builds(lambda p, s, t: Atom(p, (s, t)),
+                     st.sampled_from(_preds + ["s"]), terms, terms)
+    body = draw(st.lists(atom, min_size=1, max_size=5))
+    head_atom = st.sampled_from(body) | atom
+    derived = sorted(naive_materialize(rules, body) - set(body), key=str)
+    if derived:
+        head_atom = st.sampled_from(derived) | st.sampled_from(derived) | head_atom
+    return rules, body, draw(st.lists(head_atom, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_own_variables_case())
+def test_entails_over_the_rules_own_variables_agrees_with_naive_oracle(case):
+    rules, body, head = case
+    expected = naive_entails(rules, body, head)
+    assert entails(rules, body, head) == expected
+    assert entails(DatalogIndex(rules), body, head) == expected
+    # saturate reads the variables as values, as the oracle reads its
+    # frozen terms
+    assert set(saturate(rules, body)) == naive_materialize(rules, body)
+
+
+@st.composite
 def _dead_slot_case(draw):
     """One to three rules with three-atom bodies: atom ``k`` draws its
     terms from the shared ``J0``-``J2`` and its own ``Dk``, so a ``Dk``

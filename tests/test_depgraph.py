@@ -9,7 +9,7 @@ from chasekit.depgraph import (MissingCertificate, Position, build_ledgraph,
                                compute_omegas, compute_rank, positions_of,
                                scc_analysis)
 from chasekit.model import parse_program
-from oracles import naive_omegas
+from oracles import naive_ledgraph, naive_omegas
 from test_invariants import _layered_program
 
 
@@ -194,3 +194,36 @@ def test_omegas_equal_the_rescanning_oracle_on_unions():
 def test_omegas_equal_the_rescanning_oracle_on_layered_programs(case):
     program = parse_program(case[0])
     assert compute_omegas(program) == naive_omegas(program)
+
+
+# -- graph and component tables against the definitional oracle --------------
+
+def _assert_graph_is_the_oracles(program):
+    graph = build_ledgraph(program)
+    scc = scc_analysis(graph)
+    expected = naive_ledgraph(program)
+    assert graph.vertices == expected["vertices"]
+    assert graph.edges == expected["edges"]
+    for field in ("components", "component_of", "lambda_of", "beta_of", "beta",
+                  "intra_edges", "incoming_edges"):
+        assert getattr(scc, field) == expected[field], field
+
+
+def test_graph_equals_the_oracle_on_the_corpus():
+    for program in _corpus_programs():
+        _assert_graph_is_the_oracles(program)
+
+
+def test_graph_equals_the_oracle_on_unions():
+    texts = [p.to_text() for p in _corpus_programs()]
+    renamed = parse_program("".join(_rename(t, f"u{i}y") for i, t in
+                                    enumerate(texts * 3)))
+    shared = parse_program("".join(texts))
+    for program in (renamed, shared):
+        _assert_graph_is_the_oracles(program)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layered_program())
+def test_graph_equals_the_oracle_on_layered_programs(case):
+    _assert_graph_is_the_oracles(parse_program(case[0]))

@@ -294,6 +294,23 @@ def _corpus_texts() -> list:
 _INSERTIONS = list("aqZX0_(),.->?'% \n\t\r\u00e9\u00a0$") + [", X", ",0", " . ", "->", "?-"]
 
 
+def _mutate(rng: random.Random, base: str, edits: int) -> str:
+    """``edits`` insert, delete and replace edits of ``base`` at positions
+    and with insertions drawn from ``rng``, as ``test_parse_outcomes_pinned``
+    makes them."""
+    chars = list(base)
+    for _ in range(edits):
+        op = rng.choice("idr")
+        i = rng.randrange(len(chars) + (op == "i"))
+        if op == "d":
+            del chars[i]
+        elif op == "i":
+            chars.insert(i, rng.choice(_INSERTIONS))
+        else:
+            chars[i] = rng.choice(_INSERTIONS)
+    return "".join(chars)
+
+
 def _outcome(parse, text: str):
     try:
         result = parse(text)
