@@ -96,10 +96,10 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
 
     ``rules`` is a prebuilt index or any iterable of rules; an existential
     rule raises ValueError on every call.  The body is saturated as given,
-    its variables standing for themselves; a head variable that is not in
-    the body occurs in no fact of the fixpoint, so a head atom holding one
-    is entailed only when it is in the body, as the implication with that
-    variable also universally quantified requires.
+    its variables standing for themselves.  A head variable that is not in
+    the body occurs in no fact of the fixpoint, so no head atom holding one
+    is entailed, as the implication with that variable also universally
+    quantified requires.
     """
     index = _indexed(rules)
     body = tuple(body)

@@ -225,7 +225,7 @@ def _unfrozen_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_unfrozen_case())
 def test_entails_on_unfrozen_atoms_agrees_with_naive_oracle(case):
-    # both shortcuts are taken before freezing; an underivable s-atom in
+    # both shortcuts are taken before saturating; an underivable s-atom in
     # the body must still count as present
     rules, body, head = case
     expected = naive_entails(rules, body, head)

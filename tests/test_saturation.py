@@ -203,7 +203,7 @@ def test_candidate_budget_counts_only_checked_candidates(budget, verdict, tried)
 
 
 def test_propagation_agrees_with_naive_oracle(dexp):
-    # cross-check the production path (semi-naive + frozen constants)
+    # cross-check the production path (worklist saturation of the body)
     # against a brute-force materializer on the same implications
     from chasekit.saturation import path_query as _pq
     program, graph, _ = dexp
