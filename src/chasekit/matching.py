@@ -29,6 +29,21 @@ kept slots, as a semi-join reduction would leave them.  A Datalog rule's
 seeded plans keep its frontier, which grounds its head (see
 ``model.Tgd.seeded_plans``).
 
+What is planned is compiled to Python functions, as query compilers
+compile their plans: a *node* function per set of matched atoms, which
+makes the index lookups of the remaining atoms and calls the step of the
+atom it picks, and a *step* function per atom picked there, which scans
+the candidate facts with every test and binding inlined and calls the
+next node, or emits the match after the last atom.  Their source text is
+made of slot numbers, argument positions and fixed local names only:
+every predicate, constant, index key and next function reaches a
+function through its own globals dictionary, so no text of a program
+ever becomes code, and programs that differ only in their predicates and
+constants share their code objects.  Each distinct source text is
+compiled once per process (``_CODE``).  A function's globals hold only
+what it calls, never the function itself or its plan, so a plan holds no
+reference cycle and is freed as soon as its last user drops it.
+
 A rule compiles its own plans once (see ``model.Tgd``), and every engine
 that applies it runs those.  ``match_each`` and the functions built on it
 compile a plan per call, for queries and other joins that no rule holds,
@@ -37,24 +52,43 @@ and bind into dictionaries keyed by variable.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from functools import partial
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Callable, Iterator, Optional
 
 from .model import Atom, BCQ, Interpretation, Variable, atoms_variables
 
-_EMPTY: tuple = ()
-_NO_FACT = Atom("", ())   # the fact a plan without a seed starts from
+_NO_FACT = Atom("", ())   # the fact ``run`` hands a start step
+# the arguments every node function takes; a step takes its facts first
+_ARGS = "slots, emit, pget, aget, count"
+# source text -> its function's code object, shared by every plan
+_CODE: dict = {}
 
 
 def _found(_values) -> bool:
     return True
 
 
-def _shaped(values: list):
-    # shaped like what itemgetter gives: one value alone, several as a tuple
-    return values[0] if len(values) == 1 else tuple(values)
+def _function(lines: list, names: dict) -> FunctionType:
+    """The function ``lines`` define, with ``names`` as its globals.  Its
+    code object is compiled on the first use of its source text."""
+    source = "\n    ".join(lines) + "\n"
+    code = _CODE.get(source)
+    if code is None:
+        module = compile(source, f"<{__name__}>", "exec")
+        code = _CODE[source] = next(c for c in module.co_consts if isinstance(c, CodeType))
+    names["__name__"] = __name__
+    return FunctionType(code, names)
+
+
+def _lazy(plan_ref, mask: int, j: int, *args) -> bool:
+    """Stand-in for the step of atom ``j`` after the atoms in ``mask``
+    until its first call, which compiles the step in its place and runs
+    it.  The plan is held weakly: its functions must not keep it alive."""
+    return plan_ref()._pick(mask, j)(*args)
 
 
 class Plan:
@@ -78,24 +112,28 @@ class Plan:
     those of an earlier match of the same run (see the module docstring);
     without it, every match comes.
 
-    A node, built on the first visit of a set ``mask`` of matched atoms, is
-    ``[lookups, steps]``: per remaining atom ``j`` (only the first without
-    reordering) ``(j, pred, ((position, slot or -1, static key), ...))``,
-    and per atom the step that matches it there, built when first picked.
-    A step is ``(arity, get, expect, read, same, bind, child, scan)``:
-    ``get`` reads the positions fixed by a constant or a bound slot, to
-    compare with ``expect`` or, when a slot is among them, with what
-    ``read`` reads off the slots; ``same`` pairs a repeated new variable
-    with its first position; ``bind`` takes each new variable's first
-    position into its slot; ``child`` is the next node, None after the last
-    atom; ``scan`` is the routine that runs the step, chosen when it is
-    built: ``_scan``, or ``_collapse`` for a step that binds a dead slot,
-    whose tuple ends with ``live``, the getter of its live bindings (None
-    when it has none).
+    ``start`` is the function a run calls first: the seed's step, or the
+    node of no matched atoms.  A node, compiled on the first visit of a
+    set ``mask`` of matched atoms and kept in ``_nodes``, is called as
+    ``node(slots, emit, pget, aget, count)``, where ``pget`` and ``aget``
+    read the interpretation's predicate and argument indexes and
+    ``count(list)`` is how many of a list's first facts are joined.  For
+    every remaining atom in turn (only the first without reordering), it
+    looks up the predicate's list and then each fixed position's, keeps
+    the shortest, and returns False at once when that is empty; the
+    first shortest over the atoms wins, and its step is called with that
+    list's first ``count`` facts.  Until its first call, a step is the
+    stand-in ``_lazy``.  A step, called as ``step(facts, ...)``, compares
+    each fact's fixed positions with their constants or bound slots and
+    its repeated positions with each other, binds the new slots, and
+    calls the next node, or after the last atom emits ``tuple(slots)``.
+    A step that binds a dead slot keeps a set of the live bindings it has
+    passed on and skips a fact that repeats one; with no live binding, it
+    stops after the first fact that fits.
     """
 
     __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "keep", "start",
-                 "_nodes")
+                 "_nodes", "__weakref__")
 
     def __init__(self, atoms, variables, n_bound: int = 0, reorder: bool = True,
                  seed: Optional[Atom] = None, keep: Optional[int] = None):
@@ -107,11 +145,14 @@ class Plan:
         self.keep = keep
         self.start = None
 
-    def _compile(self) -> tuple:
-        """The first step: the seed's, or an empty one leading to the root."""
+    def _compile(self) -> Callable:
+        """The first function of a run: the seed's step, or the root node."""
         self._nodes = {}
-        root = self._node(0) if self.atoms else None
-        self.start = self._step(self.seed or _NO_FACT, range(self.n_bound), root)
+        if self.seed is None:
+            self.start = self._node(0)
+        else:
+            self.start = self._step(self.seed, range(self.n_bound),
+                                    self._node(0) if self.atoms else None)
         return self.start
 
     def _bound(self, mask: int) -> set:
@@ -122,64 +163,105 @@ class Plan:
         return set(range(self.n_bound)).union(
             *([self.variables.index(v) for v in a.variables()] for a in matched))
 
-    def _node(self, mask: int) -> list:
+    def _node(self, mask: int) -> FunctionType:
         node = self._nodes.get(mask)
-        if node is None:
-            bound = self._bound(mask)
-            remaining = [j for j in range(len(self.atoms)) if not mask >> j & 1]
-            lookups = []
-            for j in remaining if self.reorder else remaining[:1]:
-                pred = self.atoms[j].pred
-                spec = []
-                for i, a in enumerate(self.atoms[j].args):
-                    if not isinstance(a, Variable):
-                        spec.append((i, -1, (pred, i, a)))
-                    elif self.variables.index(a) in bound:
-                        spec.append((i, self.variables.index(a), None))
-                lookups.append((j, pred, tuple(spec)))
-            node = self._nodes[mask] = [tuple(lookups), [None] * len(self.atoms)]
+        if node is not None:
+            return node
+        bound = self._bound(mask)
+        remaining = [j for j in range(len(self.atoms)) if not mask >> j & 1]
+        if not self.reorder:
+            remaining = remaining[:1]
+        me = weakref.ref(self)
+        names: dict = {}
+        lines = [f"def node({_ARGS}):"]
+        for k, j in enumerate(remaining):
+            atom = self.atoms[j]
+            names[f"p{k}"] = atom.pred
+            names[f"s{k}"] = partial(_lazy, me, mask, j)
+            lines += [f"facts = pget(p{k}, ())", "n = count(facts)"]
+            for i, t in enumerate(atom.args):
+                if not isinstance(t, Variable):
+                    key = f"k{k}_{i}"
+                    names[key] = (atom.pred, i, t)
+                elif self.variables.index(t) in bound:
+                    key = f"(p{k}, {i}, slots[{self.variables.index(t)}])"
+                else:
+                    continue
+                lines += [f"lst = aget({key}, ())", "m = count(lst)",
+                          "if m < n:", "    facts = lst", "    n = m"]
+            lines += ["if not n:", "    return False"]
+            if len(remaining) == 1:
+                lines += ["if n < len(facts):", "    facts = facts[:n]",
+                          f"return s0(facts, {_ARGS})"]
+            elif k == 0:
+                lines += ["best = facts", "least = n", "step = s0"]
+            else:
+                lines += ["if n < least:", "    best = facts", "    least = n",
+                          f"    step = s{k}"]
+        if not remaining:     # a plan without atoms: one match, of the entry
+            lines += ["return True if emit(tuple(slots)) else False"]
+        elif len(remaining) > 1:
+            lines += ["if least < len(best):", "    best = best[:least]",
+                      f"return step(best, {_ARGS})"]
+        node = self._nodes[mask] = _function(lines, names)
         return node
 
-    def _step(self, atom: Atom, bound, child) -> tuple:
-        fixed, expect, same, bind, first = [], [], [], [], {}
-        for idx, p in enumerate(atom.args):
-            if not isinstance(p, Variable):
-                fixed.append(idx)
-                expect.append(p)
+    def _step(self, atom: Atom, bound, child, dead=()) -> FunctionType:
+        """The step matching ``atom`` when the slots ``bound`` are bound,
+        going on to the node ``child``, or emitting when it is None; a
+        step that binds a slot in ``dead`` collapses its scan."""
+        names: dict = {"child": child}
+        reads, tests, binds, live = [], [], [], []
+        first: dict = {}
+        for i, t in enumerate(atom.args):
+            if not isinstance(t, Variable):
+                names[f"c{i}"] = t
+                tests.append(f"fa[{i}] != c{i}")
                 continue
-            s = self.variables.index(p)
+            s = self.variables.index(t)
             if s in bound:
-                fixed.append(idx)
-                expect.append(s)
+                reads.append(f"e{i} = slots[{s}]")
+                tests.append(f"fa[{i}] != e{i}")
             elif s in first:
-                same.append((idx, first[s]))
+                tests.append(f"fa[{i}] != fa[{first[s]}]")
             else:
-                first[s] = idx
-                bind.append((idx, s))
-        # a slot number is an int, a constant a tuple
-        if not any(e.__class__ is int for e in expect):
-            read = None
-        elif all(e.__class__ is int for e in expect):
-            read = itemgetter(*expect)
-        else:   # constants and slots mixed: at least two values, a tuple
-            read = partial(_read_args, tuple(expect))
-        return (len(atom.args), itemgetter(*fixed) if fixed else None, _shaped(expect),
-                read, tuple(same), tuple(bind), child, Plan._scan)
+                first[s] = i
+                binds.append(f"    slots[{s}] = fa[{i}]")
+                if s not in dead:
+                    live.append(f"fa[{i}]")
+        collapse = len(live) < len(binds)
+        lines = [f"def step(facts, {_ARGS}):", *reads]
+        if collapse and live:
+            lines.append("seen = set()")
+        lines += ["for fact in facts:", "    fa = fact.args"]
+        if tests:
+            lines += [f"    if {' or '.join(tests)}:", "        continue"]
+        if collapse and live:
+            lines += [f"    key = {live[0] if len(live) == 1 else '(' + ', '.join(live) + ')'}",
+                      "    if key in seen:", "        continue", "    seen.add(key)"]
+        # a slot bound here is only read below this level, so backtracking
+        # needs no undo: the next fact overwrites it
+        lines += binds
+        lines += [f"    if child({_ARGS}):" if child is not None
+                  else "    if emit(tuple(slots)):", "        return True"]
+        if collapse and not live:
+            lines.append("    return False")
+        lines.append("return False")
+        return _function(lines, names)
 
-    def _pick(self, mask: int, j: int) -> tuple:
-        """The step matching atom ``j`` after the atoms in ``mask``, scanned
-        by ``_collapse`` when it binds a dead slot."""
+    def _pick(self, mask: int, j: int) -> FunctionType:
+        """The step matching atom ``j`` after the atoms in ``mask``, put in
+        the place of its stand-in in the node of ``mask``."""
         after = mask | 1 << j
         child = self._node(after) if after != (1 << len(self.atoms)) - 1 else None
-        step = self._step(self.atoms[j], self._bound(mask), child)
+        dead = ()
         if self.keep is not None:
             later = {self.variables.index(v) for k, a in enumerate(self.atoms)
                      if not after >> k & 1 for v in a.variables()}
-            bind = step[5]
-            live = [idx for idx, s in bind if s < self.keep or s in later]
-            if len(live) < len(bind):
-                step = step[:7] + (Plan._collapse, itemgetter(*live) if live else None)
-        self._nodes[mask][1][j] = step
+            dead = set(range(self.keep, len(self.variables))) - later
+        step = self._step(self.atoms[j], self._bound(mask), child, dead)
+        k = sum(1 for i in range(j) if not mask >> i & 1)
+        self._nodes[mask].__globals__[f"s{k}"] = step
         return step
 
     def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool],
@@ -190,101 +272,18 @@ class Plan:
         whether it was stopped."""
         slots = list(values)
         slots += [None] * (len(self.variables) - len(slots))
-        return self._scan(0, self.start or self._compile(), (_NO_FACT,), slots, emit,
-                          interp._by_pred, interp._by_arg,
-                          len if below is None else _counter(interp, below))
+        return (self.start or self._compile())(
+            slots, emit, interp._by_pred.get, interp._by_arg.get,
+            len if below is None else _counter(interp, below))
 
     def run_from(self, interp: Interpretation, fact: Atom,
                  emit: Callable[[tuple], bool], below: Optional[int] = None) -> bool:
         """``run`` with the seed atom matched to ``fact`` first."""
-        step = self.start or self._compile()
-        if len(fact.args) != step[0]:
+        start = self.start or self._compile()
+        if len(fact.args) != len(self.seed.args):
             return False
-        return self._scan(0, step, (fact,), [None] * len(self.variables), emit,
-                          interp._by_pred, interp._by_arg,
-                          len if below is None else _counter(interp, below))
-
-    def _walk(self, mask: int, node: list, slots: list, emit, by_pred: dict,
-              by_arg: dict, count) -> bool:
-        """Pick the most constrained remaining atom and scan its candidates,
-        the first ``count(list)`` facts of a list.  The interpretation's
-        index dictionaries are read directly: this is the hot loop of every
-        chase and every fixpoint."""
-        lookups, steps = node
-        best = None
-        least = pick = 0
-        for j, pred, spec in lookups:
-            facts = by_pred.get(pred, _EMPTY)
-            n = count(facts)
-            for i, s, key in spec:
-                lst = by_arg.get(key if s < 0 else (pred, i, slots[s]), _EMPTY)
-                m = count(lst)
-                if m < n:
-                    facts, n = lst, m
-            if not n:
-                return False
-            if best is None or n < least:
-                best, least, pick = facts, n, j
-        step = steps[pick] or self._pick(mask, pick)
-        if least < len(best):
-            best = best[:least]
-        return step[7](self, mask | 1 << pick, step, best, slots, emit, by_pred, by_arg, count)
-
-    def _scan(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
-              by_arg: dict, count) -> bool:
-        """Match ``step``'s atom against each of ``facts`` and go on below."""
-        _arity, get, expect, read, same, bind, child, _scan = step
-        if read is not None:
-            expect = read(slots)
-        # a slot bound here is only read below this level, so backtracking
-        # needs no undo: the next fact overwrites it
-        for fact in facts:
-            fa = fact.args
-            if get is not None and get(fa) != expect:
-                continue
-            if same and any(fa[i] != fa[j] for i, j in same):
-                continue
-            for idx, s in bind:
-                slots[s] = fa[idx]
-            if child is None:
-                if emit(tuple(slots)):
-                    return True
-            elif self._walk(mask, child, slots, emit, by_pred, by_arg, count):
-                return True
-        return False
-
-    def _collapse(self, mask: int, step: tuple, facts, slots: list, emit, by_pred: dict,
-                  by_arg: dict, count) -> bool:
-        """``_scan`` for a step that binds a dead slot: a fact whose live
-        bindings, those that ``live`` reads, repeat an earlier fact's is
-        skipped, since below it the same matches would come again with only
-        the dead slots changed.  Without live bindings the first fact that
-        fits stands for all."""
-        _arity, get, expect, read, same, bind, child, _collapse, live = step
-        if read is not None:
-            expect = read(slots)
-        seen: set = set()
-        for fact in facts:
-            fa = fact.args
-            if get is not None and get(fa) != expect:
-                continue
-            if same and any(fa[i] != fa[j] for i, j in same):
-                continue
-            if live is not None:
-                key = live(fa)
-                if key in seen:
-                    continue
-                seen.add(key)
-            for idx, s in bind:
-                slots[s] = fa[idx]
-            if child is None:
-                if emit(tuple(slots)):
-                    return True
-            elif self._walk(mask, child, slots, emit, by_pred, by_arg, count):
-                return True
-            if live is None:
-                return False
-        return False
+        return start((fact,), [None] * len(self.variables), emit, interp._by_pred.get,
+                     interp._by_arg.get, len if below is None else _counter(interp, below))
 
 
 def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:

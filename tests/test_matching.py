@@ -1,18 +1,24 @@
 """The homomorphism walker: its enumeration order, pinned, and its answers
 against the naive oracle."""
 
+import gc
 import hashlib
 import itertools
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chasekit import matching
+from chasekit.analysis import analyze
 from chasekit.chase import Deterministic, chase
 from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
 from chasekit.matching import (Plan, evaluate_bcq, find_matches, head_satisfied,
                                seeded_plans, unsatisfied_matches)
-from chasekit.model import BCQ, Atom, Constant, Interpretation, Tgd, Variable, atoms_variables
-from oracles import naive_matches
+from chasekit.model import (BCQ, Atom, Constant, Interpretation, Tgd, Variable,
+                            atoms_variables, parse_facts, parse_program)
+from oracles import naive_materialize, naive_matches
 
 # sha256 of the ordered match lists of find_matches(..., reorder=True) for
 # every rule body, given in order and reversed, over the terminated chase;
@@ -333,3 +339,69 @@ def test_a_second_unsatisfied_matches_call_compiles_nothing(plan_compiles):
     plan_compiles.clear()
     assert list(unsatisfied_matches(interp, rules)) == first != []
     assert plan_compiles == []
+
+
+# -- the compiled functions ----------------------------------------------------
+
+# constants that would break out of a string, a call or a block, or run
+# code, if a plan spelled them in its source text
+_HOSTILE = ['__import__("os").getcwd()', 'x"); raise SystemExit("',
+            "it's a \\ and a {brace}\nand a line", "}] + [lambda: 0 #"]
+
+
+def test_program_text_never_becomes_code(monkeypatch):
+    a, b, c, d = (str(Constant(name)) for name in _HOSTILE)
+    program = parse_program(
+        f"quarry({a}, X), tether(X, Y) -> hazard(Y, {b}) .\n"
+        f"hazard(X, {b}), tether(Y, X) -> hazard(Y, {c}) .\n"
+        f"hazard(X, Y), hazard(Z, Y), tether(X, Z) -> quarry({a}, Z), tether(Z, {d}) .\n")
+    database = parse_facts(f"quarry({a}, {c}) . tether({c}, {b}) . tether({b}, {a}) . "
+                           f"tether({a}, {c}) . tether({d}, {c}) . quarry({b}, {d}) .",
+                           program.signature)
+    monkeypatch.setattr(matching, "_CODE", {})
+    result = chase(program, database)
+    assert result.terminated
+    model = set(result.interpretation)
+    assert model == naive_materialize(program.rules, set(database))
+    assert len(model) > len(database)
+    assert matching._CODE
+    names = set(program.signature) | set(_HOSTILE)
+    assert not [(name, source) for source in matching._CODE for name in names
+                if name in source]
+
+
+def _renamed_union(text: str, copies: int):
+    return parse_program("".join(re.sub(r"\b([a-z][A-Za-z0-9]*)\(", rf"u{i}y\1(", text)
+                                 for i in range(copies)))
+
+
+def test_each_shape_compiles_once(monkeypatch):
+    text = gen_dexp(1, True).program.to_text()
+    compiled = []
+    for copies in (1, 4):
+        monkeypatch.setattr(matching, "_CODE", {})
+        program = _renamed_union(text, copies)
+        assert analyze(program).saturation.verdict == "saturating"
+        compiled.append(len(matching._CODE))
+        analyze(program)
+        assert len(matching._CODE) == compiled[-1]
+    assert compiled[0] == compiled[1] > 0
+
+
+def test_a_plan_is_freed_without_the_cycle_collector():
+    x, y, z = _VARS[:3]
+    a, b = _CONSTS[:2]
+    interp = Interpretation([Atom("p", (a, b)), Atom("p", (b, a)), Atom("q", (a,))])
+    body = (Atom("p", (x, y)), Atom("p", (y, z)), Atom("q", (z,)))
+    gc.disable()
+    try:
+        plan = Plan(body, (x, y, z), keep=1)
+        found: list = []
+        plan.run(interp, (), found.append)
+        assert found == [(a, b, a)]
+        freed = weakref.ref(plan)
+        start = weakref.ref(plan.start)
+        del plan
+        assert freed() is None and start() is None
+    finally:
+        gc.enable()
