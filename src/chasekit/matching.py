@@ -61,7 +61,6 @@ from typing import Callable, Iterator, Optional
 
 from .model import Atom, BCQ, Interpretation, Variable, atoms_variables
 
-_NO_FACT = Atom("", ())   # the fact ``run`` hands a start step
 # the arguments every node function takes; a step takes its facts first
 _ARGS = "slots, emit, pget, aget, count"
 # source text -> its function's code object, shared by every plan
@@ -74,11 +73,13 @@ def _found(_values) -> bool:
 
 def _function(lines: list, names: dict) -> FunctionType:
     """The function ``lines`` define, with ``names`` as its globals.  Its
-    code object is compiled on the first use of its source text."""
+    code object is compiled on the first use of its source text, under a
+    file name of its own, since a profiler merges the functions that share
+    a file, a line and a name."""
     source = "\n    ".join(lines) + "\n"
     code = _CODE.get(source)
     if code is None:
-        module = compile(source, f"<{__name__}>", "exec")
+        module = compile(source, f"<{__name__} {len(_CODE)}>", "exec")
         code = _CODE[source] = next(c for c in module.co_consts if isinstance(c, CodeType))
     names["__name__"] = __name__
     return FunctionType(code, names)
