@@ -1,5 +1,5 @@
-"""The homomorphism walker: its enumeration order, pinned, and its answers
-against the naive oracle."""
+"""The homomorphism walker: its enumeration order, pinned, its answers
+against the naive oracle, and what its compiled functions are made of."""
 
 import gc
 import hashlib
