@@ -26,13 +26,16 @@ holds what it pops, not every match it finds, and its candidates and
 their order are those of queueing every match at once (see
 ``_RuleQueue``).
 
-A Datalog rule's seeded plans skip the matches that agree with an earlier
-match of the same run on the frontier and differ from it only in body-only
-values that nothing after them reads (see ``matching``).  That leaves every
-trace as it was: such a match grounds the same head as its earlier twin.
+A Datalog queue takes a match only when no match with the same frontier
+was queued earlier in the same chase: the engine hands one set of
+frontiers per Datalog queue to every run of the rule's seeded plans, whose
+last step drops a repeat before it is built (see ``matching``), and to
+the queue's first fill.  That leaves every trace as it was.  The frontier
+grounds the head, so a repeat grounds the same head as its earlier twin.
 A Datalog queue is no strategy's to draw from, and its FIFO pops the twin
-first, which is applied or found satisfied; the skipped match would only
-have been popped after it and found satisfied.
+first, which is applied or found satisfied; facts are never removed, so
+the repeat would only have been popped after it and found satisfied.  A
+satisfied pop is no step, so the step cap falls where it fell.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .matching import head_satisfied, unsatisfied_matches
@@ -185,13 +189,13 @@ class _RuleQueue:
     cursor before a draw, so its draws see the eager queue's exact
     contents.
 
-    A Datalog queue is a FIFO under both strategies, and its seeded plans
-    skip matches whose frontier repeats that of a match pushed earlier by
-    the same run: each would come after its twin and find its head already
+    A Datalog queue is a FIFO under both strategies, and it takes no match
+    whose frontier repeats that of a match queued earlier in the same
+    chase: each would come after its twin and find its head already
     satisfied, so the trace does not change.
 
-    Duplicates are kept otherwise: what a queue holds and in which order
-    decides the seeded strategy's draws, so it never depends on
+    An existential queue keeps its duplicates: what it holds and in which
+    order decides the seeded strategy's draws, so it never depends on
     satisfaction.  Whether a popped candidate is already satisfied is
     decided when it is popped: a Datalog rule's by ``_Engine.run_datalog``,
     an existential rule's by ``satisfied``.
@@ -224,6 +228,15 @@ class _RuleQueue:
         return head_satisfied(interp, self.rule.head_plan, values[:self.n_frontier])
 
 
+def _push_new(push, known: set, n: int, values: tuple) -> None:
+    """``push`` the match ``values`` unless its frontier, its first ``n``
+    values, is in ``known``; add it there."""
+    front = values[:n]
+    if front not in known:
+        known.add(front)
+        push(values)
+
+
 class _Engine:
     def __init__(self, program: Program, database: Database,
                  strategy, max_steps: int):
@@ -240,24 +253,29 @@ class _Engine:
         # a watermark per step only when a cursor needs it: the facts of one
         # step share its number, and without watermarks all facts share one
         self.lazy = any(q.lazy for q in queues)
-        # predicate -> (push, the rule's plan seeded with the body atom, lazy)
-        # per body atom; a lazy queue takes a cursor instead of the matches
+        # predicate -> (push, the rule's plan seeded with the body atom, lazy,
+        # the frontiers its queue has taken) per body atom; a lazy queue
+        # takes a cursor instead of the matches, and only a Datalog queue
+        # keeps its frontiers
         self.body_index: dict = {}
         for q in queues:
             push = q.cursors.append if q.lazy else q.items.append
+            known = set() if q.rule.is_datalog else None
             for atom, plan in q.rule.seeded_plans:
-                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy))
-        for q in queues:
-            q.rule.body_plan.run(self.interp, (), q.items.append)
+                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy, known))
+            fill = q.items.append
+            if known is not None:
+                fill = partial(_push_new, fill, known, q.n_frontier)
+            q.rule.body_plan.run(self.interp, (), fill)
 
     def discover(self, fact: Atom, below: Optional[int]) -> None:
         """Enqueue every candidate match that involves a new fact, or, in a
         lazy queue, a cursor for them with the watermark ``below``."""
-        for push, plan, lazy in self.body_index.get(fact.pred, ()):
+        for push, plan, lazy, known in self.body_index.get(fact.pred, ()):
             if lazy:
                 push((plan, fact, below))
             else:
-                plan.run_from(self.interp, fact, push)
+                plan.run_from(self.interp, fact, push, None, known)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1

@@ -27,7 +27,9 @@ So the run yields a subsequence of the full run's matches, in order, and
 each match it drops has an earlier match it yields that equals it on the
 kept slots, as a semi-join reduction would leave them.  A Datalog rule's
 seeded plans keep its frontier, which grounds its head (see
-``model.Tgd.seeded_plans``).
+``model.Tgd.seeded_plans``).  A caller may also hand a run a set of the
+kept slots it has already taken, and the last step then drops those too,
+over as many runs as share the set (see ``Plan``).
 
 What is planned is compiled to Python functions, as query compilers
 compile their plans: a *node* function per set of matched atoms, which
@@ -61,8 +63,10 @@ from typing import Callable, Iterator, Optional
 
 from .model import Atom, BCQ, Interpretation, Variable, atoms_variables
 
-# the arguments every node function takes; a step takes its facts first
+# the arguments every node function takes; a step takes its facts first,
+# and a plan with ``keep`` also takes the run's set ``known`` last
 _ARGS = "slots, emit, pget, aget, count"
+_KEEP_ARGS = _ARGS + ", known"
 # source text -> its function's code object, shared by every plan
 _CODE: dict = {}
 
@@ -111,26 +115,35 @@ class Plan:
 
     With ``keep``, a run may drop a match whose first ``keep`` slots equal
     those of an earlier match of the same run (see the module docstring);
-    without it, every match comes.
+    without it, every match comes.  A ``keep`` plan's ``run_from`` may also
+    take a set ``known`` at run time, which the plan never holds: a match
+    whose first ``keep`` slots, as a tuple, are in it is dropped, and each
+    match that comes adds its own.  So a caller that passes one set to
+    every run of a rule's plans gets each such key at most once over all
+    of them, and a repeat costs one probe of the set and no tuple of the
+    match.  Without a set, a run yields exactly the matches it yields
+    otherwise.
 
     ``start`` is the function a run calls first: the seed's step, or the
     node of no matched atoms.  A node, compiled on the first visit of a
     set ``mask`` of matched atoms and kept in ``_nodes``, is called as
     ``node(slots, emit, pget, aget, count)``, where ``pget`` and ``aget``
     read the interpretation's predicate and argument indexes and
-    ``count(list)`` is how many of a list's first facts are joined.  For
-    every remaining atom in turn (only the first without reordering), it
-    looks up the predicate's list and then each fixed position's, keeps
-    the shortest, and returns False at once when that is empty; the
-    first shortest over the atoms wins, and its step is called with that
-    list's first ``count`` facts.  Until its first call, a step is the
-    stand-in ``_lazy``.  A step, called as ``step(facts, ...)``, compares
-    each fact's fixed positions with their constants or bound slots and
-    its repeated positions with each other, binds the new slots, and
-    calls the next node, or after the last atom emits ``tuple(slots)``.
+    ``count(list)`` is how many of a list's first facts are joined; the
+    functions of a ``keep`` plan also take and pass on ``known``, the set
+    or None.  For every remaining atom in turn (only the first without
+    reordering), it looks up the predicate's list and then each fixed
+    position's, keeps the shortest, and returns False at once when that is
+    empty; the first shortest over the atoms wins, and its step is called
+    with that list's first ``count`` facts.  Until its first call, a step
+    is the stand-in ``_lazy``.  A step, called as ``step(facts, ...)``,
+    compares each fact's fixed positions with their constants or bound
+    slots and its repeated positions with each other, binds the new slots,
+    and calls the next node, or after the last atom emits ``tuple(slots)``.
     A step that binds a dead slot keeps a set of the live bindings it has
     passed on and skips a fact that repeats one; with no live binding, it
-    stops after the first fact that fits.
+    stops after the first fact that fits.  The last step of a ``keep`` plan
+    checks ``known``, when it is a set, after its bindings.
     """
 
     __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "keep", "start",
@@ -173,8 +186,9 @@ class Plan:
         if not self.reorder:
             remaining = remaining[:1]
         me = weakref.ref(self)
+        args = _ARGS if self.keep is None else _KEEP_ARGS
         names: dict = {}
-        lines = [f"def node({_ARGS}):"]
+        lines = [f"def node({args}):"]
         for k, j in enumerate(remaining):
             atom = self.atoms[j]
             names[f"p{k}"] = atom.pred
@@ -193,7 +207,7 @@ class Plan:
             lines += ["if not n:", "    return False"]
             if len(remaining) == 1:
                 lines += ["if n < len(facts):", "    facts = facts[:n]",
-                          f"return s0(facts, {_ARGS})"]
+                          f"return s0(facts, {args})"]
             elif k == 0:
                 lines += ["best = facts", "least = n", "step = s0"]
             else:
@@ -203,14 +217,19 @@ class Plan:
             lines += ["return True if emit(tuple(slots)) else False"]
         elif len(remaining) > 1:
             lines += ["if least < len(best):", "    best = best[:least]",
-                      f"return step(best, {_ARGS})"]
+                      f"return step(best, {args})"]
         node = self._nodes[mask] = _function(lines, names)
         return node
 
     def _step(self, atom: Atom, bound, child, dead=()) -> FunctionType:
         """The step matching ``atom`` when the slots ``bound`` are bound,
         going on to the node ``child``, or emitting when it is None; a
-        step that binds a slot in ``dead`` collapses its scan."""
+        step that binds a slot in ``dead`` collapses its scan.  The last
+        step of a ``keep`` plan emits a match only if its frontier, the
+        first ``keep`` slots, is not in the run's set ``known``, and adds it
+        there; a frontier bound before this step is that of every fact that
+        fits, so the first repeat ends the scan."""
+        args = _ARGS if self.keep is None else _KEEP_ARGS
         names: dict = {"child": child}
         reads, tests, binds, live = [], [], [], []
         first: dict = {}
@@ -231,7 +250,7 @@ class Plan:
                 if s not in dead:
                     live.append(f"fa[{i}]")
         collapse = len(live) < len(binds)
-        lines = [f"def step(facts, {_ARGS}):", *reads]
+        lines = [f"def step(facts, {args}):", *reads]
         if collapse and live:
             lines.append("seen = set()")
         lines += ["for fact in facts:", "    fa = fact.args"]
@@ -243,8 +262,17 @@ class Plan:
         # a slot bound here is only read below this level, so backtracking
         # needs no undo: the next fact overwrites it
         lines += binds
-        lines += [f"    if child({_ARGS}):" if child is not None
-                  else "    if emit(tuple(slots)):", "        return True"]
+        if child is not None:
+            lines.append(f"    if child({args}):")
+        else:
+            if self.keep is not None:
+                front = "(" + "".join(f"slots[{s}], " for s in range(self.keep)) + ")"
+                miss = "continue" if any(s < self.keep for s in first) else "return False"
+                lines += ["    if known is not None:", f"        front = {front}",
+                          "        if front in known:", f"            {miss}",
+                          "        known.add(front)"]
+            lines.append("    if emit(tuple(slots)):")
+        lines.append("        return True")
         if collapse and not live:
             lines.append("    return False")
         lines.append("return False")
@@ -273,18 +301,27 @@ class Plan:
         whether it was stopped."""
         slots = list(values)
         slots += [None] * (len(self.variables) - len(slots))
-        return (self.start or self._compile())(
-            slots, emit, interp._by_pred.get, interp._by_arg.get,
-            len if below is None else _counter(interp, below))
+        start = self.start or self._compile()
+        count = len if below is None else _counter(interp, below)
+        if self.keep is None:
+            return start(slots, emit, interp._pget, interp._aget, count)
+        return start(slots, emit, interp._pget, interp._aget, count, None)
 
     def run_from(self, interp: Interpretation, fact: Atom,
-                 emit: Callable[[tuple], bool], below: Optional[int] = None) -> bool:
-        """``run`` with the seed atom matched to ``fact`` first."""
+                 emit: Callable[[tuple], bool], below: Optional[int] = None,
+                 known: Optional[set] = None) -> bool:
+        """``run`` with the seed atom matched to ``fact`` first; a ``keep``
+        plan skips the matches whose first ``keep`` slots are in the set
+        ``known`` and adds those of the matches it emits."""
         start = self.start or self._compile()
         if len(fact.args) != len(self.seed.args):
             return False
-        return start((fact,), [None] * len(self.variables), emit, interp._by_pred.get,
-                     interp._by_arg.get, len if below is None else _counter(interp, below))
+        count = len if below is None else _counter(interp, below)
+        if self.keep is None:
+            return start((fact,), [None] * len(self.variables), emit, interp._pget,
+                         interp._aget, count)
+        return start((fact,), [None] * len(self.variables), emit, interp._pget,
+                     interp._aget, count, known)
 
 
 def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:

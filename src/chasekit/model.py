@@ -388,13 +388,18 @@ class Interpretation:
     bounded plan runs read it now.)  ``discard_terms`` deletes atoms in
     place, leaves the others in their order and the counter where it is,
     so every index list stays sorted by number.  ``matching.Plan`` reads
-    the two index dictionaries and the numbers directly.
+    the two index dictionaries, through their ``get`` methods bound once
+    here, and the numbers directly.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: dict = {}       # atom -> its number, in insertion order
         self._by_pred: dict = {}
         self._by_arg: dict = {}
+        # the lookups every plan run hands its join: both dicts live as long
+        # as the interpretation, since ``discard_terms`` edits them in place
+        self._pget = self._by_pred.get
+        self._aget = self._by_arg.get
         self._number = 0
         for atom in atoms:
             self.add(atom)

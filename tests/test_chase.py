@@ -1,17 +1,22 @@
 import hashlib
 import json
 import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chasekit.chase as chase_module
 from chasekit.chase import ChaseResult, Deterministic, Seeded, chase, validate_trace
 from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm,
                              gen_qbf, gen_sets, gen_sets_nonterm)
 from chasekit.datalog import saturate
 from chasekit.depgraph import build_ledgraph
-from chasekit.matching import Plan, evaluate_bcq
+from chasekit.matching import Plan, evaluate_bcq, seeded_plans
 from chasekit.model import Null, parse_facts, parse_program, parse_query
 from oracles import model_check
+from test_datalog import _dead_slot_case
+from test_invariants import _layered_program
 
 
 def test_dexp_level1_terminates_and_is_a_model():
@@ -304,3 +309,118 @@ def test_the_chase_runs_the_datalog_plans_that_saturate_runs(monkeypatch):
     datalog_runs = {id(plan) for plan in ran
                     if program.rule_of_var[plan.variables[0]].is_datalog}
     assert datalog_runs and datalog_runs <= indexed
+
+
+# -- a Datalog queue takes each frontier once ----------------------------------
+
+class _Counting(deque):
+    """A queue that counts its pops."""
+
+    pops = 0
+
+    def popleft(self):
+        _Counting.pops += 1
+        return deque.popleft(self)
+
+
+# (instance, strategy) -> Datalog candidates popped.  Queueing every match
+# that the seeded plans yield, the deterministic chases popped 111,779,
+# 111,822, 47,952 and 35,416
+DATALOG_POPS = {
+    ("dexp(3)", Deterministic()): 2337,
+    ("dexp(3)", Seeded(7)): 2337,
+    ("counter(3)", Deterministic()): 2380,
+    ("counter(3)", Seeded(7)): 2380,
+    ("sets(6)", Deterministic()): 9786,
+    ("sets(6)", Seeded(7)): 9786,
+    ("sets-nonterm cap 2000", Deterministic()): 5058,
+    ("sets-nonterm cap 2000", Seeded(7)): 5001,
+}
+_POP_INSTANCES = {
+    "dexp(3)": (lambda: gen_dexp(3, True), 100_000),
+    "counter(3)": (lambda: gen_counter(3), 100_000),
+    "sets(6)": (lambda: gen_sets(6), 100_000),
+    "sets-nonterm cap 2000": (gen_sets_nonterm, 2000),
+}
+
+
+@pytest.mark.parametrize("name, strategy", list(DATALOG_POPS),
+                         ids=[f"{n}-{s}" for n, s in DATALOG_POPS])
+def test_datalog_queues_pop_each_frontier_once(monkeypatch, name, strategy):
+    original = chase_module._RuleQueue.__init__
+
+    def counting(queue, rule):
+        original(queue, rule)
+        if rule.is_datalog:
+            queue.items = _Counting()
+
+    monkeypatch.setattr(chase_module._RuleQueue, "__init__", counting)
+    monkeypatch.setattr(_Counting, "pops", 0)
+    generate, cap = _POP_INSTANCES[name]
+    inst = generate()
+    result = chase(inst.program, inst.database, strategy, max_steps=cap)
+    assert result.terminated == (cap == 100_000)
+    assert _Counting.pops == DATALOG_POPS[name, strategy]
+
+
+class _EveryMatchEngine(chase_module._Engine):
+    """The chase engine with Datalog queues that take every match: a
+    Datalog rule's seeded plans are compiled without ``keep``, so no scan
+    collapses, and no queue keeps the frontiers it has taken."""
+
+    def __init__(self, program, database, strategy, max_steps):
+        super().__init__(program, database, strategy, max_steps)
+        queue_of = {q.rule.rule_id: q for q in self.datalog + self.existential}
+        self.body_index = {}
+        for rule in program.rules:
+            q = queue_of[rule.rule_id]
+            push = q.cursors.append if q.lazy else q.items.append
+            plans = (seeded_plans(rule.body, rule.body_plan.variables) if rule.is_datalog
+                     else rule.seeded_plans)
+            for atom, plan in plans:
+                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy, None))
+        for q in self.datalog:
+            q.items.clear()
+            q.rule.body_plan.run(self.interp, (), q.items.append)
+
+
+def _assert_same_chase(program, database, strategy, cap):
+    got = chase(program, database, strategy, cap)
+    expected = _EveryMatchEngine(program, database, strategy, cap).run()
+    assert got.terminated == expected.terminated
+    assert got.trace.to_dict() == expected.trace.to_dict()
+    assert list(got.interpretation) == list(expected.interpretation)
+
+
+@pytest.mark.parametrize("name, strategy", list(PINNED_TRACES),
+                         ids=[f"{n}-{s}" for n, s in PINNED_TRACES])
+def test_the_chase_equals_the_chase_that_queues_every_match(name, strategy):
+    generate, cap = TRACE_INSTANCES[name]
+    inst = generate()
+    _assert_same_chase(inst.program, inst.database, strategy, cap)
+
+
+_STRATEGIES = st.sampled_from([Deterministic(), Seeded(1), Seeded(7)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layered_program(), _STRATEGIES)
+def test_the_chase_equals_the_chase_that_queues_every_match_on_layered_programs(
+        case, strategy):
+    rules_text, facts_text = case
+    program = parse_program(rules_text)
+    _assert_same_chase(program, parse_facts(facts_text, program.signature), strategy, 5_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dead_slot_case(), _STRATEGIES, st.sampled_from(["", "p(X,Y) -> q(Y,V) .",
+                                                         "q0(X,Y), r(Y,Z) -> p(Z,V), r(V,X) ."]),
+       st.sampled_from([3, 20, 5_000]))
+def test_the_chase_equals_the_chase_that_queues_every_match_on_dead_slot_programs(
+        case, strategy, existential, cap):
+    # Datalog rules whose bodies repeat frontiers, with an existential rule
+    # that makes Datalog and existential steps alternate, capped or not
+    rules, facts = case
+    program = parse_program("\n".join(str(r) for r in rules) + "\n" + existential)
+    database = parse_facts(facts.to_text(), program.signature)
+    _assert_same_chase(program, database, strategy, cap)

@@ -318,3 +318,62 @@ def test_the_analysis_commands_keep_the_exit_code_contract(run):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip()
+
+
+def _run_files() -> list:
+    """The rule, fact and query texts of corpus instances, one triple each."""
+    from chasekit import corpus
+    qbf = corpus.gen_qbf(corpus.QbfFormula("aea", ((1, -2), (2, 3), (-1, -3))))
+    sets = corpus.gen_sets(2)
+    union = next(t for t in _RULE_TEXTS if "u0_" in t)
+    return [(qbf.program.to_text(), qbf.database.to_text(), str(qbf.queries[0])),
+            (sets.program.to_text(), sets.database.to_text(), str(sets.queries[0])),
+            (union, qbf.database.to_text(), str(qbf.queries[0]))]
+
+
+_RUN_FILES = _run_files()
+
+
+@st.composite
+def _chase_run(draw):
+    """``chase`` or ``query`` under every engine, with budgets that may be 0
+    or negative, over a corpus instance whose rule, fact and query files
+    each are random bytes, or the instance's text under a few seeded
+    edits."""
+    command = draw(st.sampled_from(["chase", "query"]))
+    flags = ["--max-steps", draw(_BUDGET)]
+    if command == "chase":
+        flags += ["--strategy", draw(st.sampled_from(["deterministic", "seeded:3", "seeded:x"]))]
+    else:
+        engine = draw(st.sampled_from(["full", "tree-guided", "tree-search"]))
+        flags += ["--engine", engine]
+        if engine == "tree-search":
+            flags += ["--m-bound", draw(_BUDGET), "--search-budget", draw(_BUDGET)]
+    files = []
+    for text in draw(st.sampled_from(_RUN_FILES))[:2 if command == "chase" else 3]:
+        if draw(st.integers(0, 5)) == 0:
+            files.append(draw(st.binary(max_size=60)))
+        else:
+            rng = random.Random(draw(st.integers(0, 2 ** 32)))
+            files.append(_mutate(rng, text, draw(st.integers(0, 3))).encode())
+    return command, flags, files
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chase_run())
+def test_the_chase_and_query_commands_keep_the_exit_code_contract(run):
+    command, flags, files = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("rules.tgd", "db.facts", "q.query")]
+        for path, data in zip(paths, files):
+            path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, *map(str, paths[:len(files)]), *flags])
+            except SystemExit as stop:      # argparse rejects a flag value
+                code = stop.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()
