@@ -102,16 +102,12 @@ def build_null_forest(trace: ChaseTrace, info: ArboreousInfo) -> NullForest:
         if n in node_set and isinstance(t, Null) and t in node_set:
             if n in parent and parent[n] != t:
                 raise InvariantViolation(f"null {n.name} has two parents")
+            # acyclicity: a parent was a frontier value of its child's
+            # step, so it was created strictly earlier, with a smaller id
+            if t.id >= n.id:
+                raise InvariantViolation(
+                    f"null {n.name} has parent {t.name}, which is not older")
             parent[n] = t
-    # acyclicity: parents are created strictly earlier, so follow ids
-    for n in nodes:
-        seen = set()
-        cur = n
-        while cur in parent:
-            if cur in seen:
-                raise InvariantViolation(f"cycle through {n.name}")
-            seen.add(cur)
-            cur = parent[cur]
     return NullForest(nodes, parent)
 
 
@@ -216,20 +212,15 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo,
             if prev is not None and prev != b_par:
                 raise InvariantViolation("bag has two distinct parents")
             parent[b_child] = b_par
+    # acyclicity: bags are numbered in step order, and a bag's parent
+    # holds the parent of a seed null, which the seed's step read
+    depths = [1] * len(node_terms)
     for i in range(1, len(node_terms)):
         if parent[i] is None:
             parent[i] = 0
-    # reaching the root from every bag certifies acyclicity
-    depths = [1] * len(node_terms)
-    for i in range(1, len(node_terms)):
-        seen_nodes = set()
-        cur = i
-        while cur != 0:
-            if cur in seen_nodes:
-                raise InvariantViolation("cycle among bags")
-            seen_nodes.add(cur)
-            cur = parent[cur]
-        depths[i] = len(seen_nodes) + 1
+        elif parent[i] >= i:
+            raise InvariantViolation(f"bag {i} has parent {parent[i]}, which is not older")
+        depths[i] = depths[parent[i]] + 1
     node_of = {}
     for i, terms in enumerate(node_terms):
         for t in terms:
@@ -259,7 +250,10 @@ class PositionOrder:
 
 
 def _induced_var_order(program: Program, pairs: set) -> frozenset:
-    base: set = set()
+    """The reflexive and transitive closure over the program's variables
+    of ``x <= y`` for body atoms with ``x`` and ``y`` at a pair of
+    positions in ``pairs``."""
+    succ: dict = {v: set() for v in program.rule_of_var}
     for rule in program.rules:
         for atom in rule.body:
             for i, a in enumerate(atom.args, start=1):
@@ -268,24 +262,16 @@ def _induced_var_order(program: Program, pairs: set) -> frozenset:
                 for j, b in enumerate(atom.args, start=1):
                     if isinstance(b, Variable) and \
                             (Position(atom.pred, i), Position(atom.pred, j)) in pairs:
-                        base.add((a, b))
-    for v in program.rule_of_var:
-        base.add((v, v))
-    # transitive closure over the program's variables
-    succ: dict = {}
-    for a, b in base:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(succ):
-            reach = succ[a]
-            for b in list(reach):
-                extra = succ.get(b, ()) - reach
-                if extra:
-                    reach |= set(extra)
-                    changed = True
-    closure = {(a, b) for a, bs in succ.items() for b in bs}
+                        succ[a].add(b)
+    closure: set = set()
+    for v in succ:
+        reach, todo = {v}, [v]
+        while todo:
+            for b in succ[todo.pop()]:
+                if b not in reach:
+                    reach.add(b)
+                    todo.append(b)
+        closure.update((v, b) for b in reach)
     return frozenset(closure)
 
 
@@ -308,41 +294,31 @@ def compute_position_order(program: Program, graph: LabelledDepGraph,
             for j in range(1, arity + 1):
                 pairs.add((Position(pred, i), Position(pred, j)))
 
-    def head_entries():
-        for rule in program.rules:
-            existentials = set(rule.existentials)
-            universals = set(rule.frontier)
-            for atom in rule.head:
-                for i, a in enumerate(atom.args, start=1):
-                    for j, b in enumerate(atom.args, start=1):
-                        yield rule, atom, i, a, j, b, existentials, universals
+    # one walk over the head atoms applies the one-shot conditions and
+    # lists the universal pairs (key, x, y) for the iterated one
+    universal = []
+    for rule in program.rules:
+        ex = set(rule.existentials)
+        uni = set(rule.frontier)
+        for atom in rule.head:
+            for i, a in enumerate(atom.args, start=1):
+                for j, b in enumerate(atom.args, start=1):
+                    key = (Position(atom.pred, i), Position(atom.pred, j))
+                    if a in uni and b in uni:
+                        universal.append((key, a, b))
+                    elif a in ex and a in chat_set:
+                        if b in ex and b not in chat_set:
+                            pairs.discard(key)
+                        elif b in uni and (a in v_ehat or
+                                           b not in scc.lambda_of.get(a, frozenset())):
+                            pairs.discard(key)
 
-    # one-shot conditions
-    for rule, atom, i, a, j, b, ex, uni in head_entries():
-        key = (Position(atom.pred, i), Position(atom.pred, j))
-        if key not in pairs:
-            continue
-        if isinstance(a, Variable) and a in ex and a in chat_set:
-            if isinstance(b, Variable) and b in ex and b not in chat_set:
-                pairs.discard(key)
-            elif isinstance(b, Variable) and b in uni:
-                if a in v_ehat or b not in scc.lambda_of.get(a, frozenset()):
-                    pairs.discard(key)
-
-    # iterated condition over universal pairs
     while True:
         var_leq = _induced_var_order(program, pairs)
-        removed = False
-        for rule, atom, i, a, j, b, ex, uni in head_entries():
-            key = (Position(atom.pred, i), Position(atom.pred, j))
-            if key not in pairs:
-                continue
-            if isinstance(a, Variable) and a in uni and \
-                    isinstance(b, Variable) and b in uni and (a, b) not in var_leq:
-                pairs.discard(key)
-                removed = True
-        if not removed:
+        dropped = {key for key, a, b in universal if key in pairs and (a, b) not in var_leq}
+        if not dropped:
             break
+        pairs -= dropped
 
     omega_hat = frozenset().union(*(graph.omega[v] for v in chat_set)) \
         if chat_set else frozenset()

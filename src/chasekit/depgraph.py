@@ -85,9 +85,6 @@ class LabelledDepGraph:
     edges: tuple
     omega: dict
 
-    def edges_into(self, v: Variable) -> list:
-        return [e for e in self.edges if e.dst == v]
-
     def vertex_label(self, v: Variable) -> str:
         return f"{v.name}@r{self.program.rule_of_var[v].rule_id}"
 
@@ -165,61 +162,53 @@ class SccAnalysis:
         return [i for i, es in enumerate(self.intra_edges) if es]
 
 
-def _tarjan(vertices: tuple, succ: Mapping[Variable, list]) -> list:
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(succ.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+def _components(vertices: tuple, succ: Mapping[Variable, list],
+                pred: Mapping[Variable, list]) -> list:
+    """Strongly connected components by two plain walks (Sharir 1981): the
+    finish order of a depth-first walk, then a walk over reversed edges
+    from each unplaced vertex, latest finished first, which reaches
+    exactly that vertex's component."""
+    finished: list = []
+    seen: set = set()
+    for root in vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, it = work[-1]
-            advanced = False
+            v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                components.append(frozenset(comp))
-
-    for v in vertices:
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                finished.append(v)
+    placed: set = set()
+    components: list = []
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp, todo = [root], [root]
+        while todo:
+            for u in pred[todo.pop()]:
+                if u not in placed:
+                    placed.add(u)
+                    comp.append(u)
+                    todo.append(u)
+        components.append(frozenset(comp))
     return components
 
 
 def scc_analysis(graph: LabelledDepGraph) -> SccAnalysis:
     succ: dict = {v: [] for v in graph.vertices}
+    pred: dict = {v: [] for v in graph.vertices}
     for e in graph.edges:
         succ[e.src].append(e.dst)
-    components = _tarjan(graph.vertices, succ)
+        pred[e.dst].append(e.src)
+    components = _components(graph.vertices, succ, pred)
 
     # Topological order of the condensation; ties broken by the smallest
     # rule id (then variable id) occurring in the component.
@@ -300,7 +289,6 @@ def compute_rank(scc: SccAnalysis, certificates: Mapping[int, Iterable[DepEdge]]
     used to break its cycles; context components are those feeding, from the
     outside, a target of a certificate edge under a different label.
     """
-    graph = scc.graph
     ranks: dict = {}
     out = []
     for i, comp in enumerate(scc.components):
@@ -314,12 +302,9 @@ def compute_rank(scc: SccAnalysis, certificates: Mapping[int, Iterable[DepEdge]]
         else:
             if i not in certificates:
                 raise MissingCertificate(f"component {i} has no certificate edge set")
-            e_set = tuple(certificates[i])
-            cxt = set()
-            for ce in e_set:
-                for e in graph.edges_into(ce.dst):
-                    if scc.component_of[e.src] != i and e.label != ce.label:
-                        cxt.add(scc.component_of[e.src])
+            cxt = {scc.component_of[e.src] for ce in certificates[i]
+                   for e in scc.incoming_edges[i]
+                   if e.dst == ce.dst and e.label != ce.label}
             cxt_comps = tuple(sorted(cxt))
             r_cxt = max((ranks[j] for j in cxt_comps), default=0)
             bump = 1 if beta == 1 else 2

@@ -63,10 +63,8 @@ from typing import Callable, Iterator, Optional
 
 from .model import Atom, BCQ, Interpretation, Variable, atoms_variables
 
-# the arguments every node function takes; a step takes its facts first,
-# and a plan with ``keep`` also takes the run's set ``known`` last
-_ARGS = "slots, emit, pget, aget, count"
-_KEEP_ARGS = _ARGS + ", known"
+# the arguments every node function takes; a step takes its facts first
+_ARGS = "slots, emit, pget, aget, count, known"
 # source text -> its function's code object, shared by every plan
 _CODE: dict = {}
 
@@ -127,14 +125,13 @@ class Plan:
     ``start`` is the function a run calls first: the seed's step, or the
     node of no matched atoms.  A node, compiled on the first visit of a
     set ``mask`` of matched atoms and kept in ``_nodes``, is called as
-    ``node(slots, emit, pget, aget, count)``, where ``pget`` and ``aget``
-    read the interpretation's predicate and argument indexes and
-    ``count(list)`` is how many of a list's first facts are joined; the
-    functions of a ``keep`` plan also take and pass on ``known``, the set
-    or None.  For every remaining atom in turn (only the first without
-    reordering), it looks up the predicate's list and then each fixed
-    position's, keeps the shortest, and returns False at once when that is
-    empty; the first shortest over the atoms wins, and its step is called
+    ``node(slots, emit, pget, aget, count, known)``, where ``pget`` and
+    ``aget`` read the interpretation's predicate and argument indexes,
+    ``count(list)`` is how many of a list's first facts are joined and
+    ``known`` is the set or None, read only by a ``keep`` plan.  For
+    every remaining atom in turn (only the first without reordering), it
+    looks up the predicate's list and then each fixed position's, keeps
+    the shortest, and returns False at once when that is empty; the first shortest over the atoms wins, and its step is called
     with that list's first ``count`` facts.  Until its first call, a step
     is the stand-in ``_lazy``.  A step, called as ``step(facts, ...)``,
     compares each fact's fixed positions with their constants or bound
@@ -186,9 +183,8 @@ class Plan:
         if not self.reorder:
             remaining = remaining[:1]
         me = weakref.ref(self)
-        args = _ARGS if self.keep is None else _KEEP_ARGS
         names: dict = {}
-        lines = [f"def node({args}):"]
+        lines = [f"def node({_ARGS}):"]
         for k, j in enumerate(remaining):
             atom = self.atoms[j]
             names[f"p{k}"] = atom.pred
@@ -207,7 +203,7 @@ class Plan:
             lines += ["if not n:", "    return False"]
             if len(remaining) == 1:
                 lines += ["if n < len(facts):", "    facts = facts[:n]",
-                          f"return s0(facts, {args})"]
+                          f"return s0(facts, {_ARGS})"]
             elif k == 0:
                 lines += ["best = facts", "least = n", "step = s0"]
             else:
@@ -217,7 +213,7 @@ class Plan:
             lines += ["return True if emit(tuple(slots)) else False"]
         elif len(remaining) > 1:
             lines += ["if least < len(best):", "    best = best[:least]",
-                      f"return step(best, {args})"]
+                      f"return step(best, {_ARGS})"]
         node = self._nodes[mask] = _function(lines, names)
         return node
 
@@ -229,7 +225,6 @@ class Plan:
         first ``keep`` slots, is not in the run's set ``known``, and adds it
         there; a frontier bound before this step is that of every fact that
         fits, so the first repeat ends the scan."""
-        args = _ARGS if self.keep is None else _KEEP_ARGS
         names: dict = {"child": child}
         reads, tests, binds, live = [], [], [], []
         first: dict = {}
@@ -250,7 +245,7 @@ class Plan:
                 if s not in dead:
                     live.append(f"fa[{i}]")
         collapse = len(live) < len(binds)
-        lines = [f"def step(facts, {args}):", *reads]
+        lines = [f"def step(facts, {_ARGS}):", *reads]
         if collapse and live:
             lines.append("seen = set()")
         lines += ["for fact in facts:", "    fa = fact.args"]
@@ -263,7 +258,7 @@ class Plan:
         # needs no undo: the next fact overwrites it
         lines += binds
         if child is not None:
-            lines.append(f"    if child({args}):")
+            lines.append(f"    if child({_ARGS}):")
         else:
             if self.keep is not None:
                 front = "(" + "".join(f"slots[{s}], " for s in range(self.keep)) + ")"
@@ -303,8 +298,6 @@ class Plan:
         slots += [None] * (len(self.variables) - len(slots))
         start = self.start or self._compile()
         count = len if below is None else _counter(interp, below)
-        if self.keep is None:
-            return start(slots, emit, interp._pget, interp._aget, count)
         return start(slots, emit, interp._pget, interp._aget, count, None)
 
     def run_from(self, interp: Interpretation, fact: Atom,
@@ -317,9 +310,6 @@ class Plan:
         if len(fact.args) != len(self.seed.args):
             return False
         count = len if below is None else _counter(interp, below)
-        if self.keep is None:
-            return start((fact,), [None] * len(self.variables), emit, interp._pget,
-                         interp._aget, count)
         return start((fact,), [None] * len(self.variables), emit, interp._pget,
                      interp._aget, count, known)
 

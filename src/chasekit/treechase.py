@@ -242,8 +242,7 @@ class TaskTreeBuilder:
     same path.
     """
 
-    def __init__(self, program: Program, trace: ChaseTrace, tree: TermTree):
-        self.program = program
+    def __init__(self, trace: ChaseTrace, tree: TermTree):
         self.trace = trace
         self.tree = tree
         self.nodes_made = 0
@@ -284,9 +283,8 @@ class TaskTreeBuilder:
         return root
 
 
-def build_task_tree(program: Program, trace: ChaseTrace, tree: TermTree,
-                    target_step: int) -> TaskNode:
-    return TaskTreeBuilder(program, trace, tree).build(1, target_step)
+def build_task_tree(trace: ChaseTrace, tree: TermTree, target_step: int) -> TaskNode:
+    return TaskTreeBuilder(trace, tree).build(1, target_step)
 
 
 def schedule_sequence(node: TaskNode) -> list:
@@ -428,7 +426,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
         return GuidedResult(False, replayer.run.profile, 0,
                             tuple(0 for _ in q.atoms), 0, 0, reference)
     tree = build_term_tree(reference.trace, info)
-    builder = TaskTreeBuilder(program, reference.trace, tree)
+    builder = TaskTreeBuilder(reference.trace, tree)
     schedules = []
     for atom in q.atoms:
         ground = substitute(atom, theta)

@@ -8,7 +8,7 @@ checks without sharing code paths with them.
 
 from __future__ import annotations
 
-from chasekit.model import Atom, Variable, substitute
+from chasekit.model import Atom, Position, Variable, substitute
 from chasekit.saturation import PathQuery
 
 
@@ -178,21 +178,7 @@ def naive_ledgraph(program) -> dict:
     edges = tuple((u, y, w) for rule in program.rules for w in rule.existentials
                   for y in rule.frontier for u in vertices
                   if _positions(rule.body, y) <= omegas[u])
-    succ = {u: [w for src, _y, w in edges if src == u] for u in vertices}
-    reach = {}
-    for u in vertices:
-        seen, todo = {u}, [u]
-        while todo:
-            for w in succ[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        reach[u] = seen
-    classes = []
-    for u in vertices:
-        comp = frozenset(v for v in vertices if v in reach[u] and u in reach[v])
-        if comp not in classes:
-            classes.append(comp)
+    classes = naive_components(vertices, [(u, w) for u, _y, w in edges])
     preds = [{i for i, c in enumerate(classes) if c != d
               and any(u in c and w in d for u, _y, w in edges)} for d in classes]
     order = []
@@ -216,6 +202,45 @@ def naive_ledgraph(program) -> dict:
                                       if comp_of[e[2]] == i != comp_of[e[0]])
                                 for i in range(len(components))),
     }
+
+
+def naive_components(vertices, edges) -> list:
+    """The classes of mutual reachability of a directed graph given as
+    ``(src, dst)`` pairs, as frozensets in the order of their first
+    vertex; reachability grows by relaxing every edge until nothing
+    changes."""
+    reach = {v: {v} for v in vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            if not reach[b] <= reach[a]:
+                reach[a] |= reach[b]
+                changed = True
+    classes = []
+    for u in vertices:
+        comp = frozenset(v for v in vertices if v in reach[u] and u in reach[v])
+        if comp not in classes:
+            classes.append(comp)
+    return classes
+
+
+def naive_var_order(program, pairs) -> frozenset:
+    """The variable order that position pairs induce: ``x <= y`` when ``x``
+    and ``y`` sit in one body atom at a pair of positions in ``pairs``,
+    plus ``x <= x`` for every variable, composed with itself until nothing
+    changes."""
+    order = {(v, v) for rule in program.rules for v in rule.variables()}
+    order |= {(a, b) for rule in program.rules for atom in rule.body
+              for i, a in enumerate(atom.args, start=1)
+              for j, b in enumerate(atom.args, start=1)
+              if isinstance(a, Variable) and isinstance(b, Variable)
+              and (Position(atom.pred, i), Position(atom.pred, j)) in pairs}
+    while True:
+        composed = order | {(a, c) for a, b in order for b2, c in order if b == b2}
+        if composed == order:
+            return frozenset(order)
+        order = composed
 
 
 def qbf_brute_force(quantifiers, clauses) -> bool:

@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from chasekit.arboreal import (build_null_forest,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chasekit.arboreal import (_induced_var_order, build_null_forest,
                                build_term_tree, check_arboreous,
                                check_locality, check_order_soundness,
                                compute_position_order, is_path_guarded)
@@ -9,6 +12,7 @@ from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
 from chasekit.depgraph import Position, build_ledgraph, compute_rank, scc_analysis
 from chasekit.model import parse_program
 from chasekit.saturation import find_saturating_certificate
+from oracles import naive_var_order
 
 
 def analyze(program):
@@ -213,3 +217,15 @@ def test_order_anti_monotone_under_added_rule(qbf_setup):
     order2 = compute_position_order(extended, graph2, scc2, info2)
     shared = {(a, b) for a, b in order2.pairs if a.pred != "link" and b.pred != "link"}
     assert shared <= order1.pairs
+
+
+_QBF = gen_qbf(QbfFormula("ea", ((1, 2), (1, -2)))).program
+_QBF_PAIRS = sorted((Position(pred, i), Position(pred, j))
+                    for pred, arity in _QBF.signature.items()
+                    for i, j in itertools.product(range(1, arity + 1), repeat=2))
+
+
+@given(st.sets(st.sampled_from(_QBF_PAIRS)))
+@settings(max_examples=100, deadline=None)
+def test_induced_var_order_is_the_oracles(pairs):
+    assert _induced_var_order(_QBF, pairs) == naive_var_order(_QBF, pairs)

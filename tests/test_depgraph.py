@@ -1,15 +1,15 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
                              instance_from_name)
-from chasekit.depgraph import (MissingCertificate, Position, build_ledgraph,
-                               compute_omegas, compute_rank, positions_of,
-                               scc_analysis)
+from chasekit.depgraph import (MissingCertificate, Position, _components,
+                               build_ledgraph, compute_omegas, compute_rank,
+                               positions_of, scc_analysis)
 from chasekit.model import parse_program
-from oracles import naive_ledgraph, naive_omegas
+from oracles import naive_components, naive_ledgraph, naive_omegas
 from test_invariants import _layered_program
 
 
@@ -227,3 +227,24 @@ def test_graph_equals_the_oracle_on_unions():
 @given(_layered_program())
 def test_graph_equals_the_oracle_on_layered_programs(case):
     _assert_graph_is_the_oracles(parse_program(case[0]))
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@given(_digraphs())
+@example((12, [(i, (i + 1) % 12) for i in range(12)]))    # one full cycle
+@example((5, []))                                          # isolated vertices
+@example((4, [(0, 0), (1, 1), (0, 1), (2, 3)]))            # self-loops
+@settings(max_examples=200, deadline=None)
+def test_components_are_the_oracles_partition(graph):
+    n, edges = graph
+    vertices = tuple(range(n))
+    succ = {v: [b for a, b in edges if a == v] for v in vertices}
+    pred = {v: [a for a, b in edges if b == v] for v in vertices}
+    found = _components(vertices, succ, pred)
+    assert sorted(map(sorted, found)) == sorted(map(sorted, naive_components(vertices, edges)))

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from chasekit.arboreal import ArboreousInfo, InvariantViolation, build_null_forest
-from chasekit.chase import ChaseTrace, Seeded, chase, validate_trace
+from chasekit.arboreal import (ArboreousInfo, InvariantViolation, NullForest,
+                               build_null_forest, build_term_tree)
+from chasekit.chase import ChaseStep, ChaseTrace, Seeded, chase, validate_trace
 from chasekit.corpus import gen_dexp, gen_sets
 from chasekit.depgraph import build_ledgraph, positions_of, scc_analysis
 from chasekit.model import (Atom, Constant, Null, Variable, parse_facts,
@@ -92,16 +93,42 @@ def test_validate_trace_rejects_later_existential_step_before_fixpoint():
         validate_trace(program, result.trace)
 
 
-def test_null_forest_rejects_two_parents():
+def _forest_of(edges):
+    """``build_null_forest`` on a trace of three nulls of one certificate
+    existential whose chain edges join the nulls numbered ``edges``."""
     program = gen_sets(1).program
     v = program.rules[0].existentials[0]
-    n1, n2, n3 = Null(1, "n1"), Null(2, "n2"), Null(3, "n3")
+    nulls = {i: Null(i, f"n{i}") for i in (1, 2, 3)}
     trace = ChaseTrace(program, ())
-    trace.var_of_null = {n1: v, n2: v, n3: v}
-    trace.chain_edges = [(n1, v, n3), (n2, v, n3)]
-    info = ArboreousInfo("arboreous", chat=(v,))
+    trace.var_of_null = {n: v for n in nulls.values()}
+    trace.chain_edges = [(nulls[t], v, nulls[n]) for t, n in edges]
+    return build_null_forest(trace, ArboreousInfo("arboreous", chat=(v,)))
+
+
+def test_null_forest_rejects_two_parents():
     with pytest.raises(InvariantViolation):
-        build_null_forest(trace, info)
+        _forest_of([(1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("edges", [[(1, 2), (2, 1)],     # a 2-cycle
+                                   [(3, 2)]])            # a younger parent
+def test_null_forest_rejects_a_parent_not_older_than_its_child(edges):
+    with pytest.raises(InvariantViolation, match="not older"):
+        _forest_of(edges)
+
+
+def test_term_tree_rejects_a_bag_whose_parent_bag_is_younger():
+    program = gen_sets(1).program
+    rule = program.rules[0]
+    v = rule.existentials[0]
+    n1, n2 = Null(1, "n1"), Null(2, "n2")
+    trace = ChaseTrace(program, ())
+    trace.steps = [ChaseStep(i, rule.rule_id, rule.step_variables, (), (), (), (n,))
+                   for i, n in ((1, n1), (2, n2))]
+    info = ArboreousInfo("arboreous", chat=(v,), ehat_rule_ids=(rule.rule_id,))
+    # bag 1, of step 1, hangs below bag 2, of the later step 2
+    with pytest.raises(InvariantViolation, match="not older"):
+        build_term_tree(trace, info, NullForest((n1, n2), {n1: n2}))
 
 
 def test_seeded_strategy_reproducible_per_seed():

@@ -131,7 +131,7 @@ def test_task_tree_single_node_for_root_only_body():
     tree = build_term_tree(result.trace, info)
     pair_step = next(s for s in result.trace.steps
                      if program.rule(s.rule_id).head[0].pred == "pair")
-    node = build_task_tree(program, result.trace, tree, pair_step.index)
+    node = build_task_tree(result.trace, tree, pair_step.index)
     assert node.depth == 1 and node.step == pair_step.index
     sub_steps = schedule_sequence(node)
     assert sub_steps[-1] == pair_step.index
@@ -143,7 +143,7 @@ def test_task_tree_descendants_strictly_earlier(sets1):
     result = chase(inst.program, inst.database, max_steps=4000)
     tree = build_term_tree(result.trace, info)
     target = result.trace.steps[-1].index
-    node = build_task_tree(inst.program, result.trace, tree, target)
+    node = build_task_tree(result.trace, tree, target)
 
     def check(n):
         for c in n.children:
