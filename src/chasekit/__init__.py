@@ -1,32 +1,29 @@
 """Toolkit for existential rules: restricted chase, termination analysis,
-and space-bounded query answering."""
+and space-bounded query answering.
+
+``__all__`` is the public API, listed by module under "Library" in the
+README; every other name is internal to its module.
+"""
 
 import sys
 import types
 
 from .model import (Atom, BCQ, Constant, Database, Interpretation, KbError,
-                    Null, ParseError, Program, Term, Tgd, ValidationError,
-                    Variable, parse_facts, parse_program, parse_query)
-from .matching import bcq_match, evaluate_bcq, find_matches, head_satisfied
-from .datalog import entails, saturate
-from .chase import (ChaseResult, ChaseStep, ChaseTrace, Deterministic, Seeded,
-                    chase, validate_trace)
-from .depgraph import (DepEdge, LabelledDepGraph, Position, RankReport,
-                       SccAnalysis, build_ledgraph, compute_omegas,
-                       compute_rank, positions_of, scc_analysis)
-from .saturation import (CheckReport, PathQuery, SaturationResult,
-                         check_e_saturating, enumerate_ebar_paths,
-                         find_saturating_certificate, is_base_propagating,
-                         is_step_propagating, path_query)
-from .arboreal import (ArboreousInfo, InvariantViolation, NullForest,
-                       PathGuardReport, PositionOrder, TermTree,
-                       build_null_forest, build_term_tree, check_arboreous,
+                    Null, ParseError, Position, Program, Term, Tgd,
+                    ValidationError, Variable, parse_facts, parse_program,
+                    parse_query)
+from .matching import bcq_match, evaluate_bcq, head_satisfied
+from .datalog import entails
+from .chase import ChaseResult, ChaseStep, ChaseTrace, Deterministic, Seeded, chase
+from .depgraph import (DepEdge, LabelledDepGraph, RankReport, SccAnalysis,
+                       build_ledgraph, compute_rank, scc_analysis)
+from .saturation import CheckReport, SaturationResult, find_saturating_certificate
+from .arboreal import (ArboreousInfo, InvariantViolation, PathGuardReport,
+                       PositionOrder, TermTree, build_term_tree, check_arboreous,
                        compute_position_order, is_path_guarded)
-from .treechase import (Apply, Break, GuidedResult, InvalidChoice,
-                        ReferenceCapExceeded, ReplayDivergence, SpaceProfile,
-                        TaskNode, TreeChaseRun,
-                        build_task_tree, schedule_sequence, tree_chase_guided,
-                        tree_chase_run, tree_chase_search)
+from .treechase import (GuidedResult, ReferenceCapExceeded, ReplayDivergence,
+                        SpaceProfile, TreeChaseRun, tree_chase_guided,
+                        tree_chase_search)
 from .corpus import (CorpusInstance, QbfFormula, gen_counter, gen_dexp,
                      gen_dexp_nonterm, gen_qbf, gen_sets, gen_sets_nonterm,
                      instance_from_name, qbf_truth)
@@ -47,25 +44,19 @@ chase.__class__ = _ChaseModule
 
 __all__ = [
     "Atom", "BCQ", "Constant", "Database", "Interpretation", "KbError", "Null",
-    "ParseError", "Program", "Term", "Tgd", "ValidationError", "Variable",
-    "parse_facts", "parse_program", "parse_query",
-    "bcq_match", "evaluate_bcq", "find_matches", "head_satisfied",
-    "entails", "saturate",
-    "ChaseResult", "ChaseStep", "ChaseTrace", "Deterministic", "Seeded",
-    "chase", "validate_trace",
-    "DepEdge", "LabelledDepGraph", "Position", "RankReport", "SccAnalysis",
-    "build_ledgraph", "compute_omegas", "compute_rank", "positions_of",
-    "scc_analysis",
-    "CheckReport", "PathQuery", "SaturationResult", "check_e_saturating",
-    "enumerate_ebar_paths", "find_saturating_certificate",
-    "is_base_propagating", "is_step_propagating", "path_query",
-    "ArboreousInfo", "InvariantViolation", "NullForest", "PathGuardReport",
-    "PositionOrder", "TermTree", "build_null_forest", "build_term_tree",
-    "check_arboreous", "compute_position_order", "is_path_guarded",
-    "Apply", "Break", "GuidedResult", "InvalidChoice", "ReferenceCapExceeded",
-    "ReplayDivergence", "SpaceProfile", "TaskNode", "TreeChaseRun",
-    "build_task_tree", "schedule_sequence", "tree_chase_guided",
-    "tree_chase_run", "tree_chase_search",
+    "ParseError", "Position", "Program", "Term", "Tgd", "ValidationError",
+    "Variable", "parse_facts", "parse_program", "parse_query",
+    "bcq_match", "evaluate_bcq", "head_satisfied",
+    "entails",
+    "ChaseResult", "ChaseStep", "ChaseTrace", "Deterministic", "Seeded", "chase",
+    "DepEdge", "LabelledDepGraph", "RankReport", "SccAnalysis",
+    "build_ledgraph", "compute_rank", "scc_analysis",
+    "CheckReport", "SaturationResult", "find_saturating_certificate",
+    "ArboreousInfo", "InvariantViolation", "PathGuardReport", "PositionOrder",
+    "TermTree", "build_term_tree", "check_arboreous", "compute_position_order",
+    "is_path_guarded",
+    "GuidedResult", "ReferenceCapExceeded", "ReplayDivergence", "SpaceProfile",
+    "TreeChaseRun", "tree_chase_guided", "tree_chase_search",
     "CorpusInstance", "QbfFormula", "gen_counter", "gen_dexp",
     "gen_dexp_nonterm", "gen_qbf", "gen_sets", "gen_sets_nonterm",
     "instance_from_name", "qbf_truth",

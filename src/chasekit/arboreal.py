@@ -351,8 +351,7 @@ def is_path_guarded(program: Program, order: PositionOrder) -> PathGuardReport:
 # Trace-level checks used by the test suites
 # ---------------------------------------------------------------------------
 
-def check_order_soundness(trace: ChaseTrace, tree: TermTree,
-                          order: PositionOrder, interp) -> None:
+def check_order_soundness(tree: TermTree, order: PositionOrder, interp) -> None:
     """Every surviving pair must see an ancestor-or-self bag relation on
     every fact of the chase."""
     for atom in interp:

@@ -23,15 +23,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .model import Position, Program, Variable
 
 
-def positions_of(program: Program, var: Variable, side: str) -> frozenset:
-    """All predicate positions where ``var`` occurs in its rule's body or head
-    (from ``Program.positions``)."""
-    both = program.positions.get(var)
-    if both is None:
-        raise KeyError(f"unknown variable {var}")
-    return frozenset(both[0] if side == "body" else both[1])
-
-
 def compute_omegas(program: Program) -> dict:
     """Least position sets closed under body-to-head flow, per existential.
 

@@ -174,11 +174,6 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
     return comp.paths(e_set, removed, path_budget)
 
 
-def _is_acyclic(vertices, edges) -> bool:
-    """Whether the graph of ``edges`` over ``vertices`` has no cycle."""
-    return _Component(vertices, edges).acyclic(())
-
-
 class _Component:
     """A graph over integer ids, compiled once: vertices are numbered in
     the order of their variable ids and edges in the order given, so

@@ -14,18 +14,17 @@ over live terms.  A pop therefore deletes exactly the facts that mention a
 popped term, which are the facts a filter of the whole set over the live
 terms would drop, and the survivors keep their order.
 
-Choices are supplied by scripts, so the nondeterminism lives in drivers:
+The nondeterminism lives in two drivers, which choose the steps:
 
 * the *guided* driver replays one full-chase derivation of a query match,
   scheduling for every producing step the tasks that rebuild the needed
   path bottom-up (children before parents, shallow before deep);
-* the *search* driver explores all scripts up to an inner bound, for tiny
+* the *search* driver explores every run up to an inner bound, for tiny
   instances only.
 
-The code that chooses a step checks it, and ``TreeChaseRun.apply`` only
-executes: ``tree_chase_run`` checks each scripted choice with
-``check_applicable``, the guided replay checks each translated step, and
-the search applies only the unsatisfied matches it has just listed.
+The driver that chooses a step checks it, and ``TreeChaseRun.apply`` only
+executes: the guided replay checks each translated step, and the search
+applies only the unsatisfied matches it has just listed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .arboreal import ArboreousInfo, InvariantViolation, TermTree, build_term_tree
-from .chase import ChaseResult, ChaseTrace, Deterministic, chase, step_violation
+from .chase import ChaseResult, ChaseTrace, Deterministic, chase
 from .matching import bcq_match, evaluate_bcq, head_satisfied, unsatisfied_matches
 from .model import (Atom, BCQ, Constant, Database, Null,
                     Program, Term, Tgd, Variable, substitute)
@@ -47,10 +46,6 @@ from .model import (Atom, BCQ, Constant, Database, Null,
 _NULL_NAMESPACE = 1_000_000_000
 # task nodes one TaskTreeBuilder may create before it gives up
 _TASK_NODE_CAP = 500_000
-
-
-class InvalidChoice(Exception):
-    pass
 
 
 class ReplayDivergence(Exception):
@@ -75,20 +70,9 @@ class SpaceProfile:
                 "innerSteps": list(self.inner_steps)}
 
 
-@dataclass(frozen=True)
-class Apply:
-    rule_id: int
-    match: tuple      # sorted ((variable, term), ...) pairs
-
-
-@dataclass(frozen=True)
-class Break:
-    pass
-
-
 class TreeChaseRun:
-    """One run of the bounded chase; ``apply`` executes steps its caller
-    has checked (``check_applicable`` checks a choice from outside).
+    """One run of the bounded chase, driven by the guided replay or the
+    search; ``apply`` executes steps its driver has checked.
 
     ``interp`` changes in place (see the module docstring); ``snapshot``
     and ``restore`` save and bring back the facts, the stack and the step
@@ -96,7 +80,6 @@ class TreeChaseRun:
     """
 
     def __init__(self, program: Program, database: Database, v_ehat: Iterable[Variable]):
-        self.program = program
         self.v_ehat = set(v_ehat)
         self.interp = database.copy()
         constants = list(dict.fromkeys(
@@ -127,12 +110,6 @@ class TreeChaseRun:
         live = sum(map(len, self.stack))     # the layers are disjoint
         p.max_terms = max(p.max_terms, live)
         p.max_live_nulls = max(p.max_live_nulls, live - self._constants)
-
-    def check_applicable(self, rule: Tgd, match: dict) -> None:
-        """Raise InvalidChoice unless the step is a Datalog-first chase step."""
-        violation = step_violation(self.program, self.interp, rule, match)
-        if violation is not None:
-            raise InvalidChoice(f"rule {rule.rule_id}: {violation}")
 
     # -- transitions ----------------------------------------------------------
 
@@ -190,38 +167,6 @@ class TreeChaseRun:
         self.interp, self.stack, self.profile.inner_steps = state
 
 
-def tree_chase_run(program: Program, database: Database, q: BCQ,
-                   v_ehat: Iterable[Variable], m_bound: int,
-                   scripts: Iterable[Iterable]) -> tuple:
-    """Execute scripts (one per query atom, Apply/Break entries) and report
-    the verdict together with the run's space profile; a malformed or
-    inapplicable choice raises InvalidChoice."""
-    run = TreeChaseRun(program, database, v_ehat)
-    scripts = list(scripts)
-    if len(scripts) > len(q):
-        raise InvalidChoice(f"{len(scripts)} scripts for {len(q)} query atoms")
-    for script in scripts:
-        steps = 0
-        for choice in script:
-            if isinstance(choice, Break):
-                break
-            if not isinstance(choice, Apply):
-                raise InvalidChoice(f"script entry {choice!r} is neither Apply nor Break")
-            steps += 1
-            if steps > m_bound:
-                raise InvalidChoice(f"script exceeds the inner bound {m_bound}")
-            try:
-                rule, match = program.rule(choice.rule_id), dict(choice.match)
-            except (KeyError, TypeError, ValueError):
-                raise InvalidChoice(f"malformed choice {choice!r}") from None
-            run.check_applicable(rule, match)
-            run.apply(rule, match)
-        run.break_iteration()
-    while len(run.profile.inner_steps) < len(q) + 1:
-        run.break_iteration()
-    return run.holds(q), run.profile
-
-
 # ---------------------------------------------------------------------------
 # Task trees
 # ---------------------------------------------------------------------------
@@ -243,8 +188,6 @@ class TaskTreeBuilder:
     """
 
     def __init__(self, trace: ChaseTrace, tree: TermTree):
-        self.trace = trace
-        self.tree = tree
         self.nodes_made = 0
         self.atom_steps: dict = {}    # (depth, path) -> ascending step indices
         for step in trace.steps:
@@ -281,10 +224,6 @@ class TaskTreeBuilder:
                     node.children.append(TaskNode(e, j, []))
             pending.extend(reversed(node.children))
         return root
-
-
-def build_task_tree(trace: ChaseTrace, tree: TermTree, target_step: int) -> TaskNode:
-    return TaskTreeBuilder(trace, tree).build(1, target_step)
 
 
 def schedule_sequence(node: TaskNode) -> list:
@@ -459,7 +398,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
 def tree_chase_search(program: Program, database: Database, q: BCQ,
                       v_ehat: Iterable[Variable], m_bound: int,
                       node_budget: int = 100_000) -> str:
-    """Explore every script up to the inner bound; 'true' if some run
+    """Explore every run up to the inner bound; 'true' if some run
     accepts, 'false' only on full exhaustion, else 'inconclusive'."""
     run = TreeChaseRun(program, database, v_ehat)
 

@@ -246,8 +246,7 @@ def test_criterion_5_trace_invariants(cache, qbf_results):
                 continue
             forest = build_null_forest(result.trace, info)   # in-degree <= 1
             tree = build_term_tree(result.trace, info, forest)  # partition
-            check_order_soundness(result.trace, tree, report.order,
-                                  result.interpretation)
+            check_order_soundness(tree, report.order, result.interpretation)
             if report.path_guarded.guarded:
                 check_locality(inst.program, result.trace, tree)
 
@@ -317,10 +316,10 @@ def test_criterion_8_propagation_oracle_equivalence(cache):
 
 
 def _feedback(scc, ci, e_set):
-    from chasekit.saturation import _is_acyclic
+    from chasekit.saturation import _Component
     keys = {(e.src, e.label, e.dst) for e in e_set}
     rest = [e for e in scc.intra_edges[ci] if (e.src, e.label, e.dst) not in keys]
-    return _is_acyclic(scc.components[ci], rest)
+    return _Component(scc.components[ci], rest).acyclic(())
 
 
 def test_criterion_9_counter_total_order(cache):

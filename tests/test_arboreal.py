@@ -202,7 +202,7 @@ def test_order_soundness_and_locality_on_qbf_trace(qbf_setup):
     result = chase(inst.program, inst.database, max_steps=8000)
     tree = build_term_tree(result.trace, info)
     order = compute_position_order(inst.program, graph, scc, info)
-    check_order_soundness(result.trace, tree, order, result.interpretation)
+    check_order_soundness(tree, order, result.interpretation)
     check_locality(inst.program, result.trace, tree)
 
 

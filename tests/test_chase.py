@@ -1,7 +1,10 @@
 import hashlib
+import importlib
 import json
+import re
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +281,24 @@ def test_package_chase_is_the_module_and_still_runs_the_chase():
     expected = chase(inst.program, inst.database).trace.lines()
     assert imported(inst.program, inst.database).trace.lines() == expected
     assert chasekit.chase(inst.program, inst.database, max_steps=5000).trace.lines() == expected
+
+
+def test_readme_lists_the_public_names_by_module():
+    """The README's list under "Library" is ``chasekit.__all__``, each name
+    once, under the module that defines it."""
+    import chasekit
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`:(.*(?:\n  .*)*)", library, re.M)
+    listed = [(module, name) for module, names in bullets
+              for name in re.findall(r"`(\w+)`", names)]
+    assert sorted(name for _, name in listed) == sorted(chasekit.__all__)
+    assert len({name for _, name in listed}) == len(listed)
+    for module, name in listed:
+        obj = vars(importlib.import_module(f"chasekit.{module}"))[name]
+        # Term, a typing alias, names no defining module of its own
+        assert obj.__module__ in (f"chasekit.{module}", "typing"), name
 
 
 # -- each rule's plans are compiled once, on the rule --------------------------

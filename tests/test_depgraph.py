@@ -7,7 +7,7 @@ from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
                              instance_from_name)
 from chasekit.depgraph import (MissingCertificate, Position, _components,
                                build_ledgraph, compute_omegas, compute_rank,
-                               positions_of, scc_analysis)
+                               scc_analysis)
 from chasekit.model import parse_program
 from oracles import naive_components, naive_ledgraph, naive_omegas
 from test_invariants import _layered_program
@@ -28,11 +28,11 @@ def dexp():
 
 def test_positions_of_body_and_head(dexp):
     x = _var(dexp, 4, "X")
-    assert positions_of(dexp, x, "body") == {Position("cat", 4)}
+    assert set(dexp.positions[x][0]) == {Position("cat", 4)}
     v = _var(dexp, 2, "V")
-    assert positions_of(dexp, v, "head") == {Position("cat", 4)}
+    assert set(dexp.positions[v][1]) == {Position("cat", 4)}
     z = _var(dexp, 4, "Z")
-    assert positions_of(dexp, z, "head") == frozenset()
+    assert set(dexp.positions[z][1]) == set()
 
 
 def test_omega_sets_of_the_doubling_construction(dexp):

@@ -11,16 +11,9 @@ from chasekit.arboreal import (ArboreousInfo, InvariantViolation, NullForest,
                                build_null_forest, build_term_tree)
 from chasekit.chase import ChaseStep, ChaseTrace, Seeded, chase, validate_trace
 from chasekit.corpus import gen_dexp, gen_sets
-from chasekit.depgraph import build_ledgraph, positions_of, scc_analysis
-from chasekit.model import (Atom, Constant, Null, Variable, parse_facts,
-                            parse_program)
+from chasekit.depgraph import build_ledgraph, scc_analysis
+from chasekit.model import Atom, Constant, Null, parse_facts, parse_program
 from chasekit.saturation import enumerate_ebar_paths
-
-
-def test_positions_of_unknown_variable():
-    program = parse_program("p(X) -> q(X) .")
-    with pytest.raises(KeyError):
-        positions_of(program, Variable(999, "Zz"), "body")
 
 
 def test_zero_arity_predicates():
@@ -48,7 +41,17 @@ def test_validate_trace_catches_tampered_match():
     result = chase(inst.program, inst.database, max_steps=2000)
     step = result.trace.steps[0]
     step.match = {v: Constant("wrong") for v in step.match}
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="does not embed the body"):
+        validate_trace(inst.program, result.trace)
+
+
+def test_validate_trace_catches_repeated_step():
+    inst = gen_sets(1)
+    result = chase(inst.program, inst.database, max_steps=2000)
+    steps = result.trace.steps
+    # the first step's own head facts satisfy its match the second time
+    steps.insert(1, steps[0])
+    with pytest.raises(AssertionError, match="match was already satisfied"):
         validate_trace(inst.program, result.trace)
 
 

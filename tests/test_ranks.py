@@ -76,7 +76,7 @@ def test_chain_chase_matches_the_closed_form_and_its_invariants(k, n):
     assert len(nulls) == expected_nulls(k, n)
     report = analyze(program)
     tree = build_term_tree(result.trace, report.arboreous)
-    check_order_soundness(result.trace, tree, report.order, result.interpretation)
+    check_order_soundness(tree, report.order, result.interpretation)
     check_locality(program, result.trace, tree)
 
 

@@ -11,7 +11,7 @@ from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
 from chasekit.datalog import entails
 from chasekit.model import Variable, parse_program, substitute
 from chasekit.saturation import (NonComposablePath, PathBudgetExceeded, PathQuery,
-                                 PropagationCache, _is_acyclic, check_e_saturating,
+                                 PropagationCache, _Component, check_e_saturating,
                                  enumerate_ebar_paths, find_saturating_certificate,
                                  is_base_propagating, is_step_propagating,
                                  path_query)
@@ -234,8 +234,8 @@ def test_acyclicity_check_is_iterative_on_long_paths():
     vs = [Variable(i, f"V{i}") for i in range(3000)]
     label = Variable(10_000, "Y")
     path = [DepEdge(a, label, b) for a, b in zip(vs, vs[1:])]
-    assert _is_acyclic(vs, path)
-    assert not _is_acyclic(vs, path + [DepEdge(vs[-1], label, vs[0])])
+    assert _Component(vs, path).acyclic(())
+    assert not _Component(vs, path + [DepEdge(vs[-1], label, vs[0])]).acyclic(())
 
 
 def _ring(n):

@@ -11,11 +11,8 @@ from chasekit.matching import evaluate_bcq
 from chasekit.model import (Interpretation, Null, parse_facts, parse_program, parse_query,
                             substitute)
 from chasekit.saturation import find_saturating_certificate
-from chasekit.treechase import (Apply, InvalidChoice, TaskNode, TaskTreeBuilder,
-                                TreeChaseRun, _GuidedReplayer,
-                                build_task_tree, schedule_sequence,
-                                tree_chase_guided, tree_chase_run,
-                                tree_chase_search)
+from chasekit.treechase import (TaskNode, TaskTreeBuilder, TreeChaseRun, _GuidedReplayer,
+                                schedule_sequence, tree_chase_guided, tree_chase_search)
 from test_acceptance import QBF_SUITE
 
 
@@ -35,64 +32,12 @@ def sets1():
     return inst, arboreous_info(inst.program)
 
 
-def test_empty_script_keeps_database(sets1):
-    inst, info = sets1
-    q = parse_query("?- su(a1,S,S) .", inst.program.signature)
-    verdict, profile = tree_chase_run(inst.program, inst.database, q,
-                                      info.v_ehat, 4, [[], []][:1])
-    assert verdict is False
-    assert profile.max_atoms == len(inst.database)
-
-
 def test_query_satisfied_by_database_needs_no_steps(sets1):
     inst, info = sets1
     q = parse_query("?- elem(a1) .", inst.program.signature)
-    verdict, _ = tree_chase_run(inst.program, inst.database, q, info.v_ehat, 4, [[]])
-    assert verdict is True
-
-
-def test_manual_script_builds_singleton(sets1):
-    inst, info = sets1
-    program = inst.program
-    rule = program.rule(1)
-    by_name = {v.name: v for v in rule.variables()}
-    match = ((by_name["X"], parse_facts("elem(a1) .").by_pred("elem")[0].args[0]),
-             (by_name["S"], parse_facts("set(e0) .").by_pred("set")[0].args[0]))
-    q = parse_query("?- su(a1,S,S) .", program.signature)
-    verdict, profile = tree_chase_run(program, inst.database, q, info.v_ehat, 4,
-                                      [[Apply(1, match)]])
-    assert verdict is True
-    assert profile.max_stack == 2      # root plus one pushed bag
-
-
-def test_invalid_script_rejected(sets1):
-    inst, info = sets1
-    program = inst.program
-    rule = program.rule(1)
-    by_name = {v.name: v for v in rule.variables()}
-    elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
-    match = ((by_name["X"], elem_a.args[0]), (by_name["S"], set_e0.args[0]))
-    q = parse_query("?- su(a1,S,S) .", program.signature)
-    with pytest.raises(InvalidChoice, match="already satisfied"):
-        # the second application of the same match finds it satisfied
-        tree_chase_run(program, inst.database, q, info.v_ehat, 4,
-                       [[Apply(1, match), Apply(1, match)]])
-
-
-@pytest.mark.parametrize("choice", [Apply(99, ()), Apply(1, 5)],
-                         ids=["unknown rule", "match not a pair sequence"])
-def test_script_with_a_malformed_choice_rejected(sets1, choice):
-    inst, info = sets1
-    q = parse_query("?- su(a1,S,S) .", inst.program.signature)
-    with pytest.raises(InvalidChoice, match="malformed choice"):
-        tree_chase_run(inst.program, inst.database, q, info.v_ehat, 4, [[choice]])
-
-
-def test_script_entry_neither_apply_nor_break_rejected(sets1):
-    inst, info = sets1
-    q = parse_query("?- su(a1,S,S) .", inst.program.signature)
-    with pytest.raises(InvalidChoice, match="neither Apply nor Break"):
-        tree_chase_run(inst.program, inst.database, q, info.v_ehat, 4, [[(1, ())]])
+    # the search accepts at its root, before its first move
+    assert tree_chase_search(inst.program, inst.database, q, info.v_ehat, 4,
+                             node_budget=1) == "true"
 
 
 def test_guided_sets_query_true(sets1):
@@ -131,7 +76,7 @@ def test_task_tree_single_node_for_root_only_body():
     tree = build_term_tree(result.trace, info)
     pair_step = next(s for s in result.trace.steps
                      if program.rule(s.rule_id).head[0].pred == "pair")
-    node = build_task_tree(result.trace, tree, pair_step.index)
+    node = TaskTreeBuilder(result.trace, tree).build(1, pair_step.index)
     assert node.depth == 1 and node.step == pair_step.index
     sub_steps = schedule_sequence(node)
     assert sub_steps[-1] == pair_step.index
@@ -143,7 +88,7 @@ def test_task_tree_descendants_strictly_earlier(sets1):
     result = chase(inst.program, inst.database, max_steps=4000)
     tree = build_term_tree(result.trace, info)
     target = result.trace.steps[-1].index
-    node = build_task_tree(result.trace, tree, target)
+    node = TaskTreeBuilder(result.trace, tree).build(1, target)
 
     def check(n):
         for c in n.children:
@@ -237,27 +182,9 @@ def test_run_log_records_prunes_and_pushes(sets1):
     assert len(run.interp) == len(inst.database) + 3
 
 
-def test_datalog_first_strictness_is_enforced_in_scripted_runs(sets1):
-    inst, info = sets1
-    program = parse_program(inst.program.to_text() + "elem(X) -> seen(X) .\n")
-    info2 = arboreous_info(program)
-    rule = program.rule(1)
-    by_name = {v.name: v for v in rule.variables()}
-    elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
-    match = ((by_name["X"], elem_a.args[0]), (by_name["S"], set_e0.args[0]))
-    q = parse_query("?- su(a1,S,S) .", program.signature)
-    with pytest.raises(InvalidChoice, match="not at fixpoint"):
-        # the seen-rule is still unsaturated
-        tree_chase_run(program, inst.database, q, info2.v_ehat, 4, [[Apply(1, match)]])
-
-
-def test_guided_and_search_apply_without_the_outside_check(monkeypatch):
-    """Guided replay and the search check their own steps: with
-    ``check_applicable`` raising, both still give their results."""
-    def refuse(self, rule, match):
-        raise AssertionError("check_applicable called outside tree_chase_run")
-
-    monkeypatch.setattr(TreeChaseRun, "check_applicable", refuse)
+def test_guided_and_search_apply_without_the_outside_check():
+    """Guided replay and the search check their own steps, so both give
+    their results with nothing checking a step from outside."""
     for qs, cl in QBF_SUITE:
         formula = QbfFormula(qs, cl)
         assert _qbf_guided(formula).entailed == qbf_truth(formula)
