@@ -71,6 +71,15 @@ def test_validate_trace_catches_reused_null():
         validate_trace(inst.program, result.trace)
 
 
+
+def test_validate_trace_catches_head_mismatch():
+    inst = gen_sets(1)
+    result = chase(inst.program, inst.database, max_steps=2000)
+    step = result.trace.steps[0]
+    step.new_facts = step.new_facts + step.new_facts[:1]
+    with pytest.raises(AssertionError, match="step 1: head mismatch"):
+        validate_trace(inst.program, result.trace)
+
 # an existential rule beside a Datalog rule over the same facts: the Datalog
 # step comes first, and a trace without it fires the existential rule early
 _EARLY = "p(X) -> s(X) .\np(X) -> r(X,V) .\nr(X,Y) -> u(Y) .\nr(X,Y) -> t(Y,W) .\n"

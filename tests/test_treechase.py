@@ -8,8 +8,8 @@ from chasekit.chase import chase
 from chasekit.corpus import QbfFormula, gen_qbf, gen_sets, qbf_truth
 from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
 from chasekit.matching import evaluate_bcq
-from chasekit.model import (Interpretation, Null, parse_facts, parse_program, parse_query,
-                            substitute)
+from chasekit.model import (Constant, Interpretation, Null, parse_facts, parse_program,
+                            parse_query, substitute)
 from chasekit.saturation import find_saturating_certificate
 from chasekit.treechase import (TaskNode, TaskTreeBuilder, TreeChaseRun, _GuidedReplayer,
                                 schedule_sequence, tree_chase_guided, tree_chase_search)
@@ -370,6 +370,46 @@ def test_incremental_check_catches_two_live_terms_with_one_image(monkeypatch):
     message = _replay_with_tau(monkeypatch, image_of_a_live_null)
     assert "not injective" in message
 
+
+
+def _replay_corrupted(monkeypatch, corrupt):
+    """Answer a QBF query while ``corrupt(replayer, step)`` spoils the
+    first replayed step that has a null among its values, just before it
+    is replayed; returns the divergence it raises."""
+    original = _GuidedReplayer.replay_step
+    done = []
+
+    def replay_step(self, step_index):
+        step = self.reference.trace.steps[step_index - 1]
+        if not done and any(isinstance(t, Null) for t in step.values):
+            done.append(step_index)
+            corrupt(self, step)
+        return original(self, step_index)
+
+    monkeypatch.setattr(_GuidedReplayer, "replay_step", replay_step)
+    with pytest.raises(treechase.ReplayDivergence) as caught:
+        _qbf_guided(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3))))
+    assert done
+    return str(caught.value)
+
+
+def test_replay_rejects_a_body_term_without_a_live_preimage(monkeypatch):
+    def unknown_null(replayer, step):
+        step.values = tuple(Null(-1, "nowhere") if isinstance(t, Null) else t
+                            for t in step.values)
+
+    message = _replay_corrupted(monkeypatch, unknown_null)
+    assert "body term nowhere has no live preimage" in message
+
+
+def test_replay_rejects_a_body_atom_missing_after_translation(monkeypatch):
+    def wrong_preimage(replayer, step):
+        for t in step.values:
+            if isinstance(t, Null):
+                replayer.inv[t] = Constant("nowhere")
+
+    message = _replay_corrupted(monkeypatch, wrong_preimage)
+    assert "body atom missing after translation" in message
 
 # -- no recursion on the query path --------------------------------------------
 
