@@ -156,11 +156,10 @@ class TermTree:
         return "\n".join(lines) + "\n"
 
 
-def build_term_tree(trace: ChaseTrace, info: ArboreousInfo,
-                    forest: Optional[NullForest] = None) -> TermTree:
+def build_term_tree(trace: ChaseTrace, info: ArboreousInfo) -> TermTree:
     """Bags of certificate-step nulls plus their dragged-along descendants,
     rooted at everything else; validates the partition and tree shape."""
-    forest = forest or build_null_forest(trace, info)
+    forest = build_null_forest(trace, info)
     node_set = set(forest.nodes)
     ehat_ids = set(info.ehat_rule_ids)
     creators = [s for s in trace.steps if s.rule_id in ehat_ids and s.created_nulls]

@@ -47,8 +47,7 @@ from functools import partial
 from typing import Optional
 
 from .matching import head_satisfied, unsatisfied_matches
-from .model import (Atom, Database, Interpretation, Null, Program, Tgd,
-                    Variable, substitute)
+from .model import Atom, Database, Interpretation, Null, Program, Tgd, Variable
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,10 @@ class ChaseStep:
 
     ``values`` is the match as its rule's queue held it, over the first
     slots of ``variables`` (the rule's ``step_variables``, shared by all
-    its steps); ``created_nulls`` fill the existentials' slots.  ``match``
-    and ``extension`` are dicts built from them on each read, and
-    assigning either replaces the slots it covers.  ``added`` is
-    ``new_facts`` itself when every head atom was new.
+    its steps); ``created_nulls`` fill the existentials' slots.  The
+    engines read the slots; ``match`` and ``extension`` are read-only
+    dicts built from them on each read, for printing and reports.
+    ``added`` is ``new_facts`` itself when every head atom was new.
     """
 
     index: int
@@ -86,19 +85,10 @@ class ChaseStep:
         """Body variables -> terms."""
         return dict(zip(self.variables, self.values))
 
-    @match.setter
-    def match(self, match: dict) -> None:
-        self.values = tuple(match[v] for v in self.variables[:len(self.values)])
-
     @property
     def extension(self) -> dict:
         """The match plus existentials -> fresh nulls."""
         return dict(zip(self.variables, self.values + self.created_nulls))
-
-    @extension.setter
-    def extension(self, extension: dict) -> None:
-        terms = tuple(extension[v] for v in self.variables)
-        self.values, self.created_nulls = terms[:len(self.values)], terms[len(self.values):]
 
     def line(self) -> str:
         bind = ", ".join(f"{v.name}={t}" for v, t in
@@ -386,37 +376,19 @@ def chase(program: Program, database: Database, strategy=Deterministic(),
     return _Engine(program, database, strategy, max_steps).run()
 
 
-def step_violation(program: Program, interp: Interpretation, rule: Tgd,
-                   match: dict, new: Optional[list] = None) -> Optional[str]:
-    """The first chase-step condition that applying ``rule`` at ``match`` to
-    ``interp`` breaks, or None: the match embeds the body, it is not yet
-    satisfied, and an existential rule fires only when no Datalog rule has
-    an unsatisfied match.  Uses the matcher only, never the chase's queues.
-
-    Given ``new``, the facts added since an earlier state of ``interp`` at
-    which every Datalog match was satisfied, only the Datalog matches that
-    use one of them are checked: satisfaction only grows as facts are
-    added, so the others still hold.
-    """
-    if any(substitute(atom, match) not in interp for atom in rule.body):
-        return "match does not embed the body"
-    if head_satisfied(interp, rule.head_plan, [match[v] for v in rule.frontier]):
-        return "match was already satisfied"
-    if rule.existentials:
-        for dl, _match in unsatisfied_matches(interp, program.datalog_rules(), new):
-            return f"Datalog rule {dl.rule_id} was not at fixpoint"
-    return None
-
-
 def validate_trace(program: Program, trace: ChaseTrace) -> None:
     """Replay a trace and verify every chase-step side condition.
 
-    Checks, step by step, the conditions of ``step_violation``, then that
-    fresh nulls were really fresh and that the new facts are exactly the
-    instantiated head.  The Datalog fixpoint is checked over every fact at
-    the first existential step, and from then on over the facts added
-    since the previous existential step's check, so no Datalog body is
-    joined over the whole interpretation more than once.
+    Checks, step by step over the step's slots and with the matcher only,
+    never the chase's queues: that the match embeds the body, that it is
+    not yet satisfied, and that an existential rule fires only when no
+    Datalog rule has an unsatisfied match; then that fresh nulls were
+    really fresh and that the new facts are exactly the instantiated head.
+    The Datalog fixpoint is checked over every fact at the first
+    existential step, and from then on only over the matches that use a
+    fact added since the previous existential step's check: satisfaction
+    only grows as facts are added, so the others still hold, and no
+    Datalog body is joined over the whole interpretation more than once.
     Raises AssertionError on the first violation, also under ``python -O``.
     """
     interp = Interpretation(trace.database)
@@ -424,14 +396,21 @@ def validate_trace(program: Program, trace: ChaseTrace) -> None:
     new = None     # facts added since the last existential step's check
     for step in trace.steps:
         rule = program.rule(step.rule_id)
-        violation = step_violation(program, interp, rule, step.match, new)
-        if violation is not None:
-            raise AssertionError(f"step {step.index}: {violation}")
+        values = step.values
+        # an Atom is the tuple (pred, args), so the plain tuple finds it
+        if any((pred, args(values)) not in interp for pred, args in rule.body_slots):
+            raise AssertionError(f"step {step.index}: match does not embed the body")
+        if head_satisfied(interp, rule.head_plan, values[:len(rule.frontier)]):
+            raise AssertionError(f"step {step.index}: match was already satisfied")
+        if rule.existentials:
+            for dl, _values in unsatisfied_matches(interp, program.datalog_rules(), new):
+                raise AssertionError(
+                    f"step {step.index}: Datalog rule {dl.rule_id} was not at fixpoint")
         for n in step.created_nulls:
             if not isinstance(n, Null) or n in seen_nulls:
                 raise AssertionError(f"step {step.index}: null {n} is not fresh")
             seen_nulls.add(n)
-        slots = step.values + step.created_nulls
+        slots = values + step.created_nulls
         if step.new_facts != tuple(Atom(pred, args(slots)) for pred, args in rule.head_slots):
             raise AssertionError(f"step {step.index}: head mismatch")
         if rule.existentials:

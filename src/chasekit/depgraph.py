@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .model import Position, Program, Variable
+from .model import Program, Variable
 
 
 def compute_omegas(program: Program) -> dict:

@@ -399,9 +399,11 @@ def head_satisfied(interp: Interpretation, head: Plan, values) -> bool:
 
 
 def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tuple]:
-    """Every ``(rule, match)`` whose match embeds the rule's body but does
-    not satisfy its head, rule by rule in the given order, each rule's
-    matches in the order of its ``body_plan`` (that of ``find_matches``).
+    """Every ``(rule, values)`` whose match embeds the rule's body but does
+    not satisfy its head, the match as the tuple of its values over the
+    slots of ``rule.body_plan.variables``, rule by rule in the given order,
+    each rule's matches in the order of its ``body_plan`` (that of
+    ``find_matches``).
     Given the facts ``new``, only the matches that map some body atom onto
     one of them, found by the rule's ``seeded_plans``, in seed order; a
     match that uses several of them may come more than once.  A Datalog
@@ -424,7 +426,7 @@ def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tup
         n = len(rule.frontier)
         for values in found:
             if not head_satisfied(interp, rule.head_plan, values[:n]):
-                yield rule, dict(zip(rule.body_plan.variables, values))
+                yield rule, values
 
 
 def evaluate_bcq(interp: Interpretation, q: BCQ) -> bool:

@@ -170,9 +170,10 @@ class Tgd:
     The rule's joins are compiled once, on first use, and shared by every
     engine that applies it.  ``body_plan`` and ``seeded_plans`` work over
     the slots of ``frontier + body_only``, so a match is the tuple of its
-    frontier values followed by its body-only values; ``head_slots`` reads
-    the head over those slots followed by the existentials' (the
-    ``step_variables``); ``head_plan`` binds the frontier on entry.
+    frontier values followed by its body-only values; ``body_slots`` and
+    ``head_slots`` read the body and the head over those slots followed by
+    the existentials' (the ``step_variables``); ``head_plan`` binds the
+    frontier on entry.
     """
 
     rule_id: int
@@ -231,6 +232,12 @@ class Tgd:
         """The variables of a step's slots: the body's, then the
         existentials."""
         return self.frontier + self.body_only + self.existentials
+
+    @functools.cached_property
+    def body_slots(self) -> tuple:
+        """The body as ``(pred, args)`` pairs over the ``step_variables``
+        (``matching.slot_atoms``): a match grounds it."""
+        return matching.slot_atoms(self.body, self.step_variables)
 
     @functools.cached_property
     def head_slots(self) -> tuple:

@@ -53,7 +53,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .datalog import entails
-from .depgraph import DepEdge, LabelledDepGraph, SccAnalysis
+from .depgraph import DepEdge, SccAnalysis
 from .model import Atom, Program, Tgd, Variable, substitute
 
 
@@ -76,7 +76,6 @@ class PathQuery:
 
 
 def path_query(program: Program, path: Iterable[DepEdge],
-               graph: Optional[LabelledDepGraph] = None,
                cache: Optional[PropagationCache] = None) -> PathQuery:
     """The conjunction accompanying a chain of rule applications along ``path``.
 
@@ -96,11 +95,6 @@ def path_query(program: Program, path: Iterable[DepEdge],
     for a, b in zip(path, path[1:]):
         if a.dst != b.src:
             raise NonComposablePath(f"{a} does not compose with {b}")
-    if graph is not None:
-        known = set(graph.edges)
-        for e in path:
-            if e not in known:
-                raise NonComposablePath(f"{e} is not a graph edge")
     cache = cache or PropagationCache(program)
     fragments = cache.fragments(path)
     chain = [f.link for f in fragments]
@@ -495,13 +489,10 @@ def find_saturating_certificate(program: Program, scc: SccAnalysis,
         elif budget_hit:
             out.append(ComponentCertificate(ci, verts, (), None, "inconclusive",
                                             "search budget exceeded", tried))
-        elif last_failed:
+        else:   # the last candidate, every intra edge, is a feedback set: one failed
             report = check_e_saturating(program, scc, ci, last_failed, cache, path_budget)
             out.append(ComponentCertificate(ci, verts, (), report, "not-saturating",
                                             report.counterexample, tried))
-        else:
-            out.append(ComponentCertificate(ci, verts, (), None, "not-saturating",
-                                            "no feedback edge set exists", tried))
     if all(c.verdict == "saturating" for c in out):
         verdict = "saturating"
     elif any(c.verdict == "not-saturating" for c in out):

@@ -22,9 +22,12 @@ The nondeterminism lives in two drivers, which choose the steps:
 * the *search* driver explores every run up to an inner bound, for tiny
   instances only.
 
-The driver that chooses a step checks it, and ``TreeChaseRun.apply`` only
-executes: the guided replay checks each translated step, and the search
-applies only the unsatisfied matches it has just listed.
+A step is a rule and the values of its match over the slots of the
+rule's ``body_plan``, the form in which the chase records it and
+``unsatisfied_matches`` lists it.  The driver that chooses a step checks
+it, and ``TreeChaseRun.apply`` only executes: the guided replay checks
+each translated step against the rule's ``body_slots`` and ``head_plan``,
+and the search applies only the unsatisfied matches it has just listed.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class SpaceProfile:
 
 class TreeChaseRun:
     """One run of the bounded chase, driven by the guided replay or the
-    search; ``apply`` executes steps its driver has checked.
+    search; ``apply`` executes steps, given as slot tuples, that its
+    driver has checked.
 
     ``interp`` changes in place (see the module docstring); ``snapshot``
     and ``restore`` save and bring back the facts, the stack and the step
@@ -113,40 +117,41 @@ class TreeChaseRun:
 
     # -- transitions ----------------------------------------------------------
 
-    def apply(self, rule: Tgd, match: dict) -> dict:
-        """Execute one rule application; returns the extension.
+    def apply(self, rule: Tgd, values: tuple) -> tuple:
+        """Execute one rule application at the match ``values``, over the
+        slots of ``rule.body_plan``; returns the fresh nulls, in the order
+        of ``rule.existentials``.
 
-        Precondition, not checked here: ``match`` embeds the body and does
+        Precondition, not checked here: the match embeds the body and does
         not satisfy the head.  The fact set changes in place: the facts that
         mention a popped term go, the head facts that are new come last.
         ``popped`` and ``added`` then hold the terms and facts this step
         removed and added.
         """
-        frontier_terms = {match[y] for y in rule.frontier}
+        frontier_terms = set(values[:len(rule.frontier)])
         self.popped = []
-        while len(self.stack) > 1 and not (frontier_terms & self.stack[-1]):
+        while len(self.stack) > 1 and frontier_terms.isdisjoint(self.stack[-1]):
             self.popped.extend(self.stack.pop())
         if self.popped:
             self.interp.discard_terms(self.popped)
-        extension = dict(match)
         fresh = []
         for v in rule.existentials:
             nid = next(self.null_counter)
-            n = Null(nid, f"m{nid}_{v.name}")
-            extension[v] = n
-            fresh.append(n)
+            fresh.append(Null(nid, f"m{nid}_{v.name}"))
+        fresh = tuple(fresh)
         if self.v_ehat & set(rule.existentials):
             self.stack.append(set(fresh))
         else:
             self.stack[-1] |= set(fresh)
         self.added = []
-        for atom in rule.head:
-            fact = substitute(atom, extension)
+        slots = values + fresh
+        for pred, args in rule.head_slots:
+            fact = Atom(pred, args(slots))
             if self.interp.add(fact):
                 self.added.append(fact)
         self.profile.inner_steps[-1] += 1
         self._observe()
-        return extension
+        return fresh
 
     def break_iteration(self) -> None:
         self.stack = [self.live_terms()]
@@ -317,30 +322,24 @@ class _GuidedReplayer:
     def replay_step(self, step_index: int) -> None:
         step = self.reference.trace.steps[step_index - 1]
         rule = self.program.rule(step.rule_id)
-        match = {}
-        for v, image in zip(step.variables, step.values):
-            if isinstance(image, Constant):
-                match[v] = image
-            elif image in self.inv:
-                match[v] = self.inv[image]
-            else:
-                raise ReplayDivergence(
-                    f"step {step_index}: body term {image} has no live preimage")
-        for atom in rule.body:
-            if substitute(atom, match) not in self.run.interp:
-                raise ReplayDivergence(
-                    f"step {step_index}: body atom missing after translation")
-        frontier = [match[v] for v in rule.frontier]
-        if head_satisfied(self.run.interp, rule.head_plan, frontier):
+        try:
+            values = tuple([image if isinstance(image, Constant) else self.inv[image]
+                            for image in step.values])
+        except KeyError as missing:
+            raise ReplayDivergence(f"step {step_index}: body term {missing.args[0]} "
+                                   f"has no live preimage") from None
+        if any((pred, args(values)) not in self.run.interp for pred, args in rule.body_slots):
+            raise ReplayDivergence(f"step {step_index}: body atom missing after translation")
+        if head_satisfied(self.run.interp, rule.head_plan, values[:len(rule.frontier)]):
             self.skipped += 1
             return
-        extension = self.run.apply(rule, match)
+        fresh = self.run.apply(rule, values)
         self.replayed += 1
         for t in self.run.popped:
             del self.inv[self.to_chase(t)]
-        for v, image in zip(rule.existentials, step.created_nulls):
-            self.tau[extension[v]] = image
-            self._admit(self.inv, extension[v])
+        for n, image in zip(fresh, step.created_nulls):
+            self.tau[n] = image
+            self._admit(self.inv, n)
         self.check_homomorphism(self.run.added)
 
 
@@ -412,8 +411,8 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
             choices = list(unsatisfied_matches(run.interp, program.datalog_rules()))
             if not choices:
                 choices = list(unsatisfied_matches(run.interp, program.existential_rules()))
-            for rule, match in choices:
-                yield k, j + 1, partial(run.apply, rule, match)
+            for rule, values in choices:
+                yield k, j + 1, partial(run.apply, rule, values)
 
     # depth-first over an explicit stack: a frame holds a node's remaining
     # moves and the state from before the move being explored

@@ -19,9 +19,8 @@ from chasekit.chase import Deterministic, Seeded, chase
 from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm,
                              gen_qbf, gen_sets, gen_sets_nonterm, qbf_truth)
 from chasekit.datalog import entails
-from chasekit.depgraph import Position
 from chasekit.matching import evaluate_bcq
-from chasekit.model import Constant, Null, substitute
+from chasekit.model import Constant, Null, Position, substitute
 from chasekit.saturation import enumerate_ebar_paths, path_query
 from chasekit.treechase import tree_chase_guided
 from oracles import naive_entails, qbf_brute_force
@@ -244,8 +243,8 @@ def test_criterion_5_trace_invariants(cache, qbf_results):
             info = report.arboreous
             if info is None or not info.arboreous:
                 continue
-            forest = build_null_forest(result.trace, info)   # in-degree <= 1
-            tree = build_term_tree(result.trace, info, forest)  # partition
+            build_null_forest(result.trace, info)   # in-degree <= 1
+            tree = build_term_tree(result.trace, info)  # partition
             check_order_soundness(tree, report.order, result.interpretation)
             if report.path_guarded.guarded:
                 check_locality(inst.program, result.trace, tree)

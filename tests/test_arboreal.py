@@ -9,8 +9,8 @@ from chasekit.arboreal import (_induced_var_order, build_null_forest,
                                compute_position_order, is_path_guarded)
 from chasekit.chase import chase
 from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
-from chasekit.depgraph import Position, build_ledgraph, compute_rank, scc_analysis
-from chasekit.model import parse_program
+from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
+from chasekit.model import Position, parse_program
 from chasekit.saturation import find_saturating_certificate
 from oracles import naive_var_order
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -16,7 +17,7 @@ from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm
 from chasekit.datalog import saturate
 from chasekit.depgraph import build_ledgraph
 from chasekit.matching import Plan, evaluate_bcq, seeded_plans
-from chasekit.model import Null, parse_facts, parse_program, parse_query
+from chasekit.model import parse_facts, parse_program, parse_query
 from oracles import model_check
 from test_datalog import _dead_slot_case
 from test_invariants import _layered_program
@@ -299,6 +300,31 @@ def test_readme_lists_the_public_names_by_module():
         obj = vars(importlib.import_module(f"chasekit.{module}"))[name]
         # Term, a typing alias, names no defining module of its own
         assert obj.__module__ in (f"chasekit.{module}", "typing"), name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name that a module of ``src/chasekit`` or ``tests`` imports is
+    read somewhere in it, except in ``__init__.py``, whose imports are
+    re-exports, and inside a ``try:``, where an import probes for a
+    module."""
+    root = Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*root.glob("src/chasekit/*.py"), *root.glob("tests/*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        probes = {id(node) for t in ast.walk(tree) if isinstance(t, ast.Try)
+                  for stmt in t.body for node in ast.walk(stmt)}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom)) or id(node) in probes
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert unused == []
 
 
 # -- each rule's plans are compiled once, on the rule --------------------------

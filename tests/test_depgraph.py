@@ -5,10 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from chasekit.corpus import (CORPUS_NAMES, gen_dexp, gen_sets, gen_sets_nonterm,
                              instance_from_name)
-from chasekit.depgraph import (MissingCertificate, Position, _components,
-                               build_ledgraph, compute_omegas, compute_rank,
-                               scc_analysis)
-from chasekit.model import parse_program
+from chasekit.depgraph import (MissingCertificate, _components, build_ledgraph,
+                               compute_omegas, compute_rank, scc_analysis)
+from chasekit.model import Position, parse_program
 from oracles import naive_components, naive_ledgraph, naive_omegas
 from test_invariants import _layered_program
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chasekit import arboreal
 from chasekit.arboreal import (ArboreousInfo, InvariantViolation, NullForest,
                                build_null_forest, build_term_tree)
 from chasekit.chase import ChaseStep, ChaseTrace, Seeded, chase, validate_trace
@@ -40,7 +41,7 @@ def test_validate_trace_catches_tampered_match():
     inst = gen_sets(1)
     result = chase(inst.program, inst.database, max_steps=2000)
     step = result.trace.steps[0]
-    step.match = {v: Constant("wrong") for v in step.match}
+    step.values = tuple(Constant("wrong") for _ in step.values)
     with pytest.raises(AssertionError, match="does not embed the body"):
         validate_trace(inst.program, result.trace)
 
@@ -62,14 +63,14 @@ def test_validate_trace_catches_reused_null():
     assert len(creators) >= 2
     first_null = creators[0].created_nulls[0]
     bad = creators[1]
-    bad.extension = {v: first_null if isinstance(t, Null) else t
-                     for v, t in bad.extension.items()}
-    bad.new_facts = tuple(
-        Atom(a.pred, tuple(first_null if isinstance(t, Null) else t for t in a.args))
-        for a in bad.new_facts)
+
+    def reuse(terms):
+        return tuple(first_null if isinstance(t, Null) else t for t in terms)
+
+    bad.values, bad.created_nulls = reuse(bad.values), reuse(bad.created_nulls)
+    bad.new_facts = tuple(Atom(a.pred, reuse(a.args)) for a in bad.new_facts)
     with pytest.raises(AssertionError, match="not fresh"):
         validate_trace(inst.program, result.trace)
-
 
 
 def test_validate_trace_catches_head_mismatch():
@@ -129,7 +130,7 @@ def test_null_forest_rejects_a_parent_not_older_than_its_child(edges):
         _forest_of(edges)
 
 
-def test_term_tree_rejects_a_bag_whose_parent_bag_is_younger():
+def test_term_tree_rejects_a_bag_whose_parent_bag_is_younger(monkeypatch):
     program = gen_sets(1).program
     rule = program.rules[0]
     v = rule.existentials[0]
@@ -139,8 +140,10 @@ def test_term_tree_rejects_a_bag_whose_parent_bag_is_younger():
                    for i, n in ((1, n1), (2, n2))]
     info = ArboreousInfo("arboreous", chat=(v,), ehat_rule_ids=(rule.rule_id,))
     # bag 1, of step 1, hangs below bag 2, of the later step 2
+    monkeypatch.setattr(arboreal, "build_null_forest",
+                        lambda *_: NullForest((n1, n2), {n1: n2}))
     with pytest.raises(InvariantViolation, match="not older"):
-        build_term_tree(trace, info, NullForest((n1, n2), {n1: n2}))
+        build_term_tree(trace, info)
 
 
 def test_seeded_strategy_reproducible_per_seed():
@@ -158,7 +161,7 @@ from chasekit.model import Constant
 inst = gen_sets(1)
 result = chase(inst.program, inst.database, max_steps=2000)
 step = result.trace.steps[0]
-step.match = {v: Constant("wrong") for v in step.match}
+step.values = tuple(Constant("wrong") for _ in step.values)
 try:
     validate_trace(inst.program, result.trace)
 except AssertionError as err:

@@ -2,16 +2,13 @@
 in real traces carry their induced conjunctions, and ranks compose along
 the component order."""
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from chasekit.analysis import analyze
 from chasekit.chase import chase
 from chasekit.corpus import gen_dexp, gen_sets
 from chasekit.depgraph import build_ledgraph, scc_analysis
-from chasekit.matching import find_matches
-from chasekit.model import Interpretation, Null, parse_facts, parse_program, substitute
+from chasekit.model import parse_facts, parse_program, substitute
 from chasekit.saturation import path_query
 from chasekit.treechase import tree_chase_guided
 from oracles import model_check
@@ -93,7 +90,7 @@ def test_trace_chains_satisfy_their_path_query():
             path = []
             for t, y, n in chain:
                 path.append(edge_of[(trace.var_of_null[t], y, trace.var_of_null[n])])
-            pq = path_query(inst.program, path, graph)
+            pq = path_query(inst.program, path)
             theta = {}
             for i, (t, y, n) in enumerate(chain):
                 step = _creating_step(trace, n)

@@ -326,7 +326,8 @@ def test_unsatisfied_matches_are_the_naive_ones_in_order(case):
             frontier = {v: match[v] for v in rule.frontier}
             if not naive_matches(rule.head, facts, frontier):
                 expected.append((rule.rule_id, match))
-    got = [(rule.rule_id, match) for rule, match in unsatisfied_matches(interp, rules)]
+    got = [(rule.rule_id, dict(zip(rule.body_plan.variables, values)))
+           for rule, values in unsatisfied_matches(interp, rules)]
     assert got == expected
 
 

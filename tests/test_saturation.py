@@ -34,7 +34,7 @@ def test_path_query_matches_hand_expansion(dexp):
     program, graph, _ = dexp
     e1 = _edge(graph, "X")
     e2 = _edge(graph, "X1")
-    pq = path_query(program, (e1, e2), graph)
+    pq = path_query(program, (e1, e2))
     preds = sorted(a.pred for a in pq.atoms)
     assert preds == ["cat", "cat", "lvl", "lvl", "next", "up"]
     # the up head chains into the second step's first lvl argument
@@ -50,7 +50,7 @@ def test_path_query_single_self_loop():
     program = gen_sets(1).program
     graph = build_ledgraph(program)
     (loop,) = graph.edges
-    pq = path_query(program, (loop,), graph)
+    pq = path_query(program, (loop,))
     # body of the constructor plus its head with the null renamed forward
     assert sorted(a.pred for a in pq.atoms) == ["elem", "set", "set", "su", "su"]
     su_member = [a for a in pq.atoms if a.pred == "su" and a.args[1] == a.args[2]]
@@ -61,7 +61,7 @@ def test_non_composable_path_rejected(dexp):
     program, graph, _ = dexp
     e1 = _edge(graph, "X")
     with pytest.raises(NonComposablePath):
-        path_query(program, (e1, e1), graph)
+        path_query(program, (e1, e1))
 
 
 def test_base_propagation_dexp(dexp):

@@ -175,7 +175,8 @@ def test_run_log_records_prunes_and_pushes(sets1):
     rule = inst.program.rule(1)
     by_name = {v.name: v for v in rule.variables()}
     elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
-    run.apply(rule, {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]})
+    match = {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]}
+    run.apply(rule, tuple(match[v] for v in rule.body_plan.variables))
     # nothing pruned, one pushed bag holding the fresh null, three new facts
     assert len(run.stack) == 2 and len(run.stack[-1]) == 1
     assert run.popped == []
@@ -295,11 +296,12 @@ def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
     original_apply = TreeChaseRun.apply
     original_replay = _GuidedReplayer.replay_step
 
-    def apply(self, rule, match):
+    def apply(self, rule, values):
         before = list(self.interp)
-        extension = original_apply(self, rule, match)
+        fresh = original_apply(self, rule, values)
+        extension = dict(zip(rule.step_variables, values + fresh))
         applied.append((before, [substitute(a, extension) for a in rule.head]))
-        return extension
+        return fresh
 
     def replay_step(self, step_index):
         applied.clear()
@@ -371,7 +373,6 @@ def test_incremental_check_catches_two_live_terms_with_one_image(monkeypatch):
     assert "not injective" in message
 
 
-
 def _replay_corrupted(monkeypatch, corrupt):
     """Answer a QBF query while ``corrupt(replayer, step)`` spoils the
     first replayed step that has a null among its values, just before it
@@ -410,6 +411,7 @@ def test_replay_rejects_a_body_atom_missing_after_translation(monkeypatch):
 
     message = _replay_corrupted(monkeypatch, wrong_preimage)
     assert "body atom missing after translation" in message
+
 
 # -- no recursion on the query path --------------------------------------------
 
@@ -458,7 +460,8 @@ def test_snapshot_restore_undoes_a_step(sets1):
     elem_a, set_e0 = inst.database.by_pred("elem")[0], inst.database.by_pred("set")[0]
     state = run.snapshot()
     facts, stack = list(run.interp), [set(layer) for layer in run.stack]
-    run.apply(rule, {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]})
+    match = {by_name["X"]: elem_a.args[0], by_name["S"]: set_e0.args[0]}
+    run.apply(rule, tuple(match[v] for v in rule.body_plan.variables))
     run.break_iteration()
     run.restore(state)
     assert list(run.interp) == facts and run.stack == stack
@@ -482,9 +485,10 @@ def _search_outcomes(monkeypatch, formula, m_bound):
     moves = []
     original = TreeChaseRun.apply
 
-    def recording(self, rule, match):
+    def recording(self, rule, values):
+        match = dict(zip(rule.body_plan.variables, values))
         moves.append((rule.rule_id, tuple(sorted(match.items()))))
-        return original(self, rule, match)
+        return original(self, rule, values)
 
     monkeypatch.setattr(TreeChaseRun, "apply", recording)
     outcomes = []
