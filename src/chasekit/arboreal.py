@@ -5,6 +5,8 @@ most one is *arboreous*: the nulls of that component form a forest under
 provenance edges.  Collapsing each certificate-rule application together
 with its non-certificate descendants into one bag, and rooting the
 remaining terms, yields the *term tree*, a partition of all chase terms.
+It is read off the trace in one pass over its steps, since a null is
+created after its forest parent.
 
 The *position order* is the greatest relation on predicate positions that
 survives four deletion rules; it certifies, per surviving pair, that the
@@ -85,12 +87,6 @@ class NullForest:
     nodes: tuple
     parent: dict                   # null -> null, roots absent
 
-    def children(self) -> dict:
-        out: dict = {}
-        for child, par in self.parent.items():
-            out.setdefault(par, []).append(child)
-        return out
-
 
 def build_null_forest(trace: ChaseTrace, info: ArboreousInfo) -> NullForest:
     """Provenance edges restricted to maximum-rank nulls; validates shape."""
@@ -158,38 +154,35 @@ class TermTree:
 
 def build_term_tree(trace: ChaseTrace, info: ArboreousInfo) -> TermTree:
     """Bags of certificate-step nulls plus their dragged-along descendants,
-    rooted at everything else; validates the partition and tree shape."""
+    rooted at everything else; validates the partition and tree shape.
+
+    One pass over the steps places the nulls.  A certificate step (its
+    rule owns a certificate existential) opens the next bag with the nulls
+    it creates, so bags are numbered in step order; any other forest null
+    joins the bag of its forest parent, if that parent is in one.  The
+    parent is older (``build_null_forest``), so it is placed first, and a
+    bag's members come in creation order.  A null is placed once and has
+    at most one parent, so no null can land in two bags.
+    """
     forest = build_null_forest(trace, info)
     node_set = set(forest.nodes)
     ehat_ids = set(info.ehat_rule_ids)
-    creators = [s for s in trace.steps if s.rule_id in ehat_ids and s.created_nulls]
-    seeds = {}
-    for s in creators:
-        for n in s.created_nulls:
-            if n not in node_set:
-                raise InvariantViolation(f"null {n.name} of certificate rule outside forest")
-        seeds[s.index] = list(s.created_nulls)
-    in_seed = {n for ns in seeds.values() for n in ns}
-    rbar = [n for n in forest.nodes if n not in in_seed]
-    rbar_set = set(rbar)
-    children = forest.children()
-
-    bags = []            # (step index, term list)
+    bags = []            # (step index, term list); bag i is bags[i - 1]
     bag_of: dict = {}
-    for s in creators:
-        bag_index = len(bags) + 1          # 0 is reserved for the root
-        members: list = []
-        queue = list(seeds[s.index])
-        while queue:
-            n = queue.pop()
-            if n in bag_of:
-                raise InvariantViolation(f"null {n.name} lands in two bags")
-            bag_of[n] = bag_index
-            members.append(n)
-            for m in children.get(n, ()):
-                if m in rbar_set:
-                    queue.append(m)
-        bags.append((s.index, members))
+    for s in trace.steps:
+        if s.rule_id in ehat_ids and s.created_nulls:
+            bags.append((s.index, list(s.created_nulls)))
+            for n in s.created_nulls:
+                if n not in node_set:
+                    raise InvariantViolation(
+                        f"null {n.name} of certificate rule outside forest")
+                bag_of[n] = len(bags)      # 0 is reserved for the root
+        else:
+            for n in s.created_nulls:
+                b = bag_of.get(forest.parent.get(n))
+                if b is not None:
+                    bag_of[n] = b
+                    bags[b - 1][1].append(n)
 
     all_terms = []
     seen: set = set()
@@ -212,7 +205,7 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo) -> TermTree:
                 raise InvariantViolation("bag has two distinct parents")
             parent[b_child] = b_par
     # acyclicity: bags are numbered in step order, and a bag's parent
-    # holds the parent of a seed null, which the seed's step read
+    # holds the parent of a null its step created, which that step read
     depths = [1] * len(node_terms)
     for i in range(1, len(node_terms)):
         if parent[i] is None:

@@ -16,15 +16,17 @@ when a candidate is popped, never when it is queued, so the queues and the
 seeded draws do not depend on it.  For a Datalog rule the match grounds
 the whole head, and the head is satisfied exactly when every ground head
 atom is already a fact.  For an existential rule, satisfaction depends on
-the frontier values alone and is decided by the rule's head plan.  Every
-rule's joins are compiled once, on the rule (see ``Tgd``), so a second
-chase of the same program compiles nothing.  An existential rule with two
-or more body atoms queues a cursor for the matches of a new fact rather
-than the matches themselves, and the cursor yields them, over the facts
-of that moment, only when the queue reaches it.  A capped chase thus
-holds what it pops, not every match it finds, and its candidates and
-their order are those of queueing every match at once (see
-``_RuleQueue``).
+the frontier values alone and is decided by the rule's head plan, which
+takes the whole match.  Every rule's joins are compiled once, on the rule
+(see ``Tgd``), so a second chase of the same program compiles nothing.
+Under the deterministic strategy, an existential rule with two or more
+body atoms queues a cursor for the matches of a new fact rather than the
+matches themselves, and the cursor yields them, over the facts of that
+moment, only when the queue reaches it.  A capped chase thus holds what
+it pops, not every match it finds, and its candidates and their order
+are those of queueing every match at once (see ``_RuleQueue``).  A
+seeded draw needs every pending match, so under that strategy every
+queue takes its matches at once.
 
 A Datalog queue takes a match only when no match with the same frontier
 was queued earlier in the same chase: the engine hands one set of
@@ -170,14 +172,14 @@ class _RuleQueue:
     cursor into ``items``; every cursor is younger than every item, so the
     FIFO order is that of the eager queue.
 
-    A queue is lazy when its rule is existential and has two or more body
-    atoms.  A Datalog queue is drained before the next existential step,
-    so deferring its candidates saves nothing and costs a bisect per
-    count; a single-atom body gives a cursor at most one match, which is
-    cheaper queued at once.  The deterministic strategy fills from a
-    cursor only when no item is left; the seeded strategy fills from every
-    cursor before a draw, so its draws see the eager queue's exact
-    contents.
+    The engine makes a queue lazy only under the deterministic strategy,
+    and only when its rule is existential and has two or more body atoms.
+    That strategy fills from a cursor only when no item is left.  A seeded
+    draw is over every pending match, so it would fill every cursor before
+    each draw, and a cursor would only cost its watermark.  A Datalog
+    queue is drained before the next existential step, so deferring its
+    candidates saves nothing and costs a bisect per count; a single-atom
+    body gives a cursor at most one match, which is cheaper queued at once.
 
     A Datalog queue is a FIFO under both strategies, and it takes no match
     whose frontier repeats that of a match queued earlier in the same
@@ -195,7 +197,7 @@ class _RuleQueue:
         self.rule = rule
         self.items: deque = deque()
         self.cursors: deque = deque()
-        self.lazy = bool(rule.existentials) and len(rule.body) > 1
+        self.lazy = False            # set by the engine
         self.n_frontier = len(rule.frontier)
 
     def __len__(self) -> int:
@@ -215,7 +217,7 @@ class _RuleQueue:
         """Is the existential candidate ``values`` satisfied?  A False
         answer hands the candidate out: the caller applies it or stops the
         chase."""
-        return head_satisfied(interp, self.rule.head_plan, values[:self.n_frontier])
+        return head_satisfied(interp, self.rule.head_plan, values)
 
 
 def _push_new(push, known: set, n: int, values: tuple) -> None:
@@ -237,6 +239,9 @@ class _Engine:
         self.trace = ChaseTrace(program, tuple(database))
         self.null_counter = 0
         queues = [_RuleQueue(r) for r in program.rules]
+        if self.rng is None:
+            for q in queues:
+                q.lazy = bool(q.rule.existentials) and len(q.rule.body) > 1
         self.datalog = [q for q in queues if q.rule.is_datalog]
         self.existential = [q for q in queues if not q.rule.is_datalog]
         self.rr = 0  # round-robin pointer over existential rules
@@ -331,12 +336,9 @@ class _Engine:
                         return q, values
             return None
         # Seeded: draw uniformly among all pending candidates, discarding
-        # any that have become satisfied since they were enqueued; every
-        # cursor is materialised first, so the draw sees them all.
+        # any that have become satisfied since they were enqueued; no queue
+        # is lazy, so the draw sees them all.
         while True:
-            for q in self.existential:
-                while q.cursors:
-                    q.fill(self.interp)
             pending = [q for q in self.existential if len(q)]
             total = sum(len(q) for q in pending)
             if not total:
@@ -400,7 +402,7 @@ def validate_trace(program: Program, trace: ChaseTrace) -> None:
         # an Atom is the tuple (pred, args), so the plain tuple finds it
         if any((pred, args(values)) not in interp for pred, args in rule.body_slots):
             raise AssertionError(f"step {step.index}: match does not embed the body")
-        if head_satisfied(interp, rule.head_plan, values[:len(rule.frontier)]):
+        if head_satisfied(interp, rule.head_plan, values):
             raise AssertionError(f"step {step.index}: match was already satisfied")
         if rule.existentials:
             for dl, _values in unsatisfied_matches(interp, program.datalog_rules(), new):

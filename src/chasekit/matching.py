@@ -103,8 +103,8 @@ class Plan:
     seed and the entry.  Nothing is compiled before the first run, so a
     plan that never runs costs little.
 
-    A run may take a bound ``below`` from ``Interpretation.watermark``: it
-    then joins only the facts numbered below it, the facts present when
+    ``run_from`` may take a bound ``below`` from ``Interpretation.watermark``:
+    it then joins only the facts numbered below it, the facts present when
     the watermark was taken, and picks the most constrained atom by how
     many facts of each list lie below it.  Index lists are sorted by
     number, so those facts are a prefix, counted by a bisect that a list
@@ -288,24 +288,22 @@ class Plan:
         self._nodes[mask].__globals__[f"s{k}"] = step
         return step
 
-    def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool],
-            below: Optional[int] = None) -> bool:
+    def run(self, interp: Interpretation, values, emit: Callable[[tuple], bool]) -> bool:
         """Call ``emit`` with the slot tuple of every match that extends
-        the entry ``values``, over the facts numbered below ``below`` if
-        given; a truthy return stops the search, and the result says
-        whether it was stopped."""
+        the entry ``values``; a truthy return stops the search, and the
+        result says whether it was stopped."""
         slots = list(values)
         slots += [None] * (len(self.variables) - len(slots))
         start = self.start or self._compile()
-        count = len if below is None else _counter(interp, below)
-        return start(slots, emit, interp._pget, interp._aget, count, None)
+        return start(slots, emit, interp._pget, interp._aget, len, None)
 
     def run_from(self, interp: Interpretation, fact: Atom,
                  emit: Callable[[tuple], bool], below: Optional[int] = None,
                  known: Optional[set] = None) -> bool:
-        """``run`` with the seed atom matched to ``fact`` first; a ``keep``
-        plan skips the matches whose first ``keep`` slots are in the set
-        ``known`` and adds those of the matches it emits."""
+        """``run`` with the seed atom matched to ``fact`` first, over the
+        facts numbered below ``below`` if given; a ``keep`` plan skips the
+        matches whose first ``keep`` slots are in the set ``known`` and
+        adds those of the matches it emits."""
         start = self.start or self._compile()
         if len(fact.args) != len(self.seed.args):
             return False
@@ -393,8 +391,8 @@ def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
 
 def head_satisfied(interp: Interpretation, head: Plan, values) -> bool:
     """Do the entry ``values`` of the plan ``head`` extend so that its atoms
-    embed?  ``head`` is usually a rule's ``head_plan``, and ``values`` the
-    frontier's values."""
+    embed?  ``head`` is usually a rule's ``head_plan``, and ``values`` a
+    whole match of the rule's body."""
     return head.run(interp, values, _found)
 
 
@@ -423,9 +421,8 @@ def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tup
             for atom, plan in rule.seeded_plans:
                 for fact in new_of.get(atom.pred, ()):
                     plan.run_from(interp, fact, found.append)
-        n = len(rule.frontier)
         for values in found:
-            if not head_satisfied(interp, rule.head_plan, values[:n]):
+            if not head_satisfied(interp, rule.head_plan, values):
                 yield rule, values
 
 

@@ -172,8 +172,8 @@ class Tgd:
     the slots of ``frontier + body_only``, so a match is the tuple of its
     frontier values followed by its body-only values; ``body_slots`` and
     ``head_slots`` read the body and the head over those slots followed by
-    the existentials' (the ``step_variables``); ``head_plan`` binds the
-    frontier on entry.
+    the existentials' (the ``step_variables``); ``head_plan`` binds all
+    but the existentials on entry, so a head check takes the whole match.
     """
 
     rule_id: int
@@ -248,9 +248,11 @@ class Tgd:
 
     @functools.cached_property
     def head_plan(self) -> matching.Plan:
-        """The head as a plan with the frontier bound on entry (frontier
-        slots first, then the existentials)."""
-        return matching.Plan(self.head, self.frontier + self.existentials, len(self.frontier))
+        """The head as a plan over the ``step_variables`` with the match,
+        the frontier and body-only slots, bound on entry; the head reads
+        no body-only slot."""
+        return matching.Plan(self.head, self.step_variables,
+                             len(self.frontier) + len(self.body_only))
 
     def variables(self) -> list:
         """The rule's variables in first-occurrence order, body first."""

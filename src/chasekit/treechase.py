@@ -18,7 +18,8 @@ The nondeterminism lives in two drivers, which choose the steps:
 
 * the *guided* driver replays one full-chase derivation of a query match,
   scheduling for every producing step the tasks that rebuild the needed
-  path bottom-up (children before parents, shallow before deep);
+  path bottom-up (children before parents, shallow before deep), listed
+  by one walk over the tasks, with no tree of them built;
 * the *search* driver explores every run up to an inner bound, for tiny
   instances only.
 
@@ -47,7 +48,7 @@ from .model import (Atom, BCQ, Constant, Database, Null,
 
 # runner nulls are numbered from here, apart from the reference chase's nulls
 _NULL_NAMESPACE = 1_000_000_000
-# task nodes one TaskTreeBuilder may create before it gives up
+# tasks one TaskTreeBuilder may schedule before it gives up
 _TASK_NODE_CAP = 500_000
 
 
@@ -173,15 +174,8 @@ class TreeChaseRun:
 
 
 # ---------------------------------------------------------------------------
-# Task trees
+# Task schedules
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TaskNode:
-    depth: int
-    step: int
-    children: list
-
 
 class TaskTreeBuilder:
     """Derives, for a chase step, the schedule that rebuilds its inputs.
@@ -189,60 +183,49 @@ class TaskTreeBuilder:
     A task (d, i) assumes everything expressible over the first d-1 nodes
     of step i's body path is present; its subtasks pick, per depth >= d,
     the latest earlier step that produced an atom exactly that deep on the
-    same path.
+    same path.  A schedule lists the steps of a task's tree in post-order:
+    every task after its subtasks, shallower subtasks first.
     """
 
     def __init__(self, trace: ChaseTrace, tree: TermTree):
         self.nodes_made = 0
-        self.atom_steps: dict = {}    # (depth, path) -> ascending step indices
-        for step in trace.steps:
-            for atom in step.added:
-                path = tree.path_of_atom(atom)
-                key = (len(path), path)
-                lst = self.atom_steps.setdefault(key, [])
-                if not lst or lst[-1] != step.index:
-                    lst.append(step.index)
+        self.atom_steps: dict = {}    # root path -> ascending step indices
         self.body_path: dict = {}
         for step in trace.steps:
+            for atom in step.added:
+                lst = self.atom_steps.setdefault(tree.path_of_atom(atom), [])
+                if not lst or lst[-1] != step.index:
+                    lst.append(step.index)
             self.body_path[step.index] = tree.path_of_terms(step.values)
 
-    def _latest_before(self, key: tuple, limit: int) -> Optional[int]:
-        lst = self.atom_steps.get(key)
+    def _latest_before(self, path: tuple, limit: int) -> Optional[int]:
+        lst = self.atom_steps.get(path)
         if not lst:
             return None
         pos = bisect.bisect_left(lst, limit)
         return lst[pos - 1] if pos else None
 
-    def build(self, depth: int, step: int) -> TaskNode:
-        """The task tree of (depth, step), built depth-first in pre-order."""
-        root = TaskNode(depth, step, [])
-        pending = [root]
+    def schedule(self, depth: int, step: int) -> list:
+        """The steps of the task (depth, step) and of all its subtasks.
+
+        One walk over an explicit stack visits each task before its
+        subtasks, the deepest subtask first, so it lists the schedule
+        reversed.  Every task counts against ``_TASK_NODE_CAP``."""
+        out: list = []
+        pending = [(depth, step)]
         while pending:
-            node = pending.pop()
+            d, i = pending.pop()
             self.nodes_made += 1
             if self.nodes_made > _TASK_NODE_CAP:
                 raise InvariantViolation("task tree exceeds the node cap")
-            path = self.body_path[node.step]
-            for e in range(node.depth, len(path) + 1):
-                j = self._latest_before((e, path[:e]), node.step)
+            out.append(i)
+            path = self.body_path[i]
+            for e in range(d, len(path) + 1):
+                j = self._latest_before(path[:e], i)
                 if j is not None:
-                    node.children.append(TaskNode(e, j, []))
-            pending.extend(reversed(node.children))
-        return root
-
-
-def schedule_sequence(node: TaskNode) -> list:
-    """Children before parents, shallower siblings first."""
-    out: list = []
-    pending = [(node, False)]
-    while pending:
-        n, expanded = pending.pop()
-        if expanded:
-            out.append(n.step)
-        else:
-            pending.append((n, True))
-            pending.extend((child, False) for child in reversed(n.children))
-    return out
+                    pending.append((e, j))
+        out.reverse()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +313,7 @@ class _GuidedReplayer:
                                    f"has no live preimage") from None
         if any((pred, args(values)) not in self.run.interp for pred, args in rule.body_slots):
             raise ReplayDivergence(f"step {step_index}: body atom missing after translation")
-        if head_satisfied(self.run.interp, rule.head_plan, values[:len(rule.frontier)]):
+        if head_satisfied(self.run.interp, rule.head_plan, values):
             self.skipped += 1
             return
         fresh = self.run.apply(rule, values)
@@ -365,19 +348,15 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
                             tuple(0 for _ in q.atoms), 0, 0, reference)
     tree = build_term_tree(reference.trace, info)
     builder = TaskTreeBuilder(reference.trace, tree)
+    grounds = [substitute(atom, theta) for atom in q.atoms]
     schedules = []
-    for atom in q.atoms:
-        ground = substitute(atom, theta)
+    for ground in grounds:
         producer = reference.trace.producer_of(ground)
-        if producer is None:
-            schedules.append([])
-        else:
-            schedules.append(schedule_sequence(builder.build(1, producer)))
+        schedules.append([] if producer is None else builder.schedule(1, producer))
     m_bound = max((len(s) for s in schedules), default=0)
-    for k, schedule in enumerate(schedules):
+    for ground, schedule in zip(grounds, schedules):
         for step_index in schedule:
             replayer.replay_step(step_index)
-        ground = substitute(q.atoms[k], theta)
         live_image = Atom(ground.pred, tuple(replayer.inv.get(t, t) for t in ground.args))
         if live_image not in replayer.run.interp:
             raise ReplayDivergence(f"query atom {ground} not rebuilt")

@@ -3,16 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chasekit.arboreal import (_induced_var_order, build_null_forest,
+from chasekit.arboreal import (ArboreousInfo, _induced_var_order, build_null_forest,
                                build_term_tree, check_arboreous,
                                check_locality, check_order_soundness,
                                compute_position_order, is_path_guarded)
-from chasekit.chase import chase
+from chasekit.chase import ChaseStep, ChaseTrace, chase
 from chasekit.corpus import QbfFormula, gen_dexp, gen_qbf, gen_sets
 from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
-from chasekit.model import Position, parse_program
+from chasekit.model import Atom, Constant, Null, Position, parse_program
 from chasekit.saturation import find_saturating_certificate
 from oracles import naive_var_order
+from test_ranks import sets_chain
 
 
 def analyze(program):
@@ -133,6 +134,104 @@ def test_term_tree_trivial_for_trace_without_certificate_steps():
     tree = build_term_tree(result.trace, ArboreousInfo("arboreous"))
     assert len(tree) == 1
     assert tree.parent == (None,)
+
+
+def _term_tree_by_stack_walk(trace, info):
+    """``node_of``, ``parent``, ``creating_step``, ``depths`` and the member
+    set of each node, with the nulls placed by a stack walk from each
+    certificate step's nulls through the forest children that no
+    certificate step created."""
+    forest = build_null_forest(trace, info)
+    children: dict = {}
+    for child, par in forest.parent.items():
+        children.setdefault(par, []).append(child)
+    creators = [s for s in trace.steps if s.rule_id in info.ehat_rule_ids and s.created_nulls]
+    certified = {n for s in creators for n in s.created_nulls}
+    bag_of: dict = {}
+    for bag, step in enumerate(creators, start=1):
+        stack = list(step.created_nulls)
+        while stack:
+            n = stack.pop()
+            assert n not in bag_of
+            bag_of[n] = bag
+            stack.extend(m for m in children.get(n, ()) if m not in certified)
+    terms = {t for atom in itertools.chain(trace.database,
+                                           *(s.new_facts for s in trace.steps))
+             for t in atom.args}
+    node_of = {t: bag_of.get(t, 0) for t in terms}
+    parent = [None] + [0] * len(creators)
+    for child, par in forest.parent.items():
+        if bag_of.get(child, 0) not in (0, bag_of.get(par, 0)):
+            parent[bag_of[child]] = bag_of.get(par, 0)
+    depths = [1]
+    for bag in range(1, len(parent)):
+        depths.append(depths[parent[bag]] + 1)
+    members = [set() for _ in parent]
+    for t, bag in node_of.items():
+        members[bag].add(t)
+    return (node_of, tuple(parent), (None, *(s.index for s in creators)),
+            tuple(depths), members)
+
+
+def _alternating(n):
+    return QbfFormula(("ae" * n)[:n], tuple((i, -i) for i in range(1, n + 1)))
+
+
+def _program_and_database(inst):
+    return inst.program, inst.database
+
+
+TREE_INSTANCES = {
+    **{f"sets({n})": lambda n=n: _program_and_database(gen_sets(n)) for n in range(1, 5)},
+    **{f"alternating {n}": lambda n=n: _program_and_database(gen_qbf(_alternating(n)))
+       for n in range(1, 7)},
+    "chain k=3 n=1": lambda: sets_chain(3, 1),
+    "chain k=2 n=2": lambda: sets_chain(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(TREE_INSTANCES))
+def test_term_tree_places_nulls_as_a_stack_walk_does(name):
+    program, db = TREE_INSTANCES[name]()
+    _, scc, _, certs, ranks = analyze(program)
+    info = check_arboreous(program, scc, ranks, certs)
+    result = chase(program, db, max_steps=20_000)
+    assert info.arboreous and result.terminated
+    tree = build_term_tree(result.trace, info)
+    node_of, parent, creating, depths, members = _term_tree_by_stack_walk(result.trace, info)
+    assert tree.node_of == node_of
+    assert (tree.parent, tree.creating_step, tree.depths) == (parent, creating, depths)
+    assert [set(terms) for terms in tree.node_terms] == members
+    assert len(tree) > 1
+
+
+def test_term_tree_drags_other_nulls_into_their_parents_bag():
+    # none of the arboreous programs the suite chases makes a forest null
+    # by a non-certificate rule, so the trace is made by hand: rule 1 is
+    # the certificate rule, and n2, n3 and n6 are dragged along
+    program = parse_program("p(X) -> q(X,V) . q(X,Y) -> r(Y,W) .")
+    v, w = program.rule(1).existentials + program.rule(2).existentials
+    a = Constant("a")
+    n = {i: Null(i, f"n{i}") for i in range(1, 7)}
+    made = [(1, a, n[1]), (2, n[1], n[2]), (2, n[2], n[3]), (1, n[3], n[4]),
+            (2, a, n[5]), (2, n[4], n[6])]        # (rule, frontier value, null)
+    trace = ChaseTrace(program, (Atom("p", (a,)),))
+    for index, (rid, t, null) in enumerate(made, start=1):
+        rule = program.rule(rid)
+        facts = (Atom("q" if rid == 1 else "r", (t, null)),)
+        trace.steps.append(ChaseStep(index, rid, rule.step_variables, (t,), facts, facts,
+                                     (null,)))
+        trace.var_of_null[null] = rule.existentials[0]
+        trace.chain_edges.append((t, rule.frontier[0], null))
+    info = ArboreousInfo("arboreous", chat=(v, w), ehat_rule_ids=(1,))
+    tree = build_term_tree(trace, info)
+    assert tree.node_terms == ((a, n[5]), (n[1], n[2], n[3]), (n[4], n[6]))
+    assert (tree.parent, tree.creating_step, tree.depths) == ((None, 0, 1), (None, 1, 4),
+                                                             (1, 2, 3))
+    node_of, parent, creating, depths, members = _term_tree_by_stack_walk(trace, info)
+    assert tree.node_of == node_of
+    assert (tree.parent, tree.creating_step, tree.depths) == (parent, creating, depths)
+    assert [set(terms) for terms in tree.node_terms] == members
 
 
 def test_position_order_qbf_contains_su_pair(qbf_setup):

@@ -177,12 +177,21 @@ _FACTS = st.lists(st.sampled_from([Atom(p, args) for p in sorted(_ARITY)
                   max_size=14)
 
 
+def _entry_run(plan_atoms, variables, bound: dict, interp, emit, below=None) -> None:
+    """The matches of ``plan_atoms`` that extend ``bound``, by a plan seeded
+    with an atom over the bound variables, which the entry values match:
+    only ``run_from`` takes a watermark."""
+    entry = Atom("entry", tuple(bound))
+    Plan(plan_atoms, variables, seed=entry).run_from(
+        interp, Atom("entry", tuple(bound.values())), emit, below)
+
+
 def _all_runs(interp, body, bound, seeds, below=None) -> list:
-    """The ordered matches of the plan of ``body`` and of each of its
-    seeded plans from each of ``seeds``."""
+    """The ordered matches of the plan of ``body`` from the entry ``bound``
+    and of each of its seeded plans from each of ``seeds``."""
     variables = tuple(bound) + tuple(v for v in atoms_variables(body) if v not in bound)
     found: list = []
-    Plan(body, variables, len(bound)).run(interp, bound.values(), found.append, below)
+    _entry_run(body, variables, bound, interp, found.append, below)
     for _atom, seeded in seeded_plans(body, variables):
         for fact in seeds:
             found.append(fact)
@@ -215,18 +224,17 @@ def test_a_bounded_run_picks_atoms_by_the_counts_below_its_watermark():
     body = (Atom("p", (x, y)), Atom("q", (y,)))
     interp = Interpretation([Atom("p", (a, b)), Atom("p", (c, d)),
                              Atom("q", (d,)), Atom("q", (b,)), Atom("q", (e,))])
-    plan = Plan(body, (x, y))
     then: list = []
-    plan.run(interp, (), then.append)
+    _entry_run(body, (x, y), {}, interp, then.append)
     assert then == [(a, b), (c, d)]     # p first: two facts against three
     below = interp.watermark()
     interp.add(Atom("p", (e, e)))
     interp.add(Atom("p", (b, e)))
     now: list = []
-    plan.run(interp, (), now.append)
+    _entry_run(body, (x, y), {}, interp, now.append)
     assert now == [(c, d), (a, b), (e, e), (b, e)]    # q first: three against four
     bounded: list = []
-    plan.run(interp, (), bounded.append, below)
+    _entry_run(body, (x, y), {}, interp, bounded.append, below)
     assert bounded == then
 
 

@@ -11,8 +11,8 @@ from chasekit.matching import evaluate_bcq
 from chasekit.model import (Constant, Interpretation, Null, parse_facts, parse_program,
                             parse_query, substitute)
 from chasekit.saturation import find_saturating_certificate
-from chasekit.treechase import (TaskNode, TaskTreeBuilder, TreeChaseRun, _GuidedReplayer,
-                                schedule_sequence, tree_chase_guided, tree_chase_search)
+from chasekit.treechase import (TaskTreeBuilder, TreeChaseRun, _GuidedReplayer,
+                                tree_chase_guided, tree_chase_search)
 from test_acceptance import QBF_SUITE
 
 
@@ -76,26 +76,37 @@ def test_task_tree_single_node_for_root_only_body():
     tree = build_term_tree(result.trace, info)
     pair_step = next(s for s in result.trace.steps
                      if program.rule(s.rule_id).head[0].pred == "pair")
-    node = TaskTreeBuilder(result.trace, tree).build(1, pair_step.index)
-    assert node.depth == 1 and node.step == pair_step.index
-    sub_steps = schedule_sequence(node)
+    sub_steps = TaskTreeBuilder(result.trace, tree).schedule(1, pair_step.index)
     assert sub_steps[-1] == pair_step.index
     assert all(a < b for a, b in zip(sub_steps, sub_steps[1:])) or len(sub_steps) == 1
 
 
-def test_task_tree_descendants_strictly_earlier(sets1):
-    inst, info = sets1
-    result = chase(inst.program, inst.database, max_steps=4000)
-    tree = build_term_tree(result.trace, info)
-    target = result.trace.steps[-1].index
-    node = TaskTreeBuilder(result.trace, tree).build(1, target)
+def _naive_schedule(builder, depth, step):
+    """The schedule of the task (depth, step), by recursion as the
+    ``TaskTreeBuilder`` docstring reads: per depth from ``depth`` to the
+    length of the step's body path, the latest earlier step that produced
+    an atom on the path cut to that depth is a subtask, scheduled before
+    the task, shallower subtasks first."""
+    path = builder.body_path[step]
+    out = []
+    for e in range(depth, len(path) + 1):
+        sub = max((j for j in builder.atom_steps.get(path[:e], ()) if j < step),
+                  default=None)
+        if sub is not None:
+            assert sub < step
+            out += _naive_schedule(builder, e, sub)
+    return out + [step]
 
-    def check(n):
-        for c in n.children:
-            assert c.step < n.step
-            check(c)
 
-    check(node)
+def test_task_tree_descendants_strictly_earlier():
+    for inst in (gen_sets(1), gen_sets(2), gen_qbf(_alternating(3))):
+        info = arboreous_info(inst.program)
+        result = chase(inst.program, inst.database, max_steps=4000)
+        builder = TaskTreeBuilder(result.trace, build_term_tree(result.trace, info))
+        for step in result.trace.steps:
+            for depth in range(1, len(builder.body_path[step.index]) + 1):
+                assert builder.schedule(depth, step.index) == \
+                    _naive_schedule(builder, depth, step.index)
 
 
 def test_schedule_replays_in_runner(sets1):
@@ -415,41 +426,40 @@ def test_replay_rejects_a_body_atom_missing_after_translation(monkeypatch):
 
 # -- no recursion on the query path --------------------------------------------
 
-def test_schedule_sequence_of_a_deep_chain():
-    root = node = TaskNode(1, 5000, [])
-    for step in range(4999, 0, -1):
-        child = TaskNode(1, step, [])
-        node.children.append(child)
-        node = child
-    assert schedule_sequence(root) == list(range(1, 5001))
+def _builder(atom_steps, body_path):
+    """A builder made by hand from its two indexes."""
+    builder = TaskTreeBuilder.__new__(TaskTreeBuilder)
+    builder.nodes_made = 0
+    builder.atom_steps = atom_steps
+    builder.body_path = body_path
+    return builder
 
 
 def test_schedule_sequence_order_on_a_small_tree():
-    leaf = lambda step: TaskNode(2, step, [])
-    tree = TaskNode(1, 9, [TaskNode(1, 5, [leaf(1), leaf(2)]), leaf(7),
-                           TaskNode(2, 8, [leaf(3)])])
-    assert schedule_sequence(tree) == [1, 2, 5, 7, 3, 8, 9]
+    # the task (1, 9) has the subtasks (1, 5), (2, 7) and (3, 8); (1, 5)
+    # has (1, 1) and (2, 2), (2, 7) has (2, 2), and (3, 8) has (3, 3)
+    builder = _builder({(0,): [1, 5], (0, 1): [2, 7], (0, 1, 2): [3, 8]},
+                       {9: (0, 1, 2), 5: (0, 1), 7: (0, 1), 8: (0, 1, 2),
+                        1: (0,), 2: (0, 1), 3: (0,)})
+    assert builder.schedule(1, 9) == [1, 2, 5, 2, 7, 3, 8, 9]
+    assert builder.schedule(1, 9) == _naive_schedule(builder, 1, 9)
 
 
 def _chain_builder(length):
     """A builder whose step i has one body path node, produced by step i - 1."""
-    builder = TaskTreeBuilder.__new__(TaskTreeBuilder)
-    builder.nodes_made = 0
-    builder.atom_steps = {(1, (0,)): list(range(1, length + 1))}
-    builder.body_path = {i: (0,) for i in range(1, length + 1)}
-    return builder
+    return _builder({(0,): list(range(1, length + 1))},
+                    {i: (0,) for i in range(1, length + 1)})
 
 
 def test_task_tree_of_a_deep_chain():
-    node = _chain_builder(5000).build(1, 5000)
-    assert schedule_sequence(node) == list(range(1, 5001))
+    assert _chain_builder(5000).schedule(1, 5000) == list(range(1, 5001))
 
 
 def test_task_tree_node_cap(monkeypatch):
     monkeypatch.setattr(treechase, "_TASK_NODE_CAP", 100)
-    assert len(schedule_sequence(_chain_builder(100).build(1, 100))) == 100
+    assert len(_chain_builder(100).schedule(1, 100)) == 100
     with pytest.raises(InvariantViolation):
-        _chain_builder(101).build(1, 101)
+        _chain_builder(101).schedule(1, 101)
 
 
 def test_snapshot_restore_undoes_a_step(sets1):
