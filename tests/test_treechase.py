@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -433,6 +434,16 @@ def _builder(atom_steps, body_path):
     builder.atom_steps = atom_steps
     builder.body_path = body_path
     return builder
+
+
+def test_schedule_sequence_of_a_deep_chain():
+    # step i reads the atom (i,), which step i - 1 produced, so every task
+    # has one subtask and the chain is far deeper than the recursion limit
+    length = sys.getrecursionlimit() + 4000
+    builder = _builder({(i,): [i - 1] for i in range(2, length + 1)},
+                       {i: (i,) for i in range(1, length + 1)})
+    assert builder.schedule(1, length) == list(range(1, length + 1))
+    assert builder.nodes_made == length
 
 
 def test_schedule_sequence_order_on_a_small_tree():
