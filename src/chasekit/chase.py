@@ -19,6 +19,11 @@ atom is already a fact.  For an existential rule, satisfaction depends on
 the frontier values alone and is decided by the rule's head plan, which
 takes the whole match.  Every rule's joins are compiled once, on the rule
 (see ``Tgd``), so a second chase of the same program compiles nothing.
+The engine indexes the plans seeded with each body atom by the atom's
+predicate once, with their entries (see ``matching``), so it enters the
+compiled join of each plan directly for every new fact.  The facts a step
+adds skip the ground test: a match holds values of ground facts, the rule
+gives the constants, and the nulls are fresh.
 Under the deterministic strategy, an existential rule with two or more
 body atoms queues a cursor for the matches of a new fact rather than the
 matches themselves, and the cursor yields them, over the facts of that
@@ -248,29 +253,48 @@ class _Engine:
         # a watermark per step only when a cursor needs it: the facts of one
         # step share its number, and without watermarks all facts share one
         self.lazy = any(q.lazy for q in queues)
-        # predicate -> (push, the rule's plan seeded with the body atom, lazy,
-        # the frontiers its queue has taken) per body atom; a lazy queue
-        # takes a cursor instead of the matches, and only a Datalog queue
-        # keeps its frontiers
+        # predicate -> one entry per body atom of that predicate (see
+        # ``index_seeded``); only a Datalog queue keeps its frontiers
         self.body_index: dict = {}
         for q in queues:
-            push = q.cursors.append if q.lazy else q.items.append
             known = set() if q.rule.is_datalog else None
-            for atom, plan in q.rule.seeded_plans:
-                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy, known))
+            self.index_seeded(q, q.rule.seeded_plans, known)
             fill = q.items.append
             if known is not None:
                 fill = partial(_push_new, fill, known, q.n_frontier)
             q.rule.body_plan.run(self.interp, (), fill)
 
+    def index_seeded(self, q: _RuleQueue, plans, known: Optional[set]) -> None:
+        """Index the seeded ``plans``, ``(atom, plan)`` pairs of ``q``'s
+        rule, under their seed's predicate as ``(start, slots, arity, push,
+        known, plan)``: the plan's start function and a slot list of its
+        width, or two Nones for a lazy queue, which takes a cursor instead
+        of the matches; the seed's arity; where the matches or cursors go;
+        the set of frontiers the queue has taken, or None; and the plan, for
+        the cursors and because its compiled functions hold it only weakly.
+        Every run of a plan reuses its slot list (see ``Plan``)."""
+        push = q.cursors.append if q.lazy else q.items.append
+        for atom, plan in plans:
+            start = slots = None
+            if not q.lazy:
+                start, width = plan.entry()
+                slots = [None] * width
+            self.body_index.setdefault(atom.pred, []).append(
+                (start, slots, len(atom.args), push, known, plan))
+
     def discover(self, fact: Atom, below: Optional[int]) -> None:
         """Enqueue every candidate match that involves a new fact, or, in a
-        lazy queue, a cursor for them with the watermark ``below``."""
-        for push, plan, lazy, known in self.body_index.get(fact.pred, ()):
-            if lazy:
+        lazy queue, a cursor for them with the watermark ``below``.  Each
+        plan is entered as ``Plan.run_from`` enters it, arity test and all."""
+        pget = self.interp._pget
+        aget = self.interp._aget
+        arity = len(fact.args)
+        seed = (fact,)
+        for start, slots, n, push, known, plan in self.body_index.get(fact.pred, ()):
+            if start is None:
                 push((plan, fact, below))
-            else:
-                plan.run_from(self.interp, fact, push, None, known)
+            elif n == arity:
+                start(seed, slots, push, pget, aget, len, known)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1
@@ -284,7 +308,8 @@ class _Engine:
         trace.var_of_null.update(zip(created, rule.existentials))
         slots = values + created     # values itself when nothing was created
         new_facts = tuple([Atom(pred, args(slots)) for pred, args in rule.head_slots])
-        added = tuple([a for a in new_facts if self.interp.add(a)])
+        insert = self.interp._insert     # ground facts (see the module docstring)
+        added = tuple([a for a in new_facts if insert(a)])
         if len(added) == len(new_facts):
             added = new_facts
         trace.steps.append(ChaseStep(index, rule.rule_id, rule.step_variables, values,

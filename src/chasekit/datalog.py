@@ -21,7 +21,10 @@ it too.  Groundness is checked where atoms enter from outside: by
 
 A program's Datalog part is indexed once, on first use, by the
 ``Program.datalog_index`` property; both functions take that index or any
-rule iterable, which they index on the fly.
+rule iterable, which they index on the fly.  The index holds each seeded
+plan's entry (``matching.Plan.entry``), made on the first lookup of the
+seed's predicate, which ``saturate`` calls for each worklist fact of that
+predicate and the seed's arity.
 
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by saturating the body as it is and testing
@@ -70,14 +73,20 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     missing = {a for a in goal if a not in result}
     if goal and not missing:
         return result
+    pget = result._pget
+    aget = result._aget
     worklist = list(result)
     while worklist:
         fact = worklist.pop()
-        for plan, head in index.get(fact.pred, ()):
+        arity = len(fact.args)
+        seed = (fact,)
+        for start, width, n, head in index[fact.pred]:
+            if n != arity:
+                continue
             # collected first: adding while the plan walks would extend the
             # fact lists it is reading
             matches: list = []
-            plan.run_from(result, fact, matches.append)
+            start(seed, [None] * width, matches.append, pget, aget, len, None)
             for values in matches:
                 for pred, args in head:
                     new = Atom(pred, args(values))

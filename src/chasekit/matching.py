@@ -46,6 +46,14 @@ compiled once per process (``_CODE``).  A function's globals hold only
 what it calls, never the function itself or its plan, so a plan holds no
 reference cycle and is freed as soon as its last user drops it.
 
+A run enters a plan at its *entry* (``Plan.entry``): the first function
+of a run, compiled on first use, and the number of slots it binds.
+``Plan.run`` and ``Plan.run_from`` look it up on every run.  The loops
+that run plans once per fact, the chase's discovery and
+``datalog.saturate``, look it up once, when they index the plans, and call
+the function directly, testing the fact's arity as ``run_from`` does;
+``head_satisfied`` enters the head plan without ``Plan.run``.
+
 A rule compiles its own plans once (see ``model.Tgd``), and every engine
 that applies it runs those.  ``match_each`` and the functions built on it
 compile a plan per call, for queries and other joins that no rule holds,
@@ -123,9 +131,17 @@ class Plan:
     otherwise.
 
     ``start`` is the function a run calls first: the seed's step, or the
-    node of no matched atoms.  A node, compiled on the first visit of a
-    set ``mask`` of matched atoms and kept in ``_nodes``, is called as
-    ``node(slots, emit, pget, aget, count, known)``, where ``pget`` and
+    node of no matched atoms.  ``entry()`` returns it, compiled on the
+    first call, with the slot width; ``run`` calls ``start(slots, ...)``
+    and ``run_from`` ``start((fact,), slots, ...)``.  A caller that keeps
+    ``start`` keeps the plan too, since the plan's functions hold it only
+    weakly.  A run reads only the slots bound on entry or bound by itself,
+    and hands out copies, so runs that do not nest may share one slot
+    list, as the chase's do.
+
+    A node, compiled on the first visit of a set ``mask`` of matched atoms
+    and kept in ``_nodes``, is called as ``node(slots, emit, pget, aget,
+    count, known)``, where ``pget`` and
     ``aget`` read the interpretation's predicate and argument indexes,
     ``count(list)`` is how many of a list's first facts are joined and
     ``known`` is the set or None, read only by a ``keep`` plan.  For
@@ -144,7 +160,7 @@ class Plan:
     """
 
     __slots__ = ("atoms", "variables", "n_bound", "reorder", "seed", "keep", "start",
-                 "_nodes", "__weakref__")
+                 "_entry", "_nodes", "__weakref__")
 
     def __init__(self, atoms, variables, n_bound: int = 0, reorder: bool = True,
                  seed: Optional[Atom] = None, keep: Optional[int] = None):
@@ -155,16 +171,26 @@ class Plan:
         self.seed = seed
         self.keep = keep
         self.start = None
+        self._entry = None
 
-    def _compile(self) -> Callable:
-        """The first function of a run: the seed's step, or the root node."""
+    def _compile(self) -> tuple:
+        """The plan's entry, with ``start`` the first function of a run:
+        the seed's step, or the root node."""
         self._nodes = {}
         if self.seed is None:
             self.start = self._node(0)
         else:
             self.start = self._step(self.seed, range(self.n_bound),
                                     self._node(0) if self.atoms else None)
-        return self.start
+        self._entry = (self.start, len(self.variables))
+        return self._entry
+
+    def entry(self) -> tuple:
+        """``(start, width)``: the function a run calls first, compiled on
+        the first call, and the number of slots a run binds.  A caller that
+        runs the plan once per fact looks the entry up once and calls
+        ``start`` as ``run`` and ``run_from`` do."""
+        return self._entry or self._compile()
 
     def _bound(self, mask: int) -> set:
         """The slots bound once the atoms in ``mask`` are matched."""
@@ -292,9 +318,9 @@ class Plan:
         """Call ``emit`` with the slot tuple of every match that extends
         the entry ``values``; a truthy return stops the search, and the
         result says whether it was stopped."""
+        start, width = self.entry()
         slots = list(values)
-        slots += [None] * (len(self.variables) - len(slots))
-        start = self.start or self._compile()
+        slots += [None] * (width - len(slots))
         return start(slots, emit, interp._pget, interp._aget, len, None)
 
     def run_from(self, interp: Interpretation, fact: Atom,
@@ -304,12 +330,11 @@ class Plan:
         facts numbered below ``below`` if given; a ``keep`` plan skips the
         matches whose first ``keep`` slots are in the set ``known`` and
         adds those of the matches it emits."""
-        start = self.start or self._compile()
+        start, width = self.entry()
         if len(fact.args) != len(self.seed.args):
             return False
         count = len if below is None else _counter(interp, below)
-        return start((fact,), [None] * len(self.variables), emit, interp._pget,
-                     interp._aget, count, known)
+        return start((fact,), [None] * width, emit, interp._pget, interp._aget, count, known)
 
 
 def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:
@@ -392,8 +417,13 @@ def find_matches(interp: Interpretation, atoms, subst: Optional[dict] = None,
 def head_satisfied(interp: Interpretation, head: Plan, values) -> bool:
     """Do the entry ``values`` of the plan ``head`` extend so that its atoms
     embed?  ``head`` is usually a rule's ``head_plan``, and ``values`` a
-    whole match of the rule's body."""
-    return head.run(interp, values, _found)
+    whole match of the rule's body.  It calls the plan's entry as
+    ``Plan.run`` does, without that frame: the chase checks a head for
+    every existential candidate it pops."""
+    start, width = head.entry()
+    slots = list(values)
+    slots += [None] * (width - len(slots))
+    return start(slots, _found, interp._pget, interp._aget, len, None)
 
 
 def unsatisfied_matches(interp: Interpretation, rules, new=None) -> Iterator[tuple]:

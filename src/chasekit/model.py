@@ -267,22 +267,42 @@ class Tgd:
 class DatalogIndex:
     """Existential-free rules indexed for saturation.
 
-    ``by_body_pred`` maps a predicate to one ``(plan, head)`` pair per body
-    atom with that predicate, in rule order: the rule's seeded plan for
-    that atom and its ``head_slots``; ``head_preds`` holds every predicate
-    that some rule derives.
+    ``by_body_pred[pred]`` lists one ``(start, width, arity, head)`` entry
+    per body atom with the predicate ``pred``, in rule order: the entry of
+    the rule's plan seeded with that atom (``Plan.entry``), the atom's
+    arity and the rule's ``head_slots``.  A predicate's entries are made on
+    its first lookup, so a plan is compiled only once a fact of its seed's
+    predicate comes up.  ``head_preds`` holds every predicate that some
+    rule derives.
     """
 
     def __init__(self, rules: Iterable[Tgd]):
-        self.by_body_pred: dict = {}
+        seeded: dict = {}
         head_preds = set()
         for rule in rules:
             if rule.existentials:
                 raise ValueError(f"rule {rule.rule_id} has existential variables")
             for atom, plan in rule.seeded_plans:
-                self.by_body_pred.setdefault(atom.pred, []).append((plan, rule.head_slots))
+                seeded.setdefault(atom.pred, []).append((atom, plan, rule.head_slots))
             head_preds.update(h.pred for h in rule.head)
+        self.by_body_pred = _SeededEntries(seeded)
         self.head_preds = frozenset(head_preds)
+
+
+class _SeededEntries(dict):
+    """Predicate -> the entries of ``DatalogIndex.by_body_pred``, made on
+    the first lookup of each from ``seeded``: predicate -> ``(seed atom,
+    plan, head)`` triples, which also keep the plans alive, since their
+    compiled functions hold them only weakly."""
+
+    def __init__(self, seeded: dict):
+        super().__init__()
+        self.seeded = seeded
+
+    def __missing__(self, pred: str) -> list:
+        entries = self[pred] = [(*plan.entry(), len(atom.args), head)
+                                for atom, plan, head in self.seeded.get(pred, ())]
+        return entries
 
 
 class Program:
@@ -382,10 +402,13 @@ class Interpretation:
     """A set of atoms, indexed by predicate and by argument.
 
     ``add`` rejects an atom that holds a variable, so every interpretation
-    that the parsers, the chase and the tree runner build is ground.  Only
-    ``datalog.saturate`` inserts without that check, through ``_insert``:
-    it reads every term as an opaque value, so ``entails`` saturates a
-    conjunction whose variables stand for themselves.
+    that the parsers and the tree runner build is ground.  Three callers
+    insert without that check, through ``_insert``.  ``datalog.saturate``
+    reads every term as an opaque value, so ``entails`` saturates a
+    conjunction whose variables stand for themselves.  The chase's rule
+    applications insert facts that are ground by construction: a match's
+    values come from ground facts, the rule gives the constants, and the
+    nulls are fresh.  ``copy`` inserts the atoms its source already holds.
 
     Iteration is in insertion order, and so is every index list, which
     keeps every consumer deterministic.  ``_atoms`` maps each atom to its
@@ -484,7 +507,12 @@ class Interpretation:
         return self._by_pred.get(pred, [])
 
     def copy(self) -> "Interpretation":
-        return Interpretation(self._atoms)
+        """A new interpretation of the same atoms, in the same order."""
+        out = Interpretation()
+        insert = out._insert
+        for atom in self._atoms:
+            insert(atom)
+        return out
 
     def terms(self) -> Iterator[Term]:
         seen: set = set()

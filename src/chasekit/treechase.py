@@ -177,6 +177,20 @@ class TreeChaseRun:
 # Task schedules
 # ---------------------------------------------------------------------------
 
+class _BodyPaths(dict):
+    """Step index -> ``tree.path_of_terms`` of the step's values, each
+    computed on its first read; step ``i`` is ``steps[i - 1]``."""
+
+    def __init__(self, steps: list, tree: TermTree):
+        super().__init__()
+        self._steps = steps
+        self._tree = tree
+
+    def __missing__(self, index: int) -> tuple:
+        path = self[index] = self._tree.path_of_terms(self._steps[index - 1].values)
+        return path
+
+
 class TaskTreeBuilder:
     """Derives, for a chase step, the schedule that rebuilds its inputs.
 
@@ -185,18 +199,21 @@ class TaskTreeBuilder:
     the latest earlier step that produced an atom exactly that deep on the
     same path.  A schedule lists the steps of a task's tree in post-order:
     every task after its subtasks, shallower subtasks first.
+
+    ``atom_steps`` is built over every step; ``body_path``, step index ->
+    the root path of the step's body terms, computes a step's path on its
+    first read, so a schedule pays only for the steps it visits.
     """
 
     def __init__(self, trace: ChaseTrace, tree: TermTree):
         self.nodes_made = 0
         self.atom_steps: dict = {}    # root path -> ascending step indices
-        self.body_path: dict = {}
+        self.body_path = _BodyPaths(trace.steps, tree)
         for step in trace.steps:
             for atom in step.added:
                 lst = self.atom_steps.setdefault(tree.path_of_atom(atom), [])
                 if not lst or lst[-1] != step.index:
                     lst.append(step.index)
-            self.body_path[step.index] = tree.path_of_terms(step.values)
 
     def _latest_before(self, path: tuple, limit: int) -> Optional[int]:
         lst = self.atom_steps.get(path)

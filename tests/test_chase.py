@@ -17,7 +17,8 @@ from chasekit.corpus import (QbfFormula, gen_counter, gen_dexp, gen_dexp_nonterm
 from chasekit.datalog import saturate
 from chasekit.depgraph import build_ledgraph
 from chasekit.matching import Plan, evaluate_bcq, seeded_plans
-from chasekit.model import parse_facts, parse_program, parse_query
+from chasekit.model import (Atom, Constant, Database, parse_facts, parse_program,
+                            parse_query)
 from oracles import model_check
 from test_datalog import _dead_slot_case
 from test_invariants import _layered_program
@@ -342,19 +343,19 @@ def test_a_second_chase_of_a_program_compiles_nothing(plan_compiles):
 def test_the_chase_runs_the_datalog_plans_that_saturate_runs(monkeypatch):
     inst = gen_sets(3)
     program = inst.program
-    indexed = {id(plan) for entries in program.datalog_index.by_body_pred.values()
-               for plan, _head in entries}
+    indexed = {start for pred in program.signature
+               for start, *_rest in program.datalog_index.by_body_pred[pred]}
     ran: list = []
-    original = Plan.run_from
+    original = Plan.entry
 
-    def recording(plan, *args, **kwargs):
+    def recording(plan):
         ran.append(plan)
-        return original(plan, *args, **kwargs)
+        return original(plan)
 
-    monkeypatch.setattr(Plan, "run_from", recording)
+    monkeypatch.setattr(Plan, "entry", recording)
     chase(program, inst.database)
-    datalog_runs = {id(plan) for plan in ran
-                    if program.rule_of_var[plan.variables[0]].is_datalog}
+    datalog_runs = {plan.start for plan in ran if plan.seed is not None
+                    and program.rule_of_var[plan.variables[0]].is_datalog}
     assert datalog_runs and datalog_runs <= indexed
 
 
@@ -420,12 +421,9 @@ class _EveryMatchEngine(chase_module._Engine):
         queue_of = {q.rule.rule_id: q for q in self.datalog + self.existential}
         self.body_index = {}
         for rule in program.rules:
-            q = queue_of[rule.rule_id]
-            push = q.cursors.append if q.lazy else q.items.append
             plans = (seeded_plans(rule.body, rule.body_plan.variables) if rule.is_datalog
                      else rule.seeded_plans)
-            for atom, plan in plans:
-                self.body_index.setdefault(atom.pred, []).append((push, plan, q.lazy, None))
+            self.index_seeded(queue_of[rule.rule_id], plans, None)
         for q in self.datalog:
             q.items.clear()
             q.rule.body_plan.run(self.interp, (), q.items.append)
@@ -471,3 +469,43 @@ def test_the_chase_equals_the_chase_that_queues_every_match_on_dead_slot_program
     program = parse_program("\n".join(str(r) for r in rules) + "\n" + existential)
     database = parse_facts(facts.to_text(), program.signature)
     _assert_same_chase(program, database, strategy, cap)
+
+
+# -- the two guards that moved out of the plans' runs ------------------------------
+
+def _assert_ground(result):
+    """The chase inserts what it derives without the ground test."""
+    assert all(atom.is_ground() for atom in result.interpretation)
+
+
+@pytest.mark.parametrize("name", list(TRACE_INSTANCES))
+@pytest.mark.parametrize("strategy", [Deterministic(), Seeded(7)], ids=str)
+def test_every_fact_of_a_chase_is_ground(name, strategy):
+    generate, cap = TRACE_INSTANCES[name]
+    inst = generate()
+    _assert_ground(chase(inst.program, inst.database, strategy, max_steps=cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layered_program(), _STRATEGIES)
+def test_every_fact_of_a_chase_is_ground_on_layered_programs(case, strategy):
+    rules_text, facts_text = case
+    program = parse_program(rules_text)
+    _assert_ground(chase(program, parse_facts(facts_text, program.signature), strategy))
+
+
+def test_a_fact_of_another_arity_than_the_body_atom_is_skipped_not_read():
+    # the parsers keep one arity per predicate, a hand-built database need
+    # not: a seeded run must skip a fact of another arity than its seed, not
+    # read past its arguments; the chase's body plans read the first
+    # positions of a longer database fact, and its head check does too
+    a, b, c, d = (Constant(x) for x in "abcd")
+    program = parse_program("p(X, Y) -> q(Y) .\nq(X) -> s(X, V) .\n")
+    database = Database([Atom("p", (a, b, c)), Atom("s", (b, c, d))])
+    for strategy in (Deterministic(), Seeded(7)):
+        result = chase(program, database, strategy)
+        assert result.terminated and result.steps == 1
+        assert list(result.interpretation) == [*database, Atom("q", (b,))]
+    facts = [Atom("p", (a,)), Atom("p", (a, b, c))]
+    assert list(saturate(program.datalog_rules(), facts)) == facts
+    assert list(saturate(program.datalog_index, facts)) == facts
