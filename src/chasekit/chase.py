@@ -43,6 +43,33 @@ A Datalog queue is no strategy's to draw from, and its FIFO pops the twin
 first, which is applied or found satisfied; facts are never removed, so
 the repeat would only have been popped after it and found satisfied.  A
 satisfied pop is no step, so the step cap falls where it fell.
+
+A Datalog rule's seeded plan also skips whole runs, once per chase, by a
+*seed memo* (see ``_Engine.index_seeded``), and that too leaves every
+trace as it was.  A seed atom A may have a dead position: its variable
+is not in the frontier, is in no other body atom and occurs once in A.
+The *key* of a fact is its arguments at A's other positions, constants
+and repeated variables included, so a fact that fails A's tests never
+shares a key with one that passes them.  The run of a fact f whose key
+an earlier fact f' brought is skipped when it would push nothing, which
+holds by induction on the order of the runs, one per fact and seed,
+skipped or not.  Take a match m of the skipped run.  Put f' in f's place
+at A: since f' agrees with f wherever the key reads, this gives a twin
+m' with m's frontier.  Suppose that, for each body atom whose fact in m'
+is derived, the run of that fact for that atom has come already.  A
+match of database facts alone came with the first fill.  Otherwise take
+the latest of these runs, say of the fact g for the atom B.  When it
+ran, every fact of m' was present, so it found m' or, by the collapse of
+dead slots, a match with the same frontier; or it was skipped and, by
+induction, that frontier was taken already.  So m's frontier is in the
+queue's set, and the run of f would have pushed nothing.  The runs that
+have not come yet are those of f for the body atoms after A and those of
+the facts of f's step that are discovered after f.  So the run is made
+after all when a later fact of the step has the predicate of another
+body atom, or when f could match a later atom B along with A; with A and
+B the whole body, that one match's frontier is tested instead.  Without
+these two guards, the twin's frontier could be pushed later than the
+skipped run would have pushed it, and a trace could move.
 """
 
 from __future__ import annotations
@@ -234,6 +261,10 @@ def _push_new(push, known: set, n: int, values: tuple) -> None:
         push(values)
 
 
+# an Atom from the tuple (pred, args), without the Python frame of Atom()
+_atom = partial(tuple.__new__, Atom)
+
+
 class _Engine:
     def __init__(self, program: Program, database: Database,
                  strategy, max_steps: int):
@@ -266,83 +297,128 @@ class _Engine:
 
     def index_seeded(self, q: _RuleQueue, plans, known: Optional[set]) -> None:
         """Index the seeded ``plans``, ``(atom, plan)`` pairs of ``q``'s
-        rule, under their seed's predicate as ``(start, slots, arity, push,
-        known, plan)``: the plan's start function and a slot list of its
-        width, or two Nones for a lazy queue, which takes a cursor instead
-        of the matches; the seed's arity; where the matches or cursors go;
-        the set of frontiers the queue has taken, or None; and the plan, for
-        the cursors and because its compiled functions hold it only weakly.
-        Every run of a plan reuses its slot list (see ``Plan``)."""
+        rule in body order, under their seed's predicate as ``(start,
+        slots, arity, push, known, plan, memo)``: the plan's start function
+        and a slot list of its width, or two Nones for a lazy queue, which
+        takes a cursor instead of the matches; the seed's arity; where the
+        matches or cursors go; the set of frontiers the queue has taken, or
+        None; the plan, for the cursors and because its compiled functions
+        hold it only weakly; and the seed memo, or None.  Every run of a
+        plan reuses its slot list (see ``Plan``).
+
+        Given ``known``, a seed with a dead position (``Tgd.seed_keys``)
+        gets a memo ``(key, preds, clash, seen)``: the rule's reader of a
+        fact's key and its two guards, and ``seen``, the keys of the facts
+        of this chase that came to the seed, a new set for each chase.
+        ``discover`` skips the run of a fact whose key is in ``seen``,
+        unless a later fact of its step has a predicate in ``preds`` or
+        ``clash`` says that the fact could match a later body atom as well
+        in a match whose frontier is not known.  The skipped run would
+        have pushed nothing, by induction on the order of the runs: a
+        match m of it has a twin m' with the earlier fact of the same key
+        in the seed's place and the same frontier, and the latest of the
+        runs of m''s facts for their atoms found m' or its frontier, or was
+        itself skipped; the guards make sure those runs have all come
+        before this one (see the module docstring)."""
         push = q.cursors.append if q.lazy else q.items.append
-        for atom, plan in plans:
+        keys = q.rule.seed_keys if known is not None else (None,) * len(plans)
+        for (atom, plan), keyed in zip(plans, keys):
             start = slots = None
             if not q.lazy:
                 start, width = plan.entry()
                 slots = [None] * width
+            memo = None if keyed is None else (*keyed, set())
             self.body_index.setdefault(atom.pred, []).append(
-                (start, slots, len(atom.args), push, known, plan))
+                (start, slots, len(atom.args), push, known, plan, memo))
 
-    def discover(self, fact: Atom, below: Optional[int]) -> None:
-        """Enqueue every candidate match that involves a new fact, or, in a
-        lazy queue, a cursor for them with the watermark ``below``.  Each
-        plan is entered as ``Plan.run_from`` enters it, arity test and all."""
+    def discover(self, added: tuple, below: Optional[int]) -> None:
+        """Enqueue every candidate match that involves one of the new facts
+        ``added`` by a step, fact by fact, or, in a lazy queue, a cursor for
+        them with the watermark ``below``.  Each plan is entered as
+        ``Plan.run_from`` enters it, arity test and all, unless its memo
+        skips the run."""
         pget = self.interp._pget
         aget = self.interp._aget
-        arity = len(fact.args)
-        seed = (fact,)
-        for start, slots, n, push, known, plan in self.body_index.get(fact.pred, ()):
-            if start is None:
-                push((plan, fact, below))
-            elif n == arity:
-                start(seed, slots, push, pget, aget, len, known)
+        index = self.body_index
+        for i, fact in enumerate(added):
+            args = fact.args
+            arity = len(args)
+            seed = (fact,)
+            for start, slots, n, push, known, plan, memo in index.get(fact.pred, ()):
+                if start is None:
+                    push((plan, fact, below))
+                elif n == arity:
+                    if memo is not None:
+                        read, preds, clash, seen = memo
+                        key = read(args)
+                        if key not in seen:
+                            seen.add(key)
+                        elif ((clash is None or not clash(args, known))
+                              and (i + 1 == len(added)
+                                   or preds.isdisjoint([g.pred for g in added[i + 1:]]))):
+                            continue    # the run would push nothing
+                    start(seed, slots, push, pget, aget, len, known)
 
     def fresh_null(self, step_index: int, var: Variable) -> Null:
         self.null_counter += 1
         return Null(self.null_counter, f"n{step_index}_{var.name}")
 
+    def record(self, rule: Tgd, values: tuple, new_facts: tuple, created: tuple) -> None:
+        """Add the ``new_facts`` of an application of ``rule`` to the match
+        ``values`` with the fresh nulls ``created``, record the step, and
+        discover the facts that were new."""
+        insert = self.interp._insert     # ground facts (see the module docstring)
+        added = tuple([a for a in new_facts if insert(a)])
+        if len(added) == len(new_facts):
+            added = new_facts
+        steps = self.trace.steps
+        steps.append(ChaseStep(len(steps) + 1, rule.rule_id, rule.step_variables, values,
+                               new_facts, added, created))
+        self.discover(added, self.interp.watermark() if self.lazy else None)
+
     def apply(self, q: _RuleQueue, values: tuple) -> None:
+        """Apply the existential candidate ``values`` of ``q``'s rule."""
         rule = q.rule
         trace = self.trace
         index = len(trace.steps) + 1
         created = tuple([self.fresh_null(index, v) for v in rule.existentials])
         trace.var_of_null.update(zip(created, rule.existentials))
-        slots = values + created     # values itself when nothing was created
-        new_facts = tuple([Atom(pred, args(slots)) for pred, args in rule.head_slots])
-        insert = self.interp._insert     # ground facts (see the module docstring)
-        added = tuple([a for a in new_facts if insert(a)])
-        if len(added) == len(new_facts):
-            added = new_facts
-        trace.steps.append(ChaseStep(index, rule.rule_id, rule.step_variables, values,
-                                     new_facts, added, created))
+        slots = values + created
         for n in created:
             # the frontier's values are the first slots
             for t, y in zip(values, rule.frontier):
                 trace.chain_edges.append((t, y, n))
-        below = self.interp.watermark() if self.lazy else None
-        for fact in added:
-            self.discover(fact, below)
+        new_facts = tuple([_atom((pred, args(slots))) for pred, args in rule.head_slots])
+        self.record(rule, values, new_facts, created)
 
     def run_datalog(self) -> Optional[ChaseResult]:
         """Apply unsatisfied Datalog matches until fixpoint (or the cap).
         A match grounds the whole head, so it is satisfied exactly when
-        each ground atom of the rule's ``head_slots`` is already a fact."""
-        interp = self.interp
+        each ground atom of the rule's ``head_slots`` is already a fact.
+        The test probes the interpretation's atoms with plain tuples; only
+        an unsatisfied match builds its head's Atoms.  A Datalog step
+        creates no null and draws no chain edge, so it skips ``apply``."""
+        facts = self.interp._atoms
+        steps = self.trace.steps
         progress = True
         while progress:
             progress = False
             for q in self.datalog:
-                head = q.rule.head_slots
-                while q.items:
-                    values = q.items.popleft()
+                rule = q.rule
+                head = rule.head_slots
+                items = q.items
+                while items:
+                    values = items.popleft()
                     # an Atom is the tuple (pred, args), so the plain tuple finds it
                     for pred, args in head:
-                        if (pred, args(values)) not in interp:
+                        if (pred, args(values)) not in facts:
                             break
                     else:   # every head atom is a fact already
                         continue
-                    if len(self.trace.steps) >= self.max_steps:
+                    if len(steps) >= self.max_steps:
                         return ChaseResult(False, self.interp, self.trace)
-                    self.apply(q, values)
+                    self.record(rule, values,
+                                tuple([_atom((pred, args(values))) for pred, args in head]), ())
                     progress = True
         return None
 

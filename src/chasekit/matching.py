@@ -358,6 +358,60 @@ def seeded_plans(body, variables, keep: Optional[int] = None) -> list:
             for k, atom in enumerate(body)]
 
 
+def seed_keys(body, variables, keep: int) -> tuple:
+    """For each body atom, in body order, how a caller of the ``keep``
+    plans of ``seeded_plans`` can tell two seed facts apart, or None when
+    the atom has no *dead* position (one whose variable is not kept, is in
+    no other body atom and occurs once in the atom) or the body has no
+    other atom, so that a run reads only the seed fact.  Otherwise ``(key,
+    preds, clash)``.  ``key`` reads a fact's arguments at every other
+    position, constants and repeated variables included, so two facts with
+    one key either both fail the atom or both match it, binding alike
+    every slot that a run reads.  ``preds`` holds the predicates of the
+    other body atoms.  ``clash(args, known)``, or None when no later body
+    atom has the seed's predicate and arity, says whether a fact with the
+    arguments ``args`` could match a later atom too, in a match that uses
+    it for both: with no third atom in the body, only if that one match's
+    kept slots, as a tuple, are not in the set ``known``.  It is compiled
+    as a plan's steps are, from positions and fixed names only."""
+    kept = set(variables[:keep])
+    out = []
+    for k, atom in enumerate(body):
+        args = atom.args
+        rest = body[:k] + body[k + 1:]
+        read = kept.union(*(a.variables() for a in rest))
+        live = [i for i, t in enumerate(args)
+                if not isinstance(t, Variable) or t in read or args.count(t) > 1]
+        if len(live) == len(args) or len(body) == 1:
+            out.append(None)
+            continue
+        names: dict = {}
+        lines = ["def clash(args, known):"]
+        for other in body[k + 1:]:
+            if other.pred != atom.pred or len(other.args) != len(args):
+                continue
+            first: dict = {}
+            tests = []
+            for i, t in (*enumerate(args), *enumerate(other.args)):
+                if not isinstance(t, Variable):
+                    name = f"c{len(names)}"
+                    names[name] = t
+                    tests.append(f"args[{i}] == {name}")
+                elif t not in first:
+                    first[t] = i
+                elif first[t] != i:
+                    tests.append(f"args[{first[t]}] == args[{i}]")
+            if len(body) == 2:
+                front = "".join(f"args[{first[v]}], " for v in variables[:keep])
+                tests.append(f"({front}) not in known")
+            lines += [f"if {' and '.join(tests) or 'True'}:", "    return True"]
+        clash = _function(lines + ["return False"], names) if len(lines) > 1 else None
+        # a lone live position is read as the term itself
+        out.append((itemgetter(*live) if live else itemgetter(slice(0, 0)),
+                    frozenset(a.pred for a in rest), clash))
+    return tuple(out)
+
+
 def slot_atoms(atoms, variables) -> tuple:
     """``atoms`` as ``(pred, args)`` pairs, where ``args(values)`` is the
     argument tuple under the values of the slots of ``variables``."""

@@ -228,6 +228,13 @@ class Tgd:
                                      len(self.frontier) if self.is_datalog else None)
 
     @functools.cached_property
+    def seed_keys(self) -> tuple:
+        """For a Datalog rule, what tells the seed facts of its seeded
+        plans apart, one entry per body atom (``matching.seed_keys``): the
+        chase skips a run whose seed fact repeats an earlier one's key."""
+        return matching.seed_keys(self.body, self.body_plan.variables, len(self.frontier))
+
+    @functools.cached_property
     def step_variables(self) -> tuple:
         """The variables of a step's slots: the body's, then the
         existentials."""

@@ -509,3 +509,168 @@ def test_a_fact_of_another_arity_than_the_body_atom_is_skipped_not_read():
     facts = [Atom("p", (a,)), Atom("p", (a, b, c))]
     assert list(saturate(program.datalog_rules(), facts)) == facts
     assert list(saturate(program.datalog_index, facts)) == facts
+
+
+# -- a Datalog seed memo skips only runs that would push nothing ----------------
+
+class _MemoCountingEngine(chase_module._Engine):
+    """The chase engine, counting the seeded runs that have a seed memo:
+    ``eligible`` facts came to such a seed, and ``made`` runs were made."""
+
+    def __init__(self, program, database, strategy, max_steps):
+        super().__init__(program, database, strategy, max_steps)
+        self.eligible = self.made = 0
+        for entries in self.body_index.values():
+            for k, (start, *rest, memo) in enumerate(entries):
+                if memo is not None:
+                    entries[k] = (self._count_runs(start), *rest,
+                                  (self._count_keys(memo[0]), *memo[1:]))
+
+    def _count_runs(self, start):
+        def run(*args):
+            self.made += 1
+            return start(*args)
+        return run
+
+    def _count_keys(self, key):
+        def read(args):
+            self.eligible += 1
+            return key(args)
+        return read
+
+
+def _runs(program, database, strategy=Deterministic(), cap=100_000) -> tuple:
+    """``(made, skipped)``: the runs of memo seeds that a chase made and skipped."""
+    engine = _MemoCountingEngine(program, database, strategy, cap)
+    engine.run()
+    return engine.made, engine.eligible - engine.made
+
+
+# (instance, strategy) -> (runs made, runs skipped) of the seeds with a memo;
+# the pops of DATALOG_POPS do not move, since a skipped run pushes nothing
+MEMO_RUNS = {
+    ("dexp(3)", Deterministic()): (856, 1500),
+    ("dexp(3)", Seeded(7)): (856, 1500),
+    ("counter(3)", Deterministic()): (856, 1500),
+    ("counter(3)", Seeded(7)): (856, 1500),
+    ("sets(6)", Deterministic()): (3912, 7830),
+    ("sets(6)", Seeded(7)): (3912, 7830),
+    ("sets-nonterm cap 2000", Deterministic()): (4598, 3402),
+    ("sets-nonterm cap 2000", Seeded(7)): (4415, 3581),
+}
+
+
+@pytest.mark.parametrize("name, strategy", list(MEMO_RUNS),
+                         ids=[f"{n}-{s}" for n, s in MEMO_RUNS])
+def test_seed_memos_skip_the_pinned_runs(name, strategy):
+    generate, cap = _POP_INSTANCES[name]
+    inst = generate()
+    assert _runs(inst.program, inst.database, strategy, cap) == MEMO_RUNS[name, strategy]
+
+
+# hand-built programs: copy rules bring the facts of ``p0`` and ``s0`` to the
+# seeds one by one, in database order, and in each program a fact that fails
+# the seed, or joins nothing, comes before a fact with which it would share a
+# key if the key dropped a position it must keep
+_COPY = "p0(X, Y, Z) -> p(X, Y, Z) .\ns0(X, Y) -> s(X, Y) .\n"
+KEY_RULE_CASES = {
+    # a constant: p(a, d, s) fails the seed, p(b, c, s) passes it
+    "constant": ("p(X, c, S), s(S, W) -> h(S, W) .",
+                 "p0(a, d, s) . p0(b, c, s) . p0(e, c, s) . s(s, w) ."),
+    # a repeated variable: p(a, s, t) fails the seed, p(b, s, s) passes it
+    "repeated": ("p(X, S, S), s(S, W) -> h(S, W) .",
+                 "p0(a, s, t) . p0(b, s, s) . p0(e, s, s) . s(s, w) ."),
+    # a variable twice, and no other atom reads it: still not dead
+    "dead variable twice": ("p(X, X, S), s(S, Y), s(Y, W) -> h(S, W) .",
+                            "p0(a, b, s) . p0(c, c, s) . p0(e, e, s) . s(s, t) . s(t, w) ."),
+    # a variable that another atom reads: p(a, e, s) joins no s(a, _)
+    "read elsewhere": ("p(X, Y, S), s(X, W) -> h(S, W) .",
+                       "p0(a, e, s) . p0(b, e, s) . p0(b, f, s) . s(b, w) ."),
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_RULE_CASES))
+@pytest.mark.parametrize("strategy", [Deterministic(), Seeded(7)], ids=str)
+def test_a_seed_key_keeps_what_tells_facts_apart(name, strategy):
+    rule, facts = KEY_RULE_CASES[name]
+    program = parse_program(_COPY + rule)
+    database = parse_facts(facts, program.signature)
+    _assert_same_chase(program, database, strategy, 100_000)
+    result = chase(program, database, strategy)
+    assert any(atom.pred == "h" for atom in result.interpretation)
+    made, skipped = _runs(program, database, strategy)
+    assert skipped == (1 if name != "dead variable twice" else 0)
+
+
+# a skipped run whose twin needs a run that has not come yet: without the
+# guards, the twin's frontier comes later than the run would have pushed it
+GUARD_CASES = {
+    # su(b, t, t) could also match the later atom su(Y, S, S)
+    "later atom": ("mk(Y, T) -> su(Y, T, T) .\nsu(X, S, T), su(Y, S, S) -> h(Y, T) .",
+                   "su(x, t, u) . mk(a, t) . mk(b, t) ."),
+    # p(b, s) is discovered before q(s, w) and q(s2, w2) of the same step
+    "same step": ("start(S) -> p(a, S) .\ngo(S, T) -> p(b, S), q(T, w2), q(S, w) .\n"
+                  "p(X, S), q(S, W) -> h(S, W) .",
+                  "start(s) . go(s, s2) . p(c, s2) ."),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_CASES))
+@pytest.mark.parametrize("strategy", [Deterministic(), Seeded(7)], ids=str)
+def test_a_seed_memo_runs_a_repeat_whose_twin_is_not_found_yet(name, strategy):
+    rules, facts = GUARD_CASES[name]
+    program = parse_program(rules)
+    database = parse_facts(facts, program.signature)
+    _assert_same_chase(program, database, strategy, 100_000)
+    assert _runs(program, database, strategy) == (2, 0)
+
+
+def test_each_chase_has_its_own_seed_memos():
+    # a second chase of the same rules, and so of the same plans, meets the
+    # same facts, nulls included, and must run what the first one ran
+    inst = gen_dexp(2, True)
+    first = _runs(inst.program, inst.database)
+    assert first[1] > 0
+    assert _runs(inst.program, inst.database) == first
+    lines = chase(inst.program, inst.database).trace.lines()
+    assert chase(inst.program, inst.database).trace.lines() == lines
+
+
+@st.composite
+def _seed_key_case(draw):
+    """Datalog rules over ``p`` (arity 3) and ``s`` (arity 2) whose body
+    atoms draw their terms from shared variables, two of their own and the
+    constants ``a`` and ``b``, with heads of one or two atoms, some of them
+    back into ``p`` and ``s``; facts come through the copy rules."""
+    rules = [_COPY]
+    arity = {"p": 3, "s": 2}
+    for r in range(draw(st.integers(1, 3))):
+        body = []
+        for k in range(draw(st.integers(1, 3))):
+            pred = draw(st.sampled_from("ps"))
+            terms = st.sampled_from(["J0", "J1", f"D{k}", f"E{k}", "a", "b"])
+            body.append((pred, [draw(terms) for _ in range(arity[pred])]))
+        variables = sorted({t for _, args in body for t in args if t[0].isupper()})
+        terms = st.sampled_from(variables + ["a"])
+        head = []
+        for _ in range(draw(st.integers(1, 2))):
+            pred = draw(st.sampled_from(["p", "s", f"h{r}"]))
+            head.append((pred, [draw(terms) for _ in range(arity.get(pred, 2))]))
+        rules.append(", ".join(f"{p}({', '.join(a)})" for p, a in body) + " -> "
+                     + ", ".join(f"{p}({', '.join(a)})" for p, a in head) + " .")
+    facts = [draw(st.sampled_from([
+        f"p0({draw(st.sampled_from('abc'))}, {draw(st.sampled_from('abc'))}, "
+        f"{draw(st.sampled_from('abc'))}) .",
+        f"s0({draw(st.sampled_from('abc'))}, {draw(st.sampled_from('abc'))}) ."]))
+        for _ in range(draw(st.integers(1, 10)))]
+    return "\n".join(rules), " ".join(facts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seed_key_case(), _STRATEGIES,
+       st.sampled_from(["", "p(X, Y, Z) -> s(Z, V), s(V, X) ."]))
+def test_the_chase_equals_the_chase_that_queues_every_match_on_seeds_with_constants(
+        case, strategy, existential):
+    rules, facts = case
+    program = parse_program(rules + "\n" + existential)
+    _assert_same_chase(program, parse_facts(facts, program.signature), strategy, 40)
