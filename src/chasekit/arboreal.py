@@ -114,16 +114,11 @@ class TermTree:
     creating_step: tuple           # step index per node, None for the root
     node_of: dict                  # term -> node index
     depths: tuple                  # root path length per node, 1 for the root
+    paths: tuple                   # root path per node, root first
+    path_sets: tuple               # the nodes of each root path, as a frozenset
 
     def __len__(self) -> int:
         return len(self.node_terms)
-
-    def root_path(self, node: int) -> tuple:
-        path = []
-        while node is not None:
-            path.append(node)
-            node = self.parent[node]
-        return tuple(reversed(path))
 
     def path_of_terms(self, terms: Iterable[Term]) -> tuple:
         """Smallest root path covering all ``terms``; InvariantViolation if
@@ -132,10 +127,9 @@ class TermTree:
         if not nodes:
             return (0,)
         deepest = max(nodes, key=self.depths.__getitem__)
-        path = self.root_path(deepest)
-        if not nodes <= set(path):
+        if not nodes <= self.path_sets[deepest]:
             raise InvariantViolation("terms are not on a single root path")
-        return path
+        return self.paths[deepest]
 
     def path_of_atom(self, atom: Atom) -> tuple:
         return self.path_of_terms(atom.args)
@@ -206,13 +200,13 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo) -> TermTree:
             parent[b_child] = b_par
     # acyclicity: bags are numbered in step order, and a bag's parent
     # holds the parent of a null its step created, which that step read
-    depths = [1] * len(node_terms)
+    paths = [(0,)]
     for i in range(1, len(node_terms)):
         if parent[i] is None:
             parent[i] = 0
         elif parent[i] >= i:
             raise InvariantViolation(f"bag {i} has parent {parent[i]}, which is not older")
-        depths[i] = depths[parent[i]] + 1
+        paths.append(paths[parent[i]] + (i,))
     node_of = {}
     for i, terms in enumerate(node_terms):
         for t in terms:
@@ -220,7 +214,7 @@ def build_term_tree(trace: ChaseTrace, info: ArboreousInfo) -> TermTree:
                 raise InvariantViolation(f"term {t} in two nodes")
             node_of[t] = i
     return TermTree(tuple(node_terms), tuple(parent), tuple(creating), node_of,
-                    tuple(depths))
+                    tuple(map(len, paths)), tuple(paths), tuple(map(frozenset, paths)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ def check_order_soundness(tree: TermTree, order: PositionOrder, interp) -> None:
                     continue
                 ni = tree.node_of[atom.args[i - 1]]
                 nj = tree.node_of[atom.args[j - 1]]
-                if ni not in set(tree.root_path(nj)):
+                if ni not in tree.path_sets[nj]:
                     raise InvariantViolation(
                         f"{atom}: position {i} not an ancestor of {j}")
 

@@ -155,10 +155,13 @@ def cmd_query(args) -> int:
                 print(f"{err}; no verdict", file=sys.stderr)
                 return EXIT_REFUSED
         else:
+            counts: dict = {}
             outcome = tree_chase_search(program, database, q, info.v_ehat,
-                                        args.m_bound, args.search_budget)
+                                        args.m_bound, args.search_budget, counts)
             if outcome == "inconclusive":
-                print("search budget exhausted; no verdict", file=sys.stderr)
+                why = (f"inner bound {args.m_bound} cut {counts['cut']} nodes"
+                       if counts["exhausted"] else "search budget exhausted")
+                print(f"{why}; no verdict", file=sys.stderr)
                 return EXIT_REFUSED
             verdict = outcome == "true"
     print("entailed" if verdict else "not entailed")
@@ -246,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="full")
     p.add_argument("--max-steps", type=_count, default=DEFAULT_CHASE_CAP)
     p.add_argument("--m-bound", type=_count, default=32,
-                   help="inner bound for the search engine")
+                   help="inner bound for the search engine: the steps a run "
+                        "may make per outer round; a search that exhausts its "
+                        "runs with one cut at the bound has no verdict")
     p.add_argument("--search-budget", type=_count, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(func=cmd_query)
 

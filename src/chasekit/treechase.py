@@ -23,6 +23,13 @@ The nondeterminism lives in two drivers, which choose the steps:
 * the *search* driver explores every run up to an inner bound, for tiny
   instances only.
 
+The guided driver drops each part of the reference chase once it has
+read it: the model's indexes after ``bcq_match``; the term tree, the task
+builder and all of the trace but its steps once the schedules are listed;
+the steps and the model's fact table (``Interpretation._atoms``, which
+the replay only probes) when it returns.  A ``GuidedResult`` keeps only
+the reference's size.
+
 A step is a rule and the values of its match over the slots of the
 rule's ``body_plan``, the form in which the chase records it and
 ``unsatisfied_matches`` lists it.  The driver that chooses a step checks
@@ -40,7 +47,7 @@ from functools import partial
 from typing import Iterable, Optional
 
 from .arboreal import ArboreousInfo, InvariantViolation, TermTree, build_term_tree
-from .chase import ChaseResult, ChaseTrace, Deterministic, chase
+from .chase import ChaseTrace, Deterministic, chase
 from .matching import bcq_match, evaluate_bcq, head_satisfied, unsatisfied_matches
 from .model import (Atom, BCQ, Constant, Database, Null,
                     Program, Term, Tgd, Variable, substitute)
@@ -251,19 +258,27 @@ class TaskTreeBuilder:
 
 @dataclass
 class GuidedResult:
+    """A guided answer: its verdict, the run's space profile, the length
+    of each query atom's schedule (``m_bound`` is the longest), the steps
+    replayed and skipped, and the counts of the reference chase's steps
+    and facts.  It keeps no part of the reference chase, which
+    ``tree_chase_guided`` drops before it returns."""
     entailed: bool
     profile: SpaceProfile
     m_bound: int
     schedule_lengths: tuple
     replayed_steps: int
     skipped_steps: int
-    reference: ChaseResult
+    reference_steps: int
+    reference_facts: int
 
 
 class _GuidedReplayer:
     """Replays reference steps in the runner and checks, after each one, that
     ``tau`` (runner null -> reference null, identity elsewhere) is injective
-    on the live terms and maps every fact into the reference chase.
+    on the live terms and maps every fact into the reference chase.  Of the
+    reference it holds the trace's ``steps`` and the model's ``facts``, any
+    container of its atoms.
 
     Both checks look only at what the step added.  ``tau`` only gains
     entries, for fresh nulls, and the reference is fixed, so a fact that
@@ -282,10 +297,11 @@ class _GuidedReplayer:
     Soundness and the space bound do not depend on that order.
     """
 
-    def __init__(self, program: Program, reference: ChaseResult,
+    def __init__(self, program: Program, steps: list, facts,
                  info: ArboreousInfo, database: Database):
         self.program = program
-        self.reference = reference
+        self.steps = steps
+        self.facts = facts
         self.run = TreeChaseRun(program, database, info.v_ehat)
         self.tau: dict = {}          # runner null -> chase null
         self.skipped = 0
@@ -313,14 +329,14 @@ class _GuidedReplayer:
 
     def check_homomorphism(self, facts: Optional[Iterable[Atom]] = None) -> None:
         """Every fact, or every one of ``facts``, maps into the reference."""
-        ref = self.reference.interpretation
+        ref = self.facts
         for atom in self.run.interp if facts is None else facts:
             image = Atom(atom.pred, tuple(self.to_chase(t) for t in atom.args))
             if image not in ref:
                 raise InvariantViolation(f"{atom} maps outside the reference chase")
 
     def replay_step(self, step_index: int) -> None:
-        step = self.reference.trace.steps[step_index - 1]
+        step = self.steps[step_index - 1]
         rule = self.program.rule(step.rule_id)
         try:
             values = tuple([image if isinstance(image, Constant) else self.inv[image]
@@ -343,13 +359,28 @@ class _GuidedReplayer:
         self.check_homomorphism(self.run.added)
 
 
+def _producers(steps: list, atoms: list) -> list:
+    """The index of the step that added each of ``atoms``, None for an atom
+    no step added (a database atom); a step adds only atoms that are new."""
+    producer = dict.fromkeys(atoms)
+    for step in steps:
+        for atom in step.added:
+            if atom in producer:
+                producer[atom] = step.index
+    return [producer[atom] for atom in atoms]
+
+
 def tree_chase_guided(program: Program, database: Database, q: BCQ,
                       info: ArboreousInfo, chase_cap: int = 100_000) -> GuidedResult:
     """Answer ``q`` by replaying task-tree schedules inside the bounded run.
 
     The terminating full chase acts as the reference: a negative answer
     needs no replay, a positive one is rebuilt path-locally and must come
-    out true again.
+    out true again.  The reference is released part by part: the model's
+    indexes once ``bcq_match`` has read them, the term tree, the task
+    builder and all of the trace but its steps once the schedules are
+    listed, and the steps and the fact table when this call returns.  The
+    result keeps only the reference's size.
     """
     if not info.arboreous:
         raise ValueError("guided tree chase requires an arboreous program")
@@ -357,19 +388,20 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
     if not reference.terminated:
         raise ReferenceCapExceeded("reference chase hit the step cap")
     theta = bcq_match(reference.interpretation, q)
-    replayer = _GuidedReplayer(program, reference, info, database)
+    trace, facts = reference.trace, reference.interpretation._atoms
+    sizes = (len(trace.steps), len(facts))
+    del reference       # and with it the model's indexes
+    replayer = _GuidedReplayer(program, trace.steps, facts, info, database)
     if theta is None:
         for _ in q.atoms:
             replayer.run.break_iteration()
         return GuidedResult(False, replayer.run.profile, 0,
-                            tuple(0 for _ in q.atoms), 0, 0, reference)
-    tree = build_term_tree(reference.trace, info)
-    builder = TaskTreeBuilder(reference.trace, tree)
+                            tuple(0 for _ in q.atoms), 0, 0, *sizes)
     grounds = [substitute(atom, theta) for atom in q.atoms]
-    schedules = []
-    for ground in grounds:
-        producer = reference.trace.producer_of(ground)
-        schedules.append([] if producer is None else builder.schedule(1, producer))
+    builder = TaskTreeBuilder(trace, build_term_tree(trace, info))
+    schedules = [[] if producer is None else builder.schedule(1, producer)
+                 for producer in _producers(trace.steps, grounds)]
+    del trace, builder
     m_bound = max((len(s) for s in schedules), default=0)
     for ground, schedule in zip(grounds, schedules):
         for step_index in schedule:
@@ -383,7 +415,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
         raise ReplayDivergence("replay lost a derived query match")
     return GuidedResult(True, replayer.run.profile, m_bound,
                         tuple(len(s) for s in schedules),
-                        replayer.replayed, replayer.skipped, reference)
+                        replayer.replayed, replayer.skipped, *sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +424,50 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
 
 def tree_chase_search(program: Program, database: Database, q: BCQ,
                       v_ehat: Iterable[Variable], m_bound: int,
-                      node_budget: int = 100_000) -> str:
-    """Explore every run up to the inner bound; 'true' if some run
-    accepts, 'false' only on full exhaustion, else 'inconclusive'."""
+                      node_budget: int = 100_000, counts: Optional[dict] = None) -> str:
+    """Explore every run of ``len(q)`` outer rounds of at most ``m_bound``
+    steps each: 'true' if some run accepts, 'false' if every run was
+    explored and the bound cut none, else 'inconclusive'.
+
+    A node is cut when it has made ``m_bound`` steps in its round and some
+    match is still unsatisfied.  'true' is sound, since every step applies
+    a rule to facts that hold.  'false' is sound too: if no node was cut,
+    the run that applies steps and never breaks reached, within the
+    bound, a node with no unsatisfied match.  Its facts include the
+    database, which is over constants, and the root never pops a
+    constant; so they form a model, and ``q`` failed in it, as at every
+    node.  With a cut node, the exhaustion shows nothing.
+
+    ``counts``, if given, receives the nodes visited (``nodes``), the
+    nodes cut (``cut``), and whether every run was explored
+    (``exhausted``): an 'inconclusive' that exhausted the runs was cut, one
+    that did not ran out of ``node_budget``.
+    """
     run = TreeChaseRun(program, database, v_ehat)
+    cut = 0
 
     def moves(k: int, j: int):
         """The children of node (k, j) as (k, j, transition), in search
         order; the choices (the unsatisfied Datalog matches, or else the
         existential ones) are listed once the break to the next outer round
-        has been explored and undone."""
+        has been explored and undone.  At the bound, only whether a choice
+        is left is checked."""
+        nonlocal cut
         yield k + 1, 0, run.break_iteration
-        if j < m_bound:
-            choices = list(unsatisfied_matches(run.interp, program.datalog_rules()))
-            if not choices:
-                choices = list(unsatisfied_matches(run.interp, program.existential_rules()))
-            for rule, values in choices:
-                yield k, j + 1, partial(run.apply, rule, values)
+        if j == m_bound:
+            if any(unsatisfied_matches(run.interp, program.rules)):
+                cut += 1
+            return
+        choices = list(unsatisfied_matches(run.interp, program.datalog_rules()))
+        if not choices:
+            choices = list(unsatisfied_matches(run.interp, program.existential_rules()))
+        for rule, values in choices:
+            yield k, j + 1, partial(run.apply, rule, values)
+
+    def finish(verdict: str, nodes: int, exhausted: bool) -> str:
+        if counts is not None:
+            counts.update(nodes=nodes, cut=cut, exhausted=exhausted)
+        return verdict
 
     # depth-first over an explicit stack: a frame holds a node's remaining
     # moves and the state from before the move being explored
@@ -416,9 +475,9 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
     k = j = 0
     for spent in itertools.count(1):
         if spent > node_budget:
-            return "inconclusive"
+            return finish("inconclusive", node_budget, False)
         if run.holds(q):
-            return "true"
+            return finish("true", spent, False)
         if k < len(q):
             frames.append([moves(k, j), None])
         while frames:
@@ -430,7 +489,7 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
                 break
             frames.pop()
         else:
-            return "false"
+            return finish("inconclusive" if cut else "false", spent, True)
         k, j, transition = move
         frame[1] = run.snapshot()
         transition()

@@ -303,6 +303,19 @@ def test_readme_lists_the_public_names_by_module():
         assert obj.__module__ in (f"chasekit.{module}", "typing"), name
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's code block under "Library" runs as written, so the API
+    it shows cannot drift from the code."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"^```python\n(.*?)^```", library, re.M | re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    profile, sizes = capsys.readouterr().out.splitlines()
+    max_atoms, reference_facts = map(int, sizes.split())
+    assert f"'maxAtoms': {max_atoms}," in profile
+    assert 0 < max_atoms < reference_facts
+
+
 def test_no_module_imports_a_name_it_never_reads():
     """Each name that a module of ``src/chasekit`` or ``tests`` imports is
     read somewhere in it, except in ``__init__.py``, whose imports are

@@ -134,6 +134,20 @@ def test_query_tree_search_engine(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "entailed"
 
 
+def test_query_tree_search_cut_by_the_bound_has_no_verdict(tmp_path, capsys):
+    """A search that explored every run but cut some at the inner bound
+    exits 3 and names the bound, on a query the full engine entails."""
+    main(["examples", "qbf", "--quantifiers", "ae", "--clauses", "1,2;-1,-2",
+          "--out", str(tmp_path)])
+    files = [str(tmp_path / f"qbf.{ext}") for ext in ("tgd", "facts", "query")]
+    capsys.readouterr()
+    assert main(["query", *files, "--engine", "tree-search", "--m-bound", "6",
+                 "--search-budget", "50000"]) == 3
+    assert capsys.readouterr().err.strip() == "inner bound 6 cut 1688 nodes; no verdict"
+    assert main(["query", *files]) == 0
+    assert capsys.readouterr().out.strip() == "entailed"
+
+
 def test_examples_write_all_formats(tmp_path):
     main(["examples", "sets", "--n", "2", "--out", str(tmp_path)])
     assert (tmp_path / "sets.tgd").exists()

@@ -1,11 +1,15 @@
+import gc
 import hashlib
+import random
 import sys
+import tracemalloc
+import types
 
 import pytest
 
 from chasekit import treechase
 from chasekit.arboreal import InvariantViolation, build_term_tree, check_arboreous
-from chasekit.chase import chase
+from chasekit.chase import ChaseResult, ChaseStep, ChaseTrace, Deterministic, chase
 from chasekit.corpus import QbfFormula, gen_qbf, gen_sets, qbf_truth
 from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
 from chasekit.matching import evaluate_bcq
@@ -207,6 +211,126 @@ def test_guided_and_search_apply_without_the_outside_check():
                              info.v_ehat, 6, node_budget=1000) == "true"
 
 
+def test_search_false_only_where_no_node_was_cut(sets1):
+    """With no inner step, the one node has a match left: the bound cut it,
+    so exhausting the runs is no verdict; from one step on, nothing is cut
+    and the exhaustion is a sound 'false'."""
+    inst, info = sets1
+    q = parse_query("?- su(e0,e0,e0) .", inst.program.signature)
+    for m_bound in range(9):
+        counts = {}
+        verdict = tree_chase_search(inst.program, inst.database, q, info.v_ehat,
+                                    m_bound, node_budget=1000, counts=counts)
+        assert (verdict, counts["cut"] > 0, counts["exhausted"]) == \
+            (("inconclusive", True, True) if m_bound == 0 else ("false", False, True))
+
+
+@pytest.mark.parametrize("quantifiers,clauses", [
+    ("ae", ((1, 2), (-1, -2))),
+    ("ee", ((1, -2), (-1, 2))),
+])
+def test_search_cut_by_the_bound_is_not_false(quantifiers, clauses):
+    """Both formulas are true, yet no run of at most 6 steps a round
+    reaches the query; the runs were all explored, but 1688 nodes were cut
+    at the bound, so the search has no verdict."""
+    formula = QbfFormula(quantifiers, clauses)
+    assert qbf_truth(formula)
+    inst = gen_qbf(formula)
+    info = arboreous_info(inst.program)
+    counts = {}
+    assert tree_chase_search(inst.program, inst.database, inst.queries[0], info.v_ehat,
+                             6, node_budget=100_000, counts=counts) == "inconclusive"
+    assert counts == {"nodes": 7425, "cut": 1688, "exhausted": True}
+
+
+def _search_agrees_with_truth(formula, budget):
+    """At every inner bound from 0 to 8: 'true' only on a true formula,
+    'false' only on a false one; returns the verdicts."""
+    inst = gen_qbf(formula)
+    info = arboreous_info(inst.program)
+    truth = qbf_truth(formula)
+    verdicts = []
+    for m_bound in range(9):
+        verdict = tree_chase_search(inst.program, inst.database, inst.queries[0],
+                                    info.v_ehat, m_bound, node_budget=budget)
+        assert verdict != ("false" if truth else "true"), (formula, m_bound, verdict)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def test_search_never_contradicts_brute_force_on_the_suite():
+    verdicts = [v for qs, cl in QBF_SUITE
+                for v in _search_agrees_with_truth(QbfFormula(qs, cl), 300)]
+    assert "true" in verdicts
+
+
+def test_search_never_contradicts_brute_force_on_random_formulas():
+    rnd = random.Random(2601)
+    verdicts = []
+    for _ in range(10):
+        n = rnd.randint(1, 3)
+        clauses = tuple(tuple(rnd.choice((1, -1)) * rnd.randint(1, n)
+                              for _ in range(rnd.randint(1, 3)))
+                        for _ in range(rnd.randint(1, 3)))
+        formula = QbfFormula("".join(rnd.choice("ae") for _ in range(n)), clauses)
+        verdicts += _search_agrees_with_truth(formula, 200)
+    assert "true" in verdicts
+
+
+# -- what a guided result keeps ----------------------------------------------------
+
+def _reachable(root):
+    """Every object that ``gc.get_referents`` reaches from ``root``, not
+    going into classes, modules or functions, from which the whole program
+    is reachable."""
+    seen = {id(root): root}
+    todo = [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen[id(ref)] = ref
+                todo.append(ref)
+    return seen.values()
+
+
+def test_guided_result_keeps_the_reference_size_not_the_reference():
+    for qs, cl in QBF_SUITE:
+        inst = gen_qbf(QbfFormula(qs, cl))
+        info = arboreous_info(inst.program)
+        result = tree_chase_guided(inst.program, inst.database, inst.queries[0], info)
+        full = chase(inst.program, inst.database)
+        assert (result.reference_steps, result.reference_facts) == \
+            (full.steps, len(full.interpretation))
+        reached = {type(obj) for obj in _reachable(result)}
+        assert not reached & {Interpretation, ChaseResult, ChaseTrace, ChaseStep}, (qs, cl)
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()``, above what was traced before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_guided_traced_peak_is_the_full_chase_peak(n):
+    """The guided engine holds the reference only part by part, so its
+    peak is that of the reference chase it runs first."""
+    inst = gen_qbf(_alternating(n))
+    info = arboreous_info(inst.program)
+    (q,) = inst.queries
+    tree_chase_guided(inst.program, inst.database, q, info)     # compiles the plans
+    full = _traced_peak(lambda: chase(inst.program, inst.database, Deterministic(), 100_000))
+    guided = _traced_peak(lambda: tree_chase_guided(inst.program, inst.database, q, info))
+    assert guided <= 1.05 * full, (guided, full)
+
+
 # -- pinned guided results -----------------------------------------------------
 
 def _alternating(n):
@@ -393,7 +517,7 @@ def _replay_corrupted(monkeypatch, corrupt):
     done = []
 
     def replay_step(self, step_index):
-        step = self.reference.trace.steps[step_index - 1]
+        step = self.steps[step_index - 1]
         if not done and any(isinstance(t, Null) for t in step.values):
             done.append(step_index)
             corrupt(self, step)
