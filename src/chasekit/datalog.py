@@ -43,7 +43,7 @@ head atom has been derived, since later rounds cannot take a fact away.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .model import Atom, DatalogIndex, Interpretation, Tgd
 
@@ -114,9 +114,20 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     body = tuple(body)
     known = set(body)
     missing = [a for a in head if a not in known]
+    verdict = early_verdict(index, missing)
+    if verdict is not None:
+        return verdict
+    closure = saturate(index, body, missing)
+    return all(a in closure for a in missing)
+
+
+def early_verdict(index: DatalogIndex, missing: list) -> Optional[bool]:
+    """What ``entails`` answers before saturating, given the head atoms
+    ``missing`` from the body: True when there are none, False when one
+    has a predicate that no rule of ``index`` derives, and None when only
+    the fixpoint can tell."""
     if not missing:
         return True
     if any(a.pred not in index.head_preds for a in missing):
         return False
-    closure = saturate(index, body, missing)
-    return all(a in closure for a in missing)
+    return None

@@ -27,8 +27,17 @@ per search and kept in its ``PropagationCache``:
 * each cyclic component compiled over integer vertex and edge ids
   (``_Component``), in the order of its sorted vertex ids and of the
   graph's edges, never in the order of a set.  Removing a candidate's
-  edges is skipping their ids, so the acyclicity test and the path
-  enumeration build no dictionaries per candidate.
+  edges is skipping their ids, so the acyclicity test, the path count and
+  the walks run over lists indexed by id;
+* each component's cuts: the single edges c whose removal alone leaves it
+  acyclic, with bound(c), the number of walks of the component without c,
+  empty walks included.  A superset of a feedback set is a feedback set,
+  and each Ē-path of a candidate E that contains c is a distinct walk of
+  the component without E, a subgraph of the component without c, so E
+  has at most bound(c) Ē-paths.  When the least bound of the cuts in E is
+  within the path budget, the candidate runs neither Kahn's test nor a
+  count; otherwise one Kahn elimination decides acyclicity and counts the
+  Ē-paths.
 
 The cache lives for one search only: the fragments' fresh variables are
 numbered from one counter of the cache, which is what keeps them apart, so
@@ -39,6 +48,12 @@ same order, one elementary check at a time (``_condition_checks``).  The
 report consumes the whole walk; the search drops a candidate at its first
 failed check, since a single failure already rules it out, so a candidate
 whose first base path fails costs no step-propagation check at all.  The
+Ē-paths are walked from one start at a time, when a check first asks for
+that start, so such a candidate walks only the paths from its first edge's
+target.  A base check builds its path query only when the fixpoint has to
+decide it: the atoms of its conclusion missing from the query can be read
+off the first and last fragments, and ``entails`` answers without
+saturating when none is missing or one has a predicate no rule derives.  The
 search then re-runs the full report on the last failed candidate only, so
 a negative verdict still carries every condition, both counts and the
 first counterexample, exactly as if each candidate had been checked in
@@ -52,7 +67,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Optional
 
-from .datalog import entails
+from .datalog import early_verdict, entails
 from .depgraph import DepEdge, SccAnalysis
 from .model import Atom, Program, Tgd, Variable, substitute
 
@@ -89,12 +104,7 @@ def path_query(program: Program, path: Iterable[DepEdge],
     views of the fragments' renamings, so no caller can change what later
     queries of the same cache are built from.
     """
-    path = tuple(path)
-    if not path:
-        raise NonComposablePath("empty path has no query")
-    for a, b in zip(path, path[1:]):
-        if a.dst != b.src:
-            raise NonComposablePath(f"{a} does not compose with {b}")
+    path = _composed(path)
     cache = cache or PropagationCache(program)
     fragments = cache.fragments(path)
     chain = [f.link for f in fragments]
@@ -110,17 +120,46 @@ def path_query(program: Program, path: Iterable[DepEdge],
                      tuple(chain), tuple(f.renaming for f in fragments))
 
 
+def _composed(path: Iterable[DepEdge]) -> tuple:
+    """``path`` as a tuple; NonComposablePath if it is empty or an edge
+    does not start where the one before it ends."""
+    path = tuple(path)
+    if not path:
+        raise NonComposablePath("empty path has no query")
+    for a, b in zip(path, path[1:]):
+        if a.dst != b.src:
+            raise NonComposablePath(f"{a} does not compose with {b}")
+    return path
+
+
 def is_base_propagating(program: Program, path: Iterable[DepEdge],
                         cache: Optional[PropagationCache] = None) -> bool:
     """Does the Datalog part re-derive the first head at the path's end?
 
     ``path`` is the certificate edge followed by an edge sequence avoiding
-    the certificate set (possibly none).
+    the certificate set (possibly none).  The conclusion is the first head
+    of the path query with chain variable 1 anchored at the final one.  Its
+    atoms without chain variable 1 are first-head atoms, and the others
+    hold the final variable, which occurs in the last head only.  So the
+    atoms that ``entails`` finds missing from the query are those in
+    neither the first nor the last head, and the path query is built only
+    when they leave the answer to the fixpoint.
     """
-    pq = path_query(program, path, cache=cache)
-    anchor = {pq.chain_vars[0]: pq.chain_vars[-1]}
-    conclusion = tuple(substitute(a, anchor) for a in pq.head_parts[0])
-    return entails(program.datalog_index, pq.atoms, conclusion)
+    path = _composed(path)
+    cache = cache or PropagationCache(program)
+    first, final = cache.fragment(path[0], 0), cache.final
+    # chain variable 2: the second edge's label (in its second fragment if
+    # the edge repeats the first), or the final one
+    link = cache.fragment(path[1], int(path[1] == path[0])).link if path[1:] else final
+    head = first.head_linked(link)
+    conclusion = tuple(substitute(a, {first.link: final}) for a in head)
+    last = cache.fragment(path[-1], path.count(path[-1]) - 1)
+    known = set(head).union(last.head_linked(final))
+    index = program.datalog_index
+    verdict = early_verdict(index, [a for a in conclusion if a not in known])
+    if verdict is not None:
+        return verdict
+    return entails(index, path_query(program, path, cache).atoms, conclusion)
 
 
 def is_step_propagating(program: Program, path_a: Iterable[DepEdge],
@@ -156,23 +195,33 @@ def enumerate_ebar_paths(scc: SccAnalysis, component: int, e_set: Iterable[DepEd
     target of an ``e_set`` edge to a source of one, including the empty
     path anchored wherever a target is itself a source.
 
-    Returns (start_vertex, edge_tuple) pairs.  Requires the component
-    without ``e_set`` to be acyclic; raises PathBudgetExceeded once more
-    than ``path_budget`` paths, the empty ones included, are found.
+    Returns (start_vertex, edge_tuple) pairs, the paths of each start in
+    the order of the starts' variable ids.  Requires the component without
+    ``e_set`` to be acyclic; raises PathBudgetExceeded, before walking any
+    path, if there are more than ``path_budget`` paths, the empty ones
+    included.
     """
     e_set = tuple(e_set)
     comp = _Component(scc.components[component], scc.intra_edges[component])
     removed = comp.removed(e_set)
-    if not comp.acyclic(removed):
+    bound = comp.ebar_bound(e_set, removed, path_budget)
+    if bound is None:
         raise ValueError("component minus the edge set is cyclic")
-    return comp.paths(e_set, removed, path_budget)
+    if bound > path_budget:
+        raise PathBudgetExceeded(bound)
+    ebar = _Ebar(comp, e_set, removed)
+    return [(start, cont) for start in sorted({e.dst for e in e_set}, key=lambda v: v.id)
+            for cont in ebar[start]]
 
 
 class _Component:
     """A graph over integer ids, compiled once: vertices are numbered in
     the order of their variable ids and edges in the order given, so
     nothing here depends on the order in which a set or dict iterates.  A
-    candidate edge set is a set of edge ids that the walks skip."""
+    candidate edge set is a set of edge ids that the walks skip.
+    ``cuts`` maps each edge that alone leaves the graph acyclic to its
+    bound, which depends on the graph only.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = sorted(vertices, key=lambda v: v.id)
@@ -185,6 +234,7 @@ class _Component:
         for i, e in enumerate(self.edges):
             self.out[self.number[e.src]].append(i)
             self.indegree[self.dst[i]] += 1
+        self.cuts: dict = {}                          # edge id -> bound
 
     def removed(self, e_set: tuple) -> set:
         """The ids of ``e_set``; ValueError names an edge not in the graph."""
@@ -195,59 +245,100 @@ class _Component:
             raise ValueError(f"{edge} is not an edge of the component") from None
 
     def acyclic(self, removed) -> bool:
-        """Kahn elimination without the ``removed`` edges: the graph is
-        acyclic iff every vertex gets removed."""
+        """Does every cycle pass through a ``removed`` edge?"""
+        return self._walks(removed, ()) is not None
+
+    def _walks(self, removed, starts) -> Optional[list]:
+        """Kahn elimination without the ``removed`` edges, counting walks
+        as it goes: entry v of the result is the number of walks from a
+        vertex of ``starts`` to v, the empty one included, which is final
+        once v is eliminated, since all edges into v have been passed by
+        then.  None if some vertex is never eliminated: a cycle survives."""
         dst, out = self.dst, self.out
         indegree = self.indegree[:]
         for i in removed:
             indegree[dst[i]] -= 1
+        walks = [0] * len(indegree)
+        for v in starts:
+            walks[v] = 1
         ready = [v for v, d in enumerate(indegree) if not d]
         left = len(indegree)
         while ready:
+            v = ready.pop()
             left -= 1
-            for i in out[ready.pop()]:
+            here = walks[v]
+            for i in out[v]:
                 if i not in removed:
                     w = dst[i]
+                    walks[w] += here
                     indegree[w] -= 1
                     if not indegree[w]:
                         ready.append(w)
-        return not left
+        return None if left else walks
 
-    def paths(self, e_set: tuple, removed: set, path_budget: int) -> list:
-        """``enumerate_ebar_paths`` once ``removed`` (the ids of ``e_set``)
-        leaves the component acyclic.
-
-        From each start in vertex order, a depth-first walk reports every
-        edge into an end when it scans the edge, then descends into the
-        edges in reverse scan order.  The walk extends one shared edge list
-        in place, so a path is copied only when it is reported.
+    def ebar_bound(self, e_set: tuple, removed: set, path_budget: int) -> Optional[int]:
+        """None if the graph without ``removed`` (the ids of ``e_set``) is
+        cyclic; otherwise a bound on the number of Ē-paths of ``e_set``
+        that is their exact number whenever it exceeds ``path_budget``:
+        the least bound of a cut among ``removed`` if it is within the
+        budget, else the count of the walks from the targets of ``e_set``
+        to its sources.  A single edge is recorded as a cut first if its
+        removal leaves the graph acyclic.
         """
-        dst, out, edges = self.dst, self.out, self.edges
-        ends = {self.number[e.src] for e in e_set}
-        paths = []
-        for start in sorted({self.number[e.dst] for e in e_set}):
-            vertex = self.vertices[start]
-            if start in ends:
-                paths.append((vertex, ()))
-                if len(paths) > path_budget:
-                    raise PathBudgetExceeded(len(paths))
-            v, depth, path, stack = start, 0, [], []
-            while True:
-                for i in out[v]:
-                    if i in removed:
-                        continue
-                    if dst[i] in ends:
-                        paths.append((vertex, (*path, edges[i])))
-                        if len(paths) > path_budget:
-                            raise PathBudgetExceeded(len(paths))
-                    stack.append((i, depth))
-                if not stack:
-                    break
-                i, depth = stack.pop()
-                del path[depth:]
-                path.append(edges[i])
-                v, depth = dst[i], depth + 1
-        return paths
+        cuts = self.cuts
+        bound = min((cuts[i] for i in removed if i in cuts), default=None)
+        if bound is not None and bound <= path_budget:
+            return bound
+        if bound is None and len(removed) == 1:
+            walks = self._walks(removed, range(len(self.vertices)))
+            if walks is None:
+                return None
+            bound = cuts[next(iter(removed))] = sum(walks)
+            if bound <= path_budget:
+                return bound
+        number = self.number
+        walks = self._walks(removed, {number[e.dst] for e in e_set})
+        if walks is None:
+            return None
+        return sum(walks[v] for v in {number[e.src] for e in e_set})
+
+
+class _Ebar(dict):
+    """Start vertex -> the continuations of the Ē-paths of ``e_set`` from
+    it, walked when a check first asks for the start; ``removed``, the ids
+    of ``e_set``, leaves the component acyclic.
+
+    The empty continuation comes first if the start is itself an end.
+    Then a depth-first walk reports every edge into an end when it scans
+    the edge, and descends into the edges in reverse scan order.  The walk
+    extends one shared edge list in place, so a path is copied only when it
+    is reported.
+    """
+
+    def __init__(self, comp: _Component, e_set: tuple, removed: set):
+        super().__init__()
+        self.comp, self.removed = comp, removed
+        self.ends = {comp.number[e.src] for e in e_set}
+
+    def __missing__(self, vertex: Variable) -> list:
+        comp, removed, ends = self.comp, self.removed, self.ends
+        dst, out, edges = comp.dst, comp.out, comp.edges
+        start = comp.number[vertex]
+        paths = self[vertex] = [()] if start in ends else []
+        v, depth, path, stack = start, 0, [], []
+        while True:
+            for i in out[v]:
+                if i in removed:
+                    continue
+                if dst[i] in ends:
+                    paths.append((*path, edges[i]))
+                stack.append((i, depth))
+            if not stack:
+                return paths
+            i, depth = stack.pop()
+            del path[depth:]
+            path.append(edges[i])
+            v, depth = dst[i], depth + 1
 
 
 @dataclass
@@ -320,14 +411,17 @@ class PropagationCache:
         out = []
         for edge in path:
             k = seen[edge] = seen.get(edge, -1) + 1
-            fragment = self._fragments.get((edge, k))
-            if fragment is None:
-                rule = self.program.rule_of_var[edge.dst]
-                renaming = {v: self.variable(f"{v.name}~{k + 1}")
-                            for v in rule.variables()}
-                fragment = self._fragments[edge, k] = _Fragment(rule, edge, renaming)
-            out.append(fragment)
+            out.append(self.fragment(edge, k))
         return out
+
+    def fragment(self, edge: DepEdge, k: int) -> _Fragment:
+        """The fragment of the ``k``-th occurrence of ``edge``, from 0."""
+        fragment = self._fragments.get((edge, k))
+        if fragment is None:
+            rule = self.program.rule_of_var[edge.dst]
+            renaming = {v: self.variable(f"{v.name}~{k + 1}") for v in rule.variables()}
+            fragment = self._fragments[edge, k] = _Fragment(rule, edge, renaming)
+        return fragment
 
     def component(self, scc: SccAnalysis, index: int) -> _Component:
         """Component ``index`` compiled; within one program its vertices
@@ -340,9 +434,10 @@ class PropagationCache:
         return comp
 
     def base_ok(self, path: tuple) -> bool:
-        if path not in self.base:
-            self.base[path] = is_base_propagating(self.program, path, self)
-        return self.base[path]
+        ok = self.base.get(path)
+        if ok is None:
+            ok = self.base[path] = is_base_propagating(self.program, path, self)
+        return ok
 
     def step_ok(self, path_a: tuple, path_b: tuple, e_star: DepEdge) -> bool:
         key = (path_a, path_b, e_star)
@@ -361,33 +456,34 @@ def _condition_checks(program: Program, scc: SccAnalysis, component: int,
     shared labels, then, only if both hold, one per base path and one per
     step pair, in a fixed order.  A check runs only when its pair is
     requested, so a caller that stops at the first failure skips the rest.
+    An edge set with more than ``path_budget`` Ē-paths raises
+    PathBudgetExceeded after the first two yields, before any base check.
     """
     comp = cache.component(scc, component)
     removed = comp.removed(e_set)
-    acyclic = comp.acyclic(removed)
-    yield 0, None if acyclic else "cycle survives edge removal"
+    bound = comp.ebar_bound(e_set, removed, path_budget)
+    yield 0, None if bound is not None else "cycle survives edge removal"
     by_target: dict = {}
     for e in e_set:
         by_target.setdefault(e.dst, set()).add(e.label)
     bad = next((v for v, ls in by_target.items() if len(ls) > 1), None)
     yield 1, None if bad is None else (f"edges into {bad.name} carry labels "
                                        f"{sorted(l.name for l in by_target[bad])}")
-    if not acyclic or bad is not None:
+    if bound is None or bad is not None:
         return
-    ebar = comp.paths(e_set, removed, path_budget)
+    if bound > path_budget:
+        raise PathBudgetExceeded(bound)
+    ebar = _Ebar(comp, e_set, removed)
     for e in e_set:
-        for start, cont in ebar:
-            if start == e.dst:
-                ok = cache.base_ok((e,) + cont)
-                yield 2, None if ok else \
-                    f"not base-propagating: {e} with continuation length {len(cont)}"
+        for cont in ebar[e.dst]:
+            ok = cache.base_ok((e,) + cont)
+            yield 2, None if ok else \
+                f"not base-propagating: {e} with continuation length {len(cont)}"
     for ea, eb in itertools.product(e_set, repeat=2):
-        for start_a, cont_a in ebar:
-            if start_a != ea.dst or (cont_a[-1].dst if cont_a else start_a) != eb.src:
+        for cont_a in ebar[ea.dst]:
+            if (cont_a[-1].dst if cont_a else ea.dst) != eb.src:
                 continue
-            for start_b, cont_b in ebar:
-                if start_b != eb.dst:
-                    continue
+            for cont_b in ebar[eb.dst]:
                 for e_star in e_set:
                     ok = cache.step_ok((ea,) + cont_a, (eb,) + cont_b, e_star)
                     yield 3, None if ok else f"not step-propagating for {e_star}"
@@ -444,7 +540,13 @@ def find_saturating_certificate(program: Program, scc: SccAnalysis,
     edges, keeping only feedback sets (condition one is necessary), with
     propagation checks memoized across candidates.  A candidate is dropped
     at its first failed check: every condition must hold for a certificate,
-    so the checks after a failure cannot change whether it is one.  The
+    so the checks after a failure cannot change whether it is one, and a
+    candidate costs only the checks it reaches: one that contains a cut
+    (a single edge that is a feedback set) is a feedback set with at most
+    the cut's bound of Ē-paths, so within ``path_budget`` it runs no
+    acyclicity test and no count; its Ē-paths are walked per start as its
+    checks reach them; and a base check decided by the first and last
+    heads of its path builds no path query.  The
     report of the certificate found, or of the last feedback set that
     failed, is the full ``check_e_saturating`` report of that edge set, the
     same as with no early stop.  Exhausting the enumeration yields a

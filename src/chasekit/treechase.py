@@ -280,14 +280,16 @@ class _GuidedReplayer:
     reference it holds the trace's ``steps`` and the model's ``facts``, any
     container of its atoms.
 
-    Both checks look only at what the step added.  ``tau`` only gains
-    entries, for fresh nulls, and the reference is fixed, so a fact that
-    mapped into the reference once still does, and two live terms that had
-    distinct images still have them.  Hence only the added facts need the
-    homomorphism check, and only the new nulls the injectivity check,
-    against ``inv``: the inverse of ``tau`` on the live terms, which gains
-    the new nulls and loses the popped terms.  ``check_homomorphism()``
-    and ``inverse_on_live()`` are the full checks, over the whole state.
+    Both checks look only at what the step added.  ``tau`` gains entries
+    for fresh nulls and loses those of popped nulls, which never come back,
+    and with them go the facts that mention them.  The reference is fixed,
+    so a live fact that mapped into the reference once still does, and two
+    live terms that had distinct images still have them.  Hence only the
+    added facts need the homomorphism check, and only the new nulls the
+    injectivity check, against ``inv``: the inverse of ``tau`` on the live
+    terms, which gains the new nulls and loses the popped terms.  So
+    ``tau`` holds the live nulls only.  ``check_homomorphism()`` and
+    ``inverse_on_live()`` are the full checks, over the whole state.
 
     A step whose translated body does not embed is a divergence, one whose
     head holds is skipped.  Replay is not held to Datalog-first: it
@@ -352,7 +354,7 @@ class _GuidedReplayer:
         fresh = self.run.apply(rule, values)
         self.replayed += 1
         for t in self.run.popped:
-            del self.inv[self.to_chase(t)]
+            del self.inv[self.tau.pop(t, t)]
         for n, image in zip(fresh, step.created_nulls):
             self.tau[n] = image
             self._admit(self.inv, n)

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chasekit.cli import main
+from chasekit.corpus import QbfFormula, qbf_truth
 from chasekit.model import Atom, Constant, Database
+from test_acceptance import QBF_SUITE
 from test_model import _corpus_texts, _mutate
 
 
@@ -146,6 +150,70 @@ def test_query_tree_search_cut_by_the_bound_has_no_verdict(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "inner bound 6 cut 1688 nodes; no verdict"
     assert main(["query", *files]) == 0
     assert capsys.readouterr().out.strip() == "entailed"
+
+
+def _drawn_formulas(count: int, seed: int) -> list:
+    rnd = random.Random(seed)
+    formulas = []
+    for _ in range(count):
+        n = rnd.randint(1, 3)
+        clauses = tuple(tuple(rnd.choice((1, -1)) * rnd.randint(1, n)
+                              for _ in range(rnd.randint(1, 3)))
+                        for _ in range(rnd.randint(1, 3)))
+        formulas.append(QbfFormula("".join(rnd.choice("ae") for _ in range(n)), clauses))
+    return formulas
+
+
+def _answer(capsys, argv) -> tuple:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out.strip()
+
+
+def test_query_engines_agree_on_the_command_line(tmp_path, capsys):
+    """``tree-guided`` prints what ``full`` prints; ``tree-search`` prints
+    the same answer or exits 3, never the opposite answer."""
+    inputs = []
+    formulas = [QbfFormula(qs, cl) for qs, cl in QBF_SUITE] + _drawn_formulas(6, 2703)
+    for i, formula in enumerate(formulas):
+        out = tmp_path / f"qbf{i}"
+        clauses = ";".join(",".join(map(str, clause)) for clause in formula.clauses)
+        assert main(["examples", "qbf", "--quantifiers", formula.quantifiers,
+                     f"--clauses={clauses}", "--out", str(out)]) == 0
+        truth = "entailed" if qbf_truth(formula) else "not entailed"
+        inputs.append(([str(out / f"qbf.{ext}") for ext in ("tgd", "facts", "query")], truth))
+    for n in (1, 2):
+        out = tmp_path / f"sets{n}"
+        assert main(["examples", "sets", "--n", str(n), "--out", str(out)]) == 0
+        inputs.append(([str(out / f"sets.{ext}") for ext in ("tgd", "facts", "query")],
+                       "entailed"))
+    capsys.readouterr()
+    searched = {0: 0, 3: 0}
+    for files, truth in inputs:
+        assert _answer(capsys, ["query", *files, "--engine", "full"]) == (0, truth)
+        assert _answer(capsys, ["query", *files, "--engine", "tree-guided"]) == (0, truth)
+        code, answer = _answer(capsys, ["query", *files, "--engine", "tree-search",
+                                        "--m-bound", "8", "--search-budget", "300"])
+        assert (code, answer) in ((0, truth), (3, "")), files
+        searched[code] += 1
+    assert searched[0] and searched[3]
+    assert "not entailed" in [truth for _, truth in inputs]
+
+
+def test_console_script_runs_main():
+    """Each ``[project.scripts]`` entry resolves, and ``--help`` through it
+    exits 0, as the installed script calls it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["chasekit"] == "chasekit.cli:main"
+    for target in scripts.values():
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        with pytest.raises(SystemExit) as stop:
+            sys.exit(entry(["--help"]))
+        assert stop.value.code == 0
 
 
 def test_examples_write_all_formats(tmp_path):

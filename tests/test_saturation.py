@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+import types
 
 import pytest
 
@@ -11,7 +13,7 @@ from chasekit.depgraph import DepEdge, build_ledgraph, scc_analysis
 from chasekit.datalog import entails
 from chasekit.model import Variable, parse_program, substitute
 from chasekit.saturation import (NonComposablePath, PathBudgetExceeded, PathQuery,
-                                 PropagationCache, _Component, check_e_saturating,
+                                 PropagationCache, _Component, _Ebar, check_e_saturating,
                                  enumerate_ebar_paths, find_saturating_certificate,
                                  is_base_propagating, is_step_propagating,
                                  path_query)
@@ -84,6 +86,23 @@ def test_base_propagation_sets_self_loop():
     graph = build_ledgraph(program)
     (loop,) = graph.edges
     assert is_base_propagating(program, (loop,))
+
+
+@pytest.mark.parametrize("generate, labels, verdict, queries", [
+    (lambda: gen_dexp(2, True), ("X", "X1"), True, 1),    # needs the fixpoint
+    (lambda: gen_dexp(2, False), ("X", "X1"), False, 0),  # no rule derives the head
+    (lambda: gen_sets(1), ("S",), True, 0),               # the head is in the query
+])
+def test_base_check_builds_the_path_query_only_for_the_fixpoint(
+        monkeypatch, generate, labels, verdict, queries):
+    program = generate().program
+    graph = build_ledgraph(program)
+    path = tuple(_edge(graph, label) for label in labels)
+    built = []
+    monkeypatch.setattr(saturation, "path_query",
+                        lambda *args: built.append(args) or path_query(*args))
+    assert is_base_propagating(program, path) is verdict
+    assert len(built) == queries
 
 
 def test_step_propagation_dexp_all_four(dexp):
@@ -241,6 +260,122 @@ def test_acyclicity_check_is_iterative_on_long_paths():
 def _ring(n):
     return parse_program("".join(f"n{i}(X) -> n{(i + 1) % n}(V), e(X,V) .\n"
                                  for i in range(n)))
+
+
+# -- the candidate walks against a naive depth-first search ------------------------
+
+def _naive_acyclic(vertices, edges) -> bool:
+    out = {v: [e.dst for e in edges if e.src == v] for v in vertices}
+    state = dict.fromkeys(vertices, 0)          # 0 new, 1 on the stack, 2 done
+
+    def visit(v):
+        state[v] = 1
+        for w in out[v]:
+            if state[w] == 1 or (state[w] == 0 and not visit(w)):
+                return False
+        state[v] = 2
+        return True
+
+    return all(state[v] or visit(v) for v in vertices)
+
+
+def _naive_ebar(vertices, edges, e_set) -> list:
+    """The Ē-paths by recursion, starts in id order: at each vertex the
+    edges into an end are reported in edge order, then the walk descends
+    into the edges in reverse order."""
+    ends = {e.src for e in e_set}
+    out = {v: [e for e in edges if e.src == v and e not in e_set] for v in vertices}
+    paths = []
+
+    def walk(start, v, path):
+        paths.extend((start, path + (e,)) for e in out[v] if e.dst in ends)
+        for e in reversed(out[v]):
+            walk(start, e.dst, path + (e,))
+
+    for start in sorted({e.dst for e in e_set}, key=lambda v: v.id):
+        if start in ends:
+            paths.append((start, ()))
+        walk(start, start, ())
+    return paths
+
+
+def _random_digraph(rnd):
+    vertices = [Variable(i, f"V{i}") for i in range(rnd.randint(1, 7))]
+    labels = [Variable(100 + i, f"L{i}") for i in range(2)]
+    triples = {(rnd.choice(vertices), rnd.choice(labels), rnd.choice(vertices))
+               for _ in range(rnd.randint(1, 12))}
+    edges = [DepEdge(*t) for t in triples]
+    rnd.shuffle(edges)
+    return vertices, edges
+
+
+def test_candidate_walks_agree_with_a_naive_search():
+    # one component for all edge sets, so single-edge cuts recorded early
+    # bound the later candidates, as in a search; enumerate_ebar_paths
+    # compiles a fresh one per call and raises at the budget
+    rnd = random.Random(2701)
+    checked = bounded = raised = 0
+    for _ in range(120):
+        vertices, edges = _random_digraph(rnd)
+        comp = _Component(vertices, edges)
+        scc = types.SimpleNamespace(components=[frozenset(vertices)], intra_edges=[edges])
+        for e_set in itertools.chain.from_iterable(
+                itertools.combinations(edges, k) for k in range(1, 4)):
+            removed = comp.removed(e_set)
+            acyclic = _naive_acyclic(vertices, [e for e in edges if e not in e_set])
+            assert comp.acyclic(removed) == acyclic
+            if not acyclic:
+                assert comp.ebar_bound(e_set, removed, 10_000) is None
+                with pytest.raises(ValueError, match="cyclic"):
+                    enumerate_ebar_paths(scc, 0, e_set)
+                continue
+            expected = _naive_ebar(vertices, edges, e_set)
+            count = len(expected)
+            bound = comp.ebar_bound(e_set, removed, 10_000)
+            assert count <= bound
+            bounded += bound > count
+            # over the budget the bound is the exact count
+            assert comp.ebar_bound(e_set, removed, count - 1) == count
+            assert comp.ebar_bound(e_set, removed, count) == count
+            ebar = _Ebar(comp, e_set, removed)
+            walked = [(start, cont) for start in sorted({e.dst for e in e_set},
+                                                        key=lambda v: v.id)
+                      for cont in ebar[start]]
+            assert walked == expected
+            if count:
+                with pytest.raises(PathBudgetExceeded):
+                    enumerate_ebar_paths(scc, 0, e_set, path_budget=count - 1)
+                raised += 1
+            assert enumerate_ebar_paths(scc, 0, e_set, path_budget=count) == expected
+            checked += 1
+    assert checked > 800 and bounded > 400 and raised > 400
+
+
+def test_a_cut_bound_over_the_budget_still_counts_the_paths():
+    # ring(3) without one edge is a chain of 3 vertices: 6 walks, and the
+    # edge set of that one edge has one path
+    scc = scc_analysis(build_ledgraph(_ring(3)))
+    edges = scc.intra_edges[0]
+    comp = _Component(scc.components[0], edges)
+    e0, e1 = edges[:2]
+    assert comp.ebar_bound((e0,), {0}, 1) == 1
+    assert comp.cuts == {0: 6}
+    assert comp.ebar_bound((e0, e1), {0, 1}, 6) == 6
+    assert comp.ebar_bound((e0, e1), {0, 1}, 1) == 2
+    first = next(e for e in edges if e.src == e0.dst)
+    second = next(e for e in edges if e.src == first.dst)
+    assert enumerate_ebar_paths(scc, 0, (e0,), path_budget=1) == [(e0.dst, (first, second))]
+
+
+@pytest.mark.parametrize("budget, verdict, tried", [
+    (1, "inconclusive", 4), (2, "inconclusive", 7), (3, "not-saturating", 7)])
+def test_a_count_over_the_path_budget_is_inconclusive(budget, verdict, tried):
+    # the single edges have one path each and a pair two, under cuts bounded
+    # by 6; the whole ring has its three empty paths
+    program = _ring(3)
+    scc = scc_analysis(build_ledgraph(program))
+    (comp,) = find_saturating_certificate(program, scc, path_budget=budget).components
+    assert (comp.verdict, comp.candidates_tried) == (verdict, tried)
 
 
 def test_reported_check_is_the_full_check():
@@ -457,7 +592,14 @@ def _naive_step(program, path_a, path_b, e_star):
             tuple(substitute(a, conc) for a in rule.head))
 
 
-_ORACLE_PROGRAMS = dict(_SEARCHED, **{"two nulls": lambda: parse_program(_TWO_NULLS)})
+# the second rule's head holds the first head anchored at the path's end,
+# so the base check is decided by the last head alone
+_LAST_HEAD = """n0(X) -> n1(V), e(X,V) .
+n1(X) -> n0(W), e(W,X) .
+"""
+
+_ORACLE_PROGRAMS = dict(_SEARCHED, **{"two nulls": lambda: parse_program(_TWO_NULLS),
+                                      "last head": lambda: parse_program(_LAST_HEAD)})
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_PROGRAMS))

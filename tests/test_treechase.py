@@ -466,6 +466,25 @@ def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
     assert seen["steps"] > 100 and seen["pops"] > 10
 
 
+def test_replay_maps_only_live_nulls(monkeypatch):
+    """A popped null never comes back, so the replay forgets its image
+    with it: after every step ``tau`` maps live runner nulls only."""
+    original = _GuidedReplayer.replay_step
+    largest = []
+
+    def replay_step(self, step_index):
+        original(self, step_index)
+        live = {t for t in self.run.live_terms() if isinstance(t, Null)}
+        assert self.tau.keys() <= live
+        largest[-1] = max(largest[-1], len(self.tau))
+
+    monkeypatch.setattr(_GuidedReplayer, "replay_step", replay_step)
+    for n in (6, 7, 8):
+        largest.append(0)
+        assert _qbf_guided(_alternating(n)).entailed
+    assert 0 < largest[0] <= 6 and 0 < largest[1] <= 7 and 0 < largest[2] <= 8
+
+
 class _CorruptOnce(dict):
     """A tau map that stores one chosen wrong image for a new null."""
 
