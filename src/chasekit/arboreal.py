@@ -228,9 +228,6 @@ class PositionOrder:
     omega_hat: frozenset
     affected: dict                 # rule id -> tuple of affected body variables
 
-    def leq(self, a: Position, b: Position) -> bool:
-        return (a, b) in self.pairs
-
     def comparable(self, x: Variable, y: Variable) -> bool:
         return (x, y) in self.var_leq or (y, x) in self.var_leq
 

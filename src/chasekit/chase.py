@@ -149,10 +149,6 @@ class ChaseTrace:
     steps: list = field(default_factory=list)
     var_of_null: dict = field(default_factory=dict)
     chain_edges: list = field(default_factory=list)   # (term, frontier var, null)
-    # atom -> index of the step that added it, over the first ``_indexed`` steps
-    _producer: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def lines(self) -> list:
         return [s.line() for s in self.steps]
@@ -168,13 +164,16 @@ class ChaseTrace:
         """The chain edges whose source is itself a null."""
         return [(t, y, n) for t, y, n in self.chain_edges if isinstance(t, Null)]
 
-    def producer_of(self, atom: Atom) -> Optional[int]:
-        """Index of the step that added ``atom``, or None for database atoms."""
-        for step in self.steps[self._indexed:]:
-            for added in step.added:
-                self._producer.setdefault(added, step.index)
-        self._indexed = len(self.steps)
-        return self._producer.get(atom)
+    def producers(self, atoms: list) -> list:
+        """The index of the step that added each of ``atoms``, None for an
+        atom no step added (a database atom); a step adds only atoms that
+        are new."""
+        producer = dict.fromkeys(atoms)
+        for step in self.steps:
+            for atom in step.added:
+                if atom in producer:
+                    producer[atom] = step.index
+        return [producer[atom] for atom in atoms]
 
 
 @dataclass
@@ -222,7 +221,7 @@ class _RuleQueue:
     order decides the seeded strategy's draws, so it never depends on
     satisfaction.  Whether a popped candidate is already satisfied is
     decided when it is popped: a Datalog rule's by ``_Engine.run_datalog``,
-    an existential rule's by ``satisfied``.
+    an existential rule's by ``head_satisfied``, whose False hands it out.
     """
 
     def __init__(self, rule: Tgd):
@@ -244,12 +243,6 @@ class _RuleQueue:
         values = self.items[offset]
         del self.items[offset]
         return values
-
-    def satisfied(self, interp: Interpretation, values: tuple) -> bool:
-        """Is the existential candidate ``values`` satisfied?  A False
-        answer hands the candidate out: the caller applies it or stops the
-        chase."""
-        return head_satisfied(interp, self.rule.head_plan, values)
 
 
 def _push_new(push, known: set, n: int, values: tuple) -> None:
@@ -432,7 +425,7 @@ class _Engine:
                         q.fill(self.interp)
                         continue
                     values = q.items.popleft()
-                    if not q.satisfied(self.interp, values):
+                    if not head_satisfied(self.interp, q.rule.head_plan, values):
                         self.rr = (self.rr + i + 1) % n
                         return q, values
             return None
@@ -448,7 +441,7 @@ class _Engine:
             for q in pending:
                 if pick < len(q):
                     values = q.pop_at(pick)
-                    if not q.satisfied(self.interp, values):
+                    if not head_satisfied(self.interp, q.rule.head_plan, values):
                         return q, values
                     break
                 pick -= len(q)

@@ -47,16 +47,8 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _load_program(path: str):
-    return parse_program(_read(path))
-
-
-def _load_facts(path: str, signature):
-    return parse_facts(_read(path), signature)
-
-
 def cmd_parse(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     if args.echo:
         sys.stdout.write(program.to_text())
     else:
@@ -67,7 +59,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read(args.program))
     report = analyze(program, path_budget=args.path_budget,
                      candidate_budget=args.budget)
     payload = report.to_dict()
@@ -96,8 +88,8 @@ def _strategy(text: str):
 
 
 def cmd_chase(args) -> int:
-    program = _load_program(args.program)
-    database = _load_facts(args.facts, program.signature)
+    program = parse_program(_read(args.program))
+    database = parse_facts(_read(args.facts), program.signature)
     result = chase(program, database, _strategy(args.strategy), args.max_steps)
     if args.trace:
         Path(args.trace).write_text("\n".join(result.trace.lines()) + "\n",
@@ -121,8 +113,8 @@ def cmd_chase(args) -> int:
 
 
 def cmd_query(args) -> int:
-    program = _load_program(args.program)
-    database = _load_facts(args.facts, program.signature)
+    program = parse_program(_read(args.program))
+    database = parse_facts(_read(args.facts), program.signature)
     signature = dict(program.signature)
     for atom in database:
         signature.setdefault(atom.pred, atom.arity)
@@ -177,19 +169,23 @@ def _parse_clauses(text: str) -> tuple:
     return tuple(clauses)
 
 
+# the flags each built-in instance takes; any other is an input error
+_EXAMPLE_FLAGS = {"dexp": ("levels", "no_props"), "dexp-nonterm": (), "sets": ("n",),
+                  "sets-nonterm": (), "qbf": ("quantifiers", "clauses"),
+                  "counter": ("levels",)}
+
+
 def cmd_examples(args) -> int:
     params = {}
-    if args.levels is not None:
-        params["levels"] = args.levels
-    if args.n is not None:
-        params["n"] = args.n
-    if args.name == "dexp":
-        params["props"] = not args.no_props
-    if args.quantifiers is not None:
-        params["quantifiers"] = args.quantifiers
-    if args.clauses is not None:
-        params["clauses"] = _parse_clauses(args.clauses)
-    inst = instance_from_name(args.name, **params)
+    for flag in ("levels", "n", "no_props", "quantifiers", "clauses"):
+        value = getattr(args, flag)
+        if value is not None:
+            if flag not in _EXAMPLE_FLAGS[args.name]:
+                raise ValueError(f"examples {args.name} takes no --{flag.replace('_', '-')}")
+            params[flag] = value
+    if "clauses" in params:
+        params["clauses"] = _parse_clauses(params["clauses"])
+    inst = instance_from_name(args.name, props=not params.pop("no_props", False), **params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{inst.name}.tgd").write_text(inst.program.to_text(), encoding="utf-8")
@@ -202,7 +198,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = build_ledgraph(_load_program(args.program))
+    graph = build_ledgraph(parse_program(_read(args.program)))
     dot = graph.to_dot(scc_analysis(graph))
     if args.out:
         Path(args.out).write_text(dot, encoding="utf-8")
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--levels", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--no-props", action="store_true",
+    p.add_argument("--no-props", action="store_true", default=None,
                    help="dexp only: omit the propagation rules")
     p.add_argument("--quantifiers", help="qbf only: string over e/a")
     p.add_argument("--clauses", help="qbf only: e.g. '1,-2;-1,2'")

@@ -64,7 +64,7 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     is a fact, so the result is part of the fixpoint and holds the goal
     exactly when the whole fixpoint does.
     """
-    index = _indexed(rules).by_body_pred
+    index = _indexed(rules)
     result = Interpretation()
     insert = result._insert
     for fact in facts:

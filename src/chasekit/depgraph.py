@@ -18,7 +18,7 @@ values flowing in from predecessor components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import Program, Variable
 
@@ -79,19 +79,15 @@ class LabelledDepGraph:
     def vertex_label(self, v: Variable) -> str:
         return f"{v.name}@r{self.program.rule_of_var[v].rule_id}"
 
-    def to_dot(self, scc: Optional["SccAnalysis"] = None) -> str:
+    def to_dot(self, scc: SccAnalysis) -> str:
         lines = ["digraph ledgraph {"]
         name = {v: f'"{self.vertex_label(v)}"' for v in self.vertices}
-        if scc is None:
-            for v in self.vertices:
-                lines.append(f"  {name[v]};")
-        else:
-            for ci, comp in enumerate(scc.components):
-                lines.append(f"  subgraph cluster_{ci} {{")
-                lines.append(f'    label="C{ci}";')
-                for v in sorted(comp, key=lambda u: u.id):
-                    lines.append(f"    {name[v]};")
-                lines.append("  }")
+        for ci, comp in enumerate(scc.components):
+            lines.append(f"  subgraph cluster_{ci} {{")
+            lines.append(f'    label="C{ci}";')
+            for v in sorted(comp, key=lambda u: u.id):
+                lines.append(f"    {name[v]};")
+            lines.append("  }")
         for e in self.edges:
             lines.append(f'  {name[e.src]} -> {name[e.dst]} [label="{e.label.name}"];')
         lines.append("}")

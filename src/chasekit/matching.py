@@ -121,14 +121,14 @@ class Plan:
 
     With ``keep``, a run may drop a match whose first ``keep`` slots equal
     those of an earlier match of the same run (see the module docstring);
-    without it, every match comes.  A ``keep`` plan's ``run_from`` may also
-    take a set ``known`` at run time, which the plan never holds: a match
-    whose first ``keep`` slots, as a tuple, are in it is dropped, and each
-    match that comes adds its own.  So a caller that passes one set to
-    every run of a rule's plans gets each such key at most once over all
-    of them, and a repeat costs one probe of the set and no tuple of the
-    match.  Without a set, a run yields exactly the matches it yields
-    otherwise.
+    without it, every match comes.  A ``keep`` plan's entry may also take
+    a set ``known`` at run time, which the plan never holds: a match whose
+    first ``keep`` slots, as a tuple, are in it is dropped, and each match
+    that comes adds its own.  So a caller that passes one set to every run
+    of a rule's plans gets each such key at most once over all of them,
+    and a repeat costs one probe of the set and no tuple of the match.
+    The chase passes its frontier sets to the entry directly; ``run`` and
+    ``run_from`` pass none.
 
     ``start`` is the function a run calls first: the seed's step, or the
     node of no matched atoms.  ``entry()`` returns it, compiled on the
@@ -324,17 +324,16 @@ class Plan:
         return start(slots, emit, interp._pget, interp._aget, len, None)
 
     def run_from(self, interp: Interpretation, fact: Atom,
-                 emit: Callable[[tuple], bool], below: Optional[int] = None,
-                 known: Optional[set] = None) -> bool:
+                 emit: Callable[[tuple], bool], below: Optional[int] = None) -> bool:
         """``run`` with the seed atom matched to ``fact`` first, over the
-        facts numbered below ``below`` if given; a ``keep`` plan skips the
-        matches whose first ``keep`` slots are in the set ``known`` and
-        adds those of the matches it emits."""
+        facts numbered below ``below`` if given.  It passes no set
+        ``known``: the chase passes its frontier sets to the entry
+        directly."""
         start, width = self.entry()
         if len(fact.args) != len(self.seed.args):
             return False
         count = len if below is None else _counter(interp, below)
-        return start((fact,), [None] * width, emit, interp._pget, interp._aget, count, known)
+        return start((fact,), [None] * width, emit, interp._pget, interp._aget, count, None)
 
 
 def _counter(interp: Interpretation, below: int) -> Callable[[list], int]:

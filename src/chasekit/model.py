@@ -271,40 +271,30 @@ class Tgd:
         return f"{b} -> {h} ."
 
 
-class DatalogIndex:
+class DatalogIndex(dict):
     """Existential-free rules indexed for saturation.
 
-    ``by_body_pred[pred]`` lists one ``(start, width, arity, head)`` entry
-    per body atom with the predicate ``pred``, in rule order: the entry of
-    the rule's plan seeded with that atom (``Plan.entry``), the atom's
-    arity and the rule's ``head_slots``.  A predicate's entries are made on
-    its first lookup, so a plan is compiled only once a fact of its seed's
-    predicate comes up.  ``head_preds`` holds every predicate that some
-    rule derives.
+    ``index[pred]`` lists one ``(start, width, arity, head)`` entry per
+    body atom with the predicate ``pred``, in rule order: the entry of the
+    rule's plan seeded with that atom (``Plan.entry``), the atom's arity
+    and the rule's ``head_slots``.  The entries are made on the first
+    lookup of ``pred``, so a plan is compiled only once a fact of its
+    seed's predicate comes up.  ``seeded`` keeps the plans alive, since
+    their compiled functions hold them only weakly.  ``head_preds`` holds
+    every predicate that some rule derives.
     """
 
     def __init__(self, rules: Iterable[Tgd]):
-        seeded: dict = {}
+        super().__init__()
+        self.seeded: dict = {}
         head_preds = set()
         for rule in rules:
             if rule.existentials:
                 raise ValueError(f"rule {rule.rule_id} has existential variables")
             for atom, plan in rule.seeded_plans:
-                seeded.setdefault(atom.pred, []).append((atom, plan, rule.head_slots))
+                self.seeded.setdefault(atom.pred, []).append((atom, plan, rule.head_slots))
             head_preds.update(h.pred for h in rule.head)
-        self.by_body_pred = _SeededEntries(seeded)
         self.head_preds = frozenset(head_preds)
-
-
-class _SeededEntries(dict):
-    """Predicate -> the entries of ``DatalogIndex.by_body_pred``, made on
-    the first lookup of each from ``seeded``: predicate -> ``(seed atom,
-    plan, head)`` triples, which also keep the plans alive, since their
-    compiled functions hold them only weakly."""
-
-    def __init__(self, seeded: dict):
-        super().__init__()
-        self.seeded = seeded
 
     def __missing__(self, pred: str) -> list:
         entries = self[pred] = [(*plan.entry(), len(atom.args), head)
@@ -423,12 +413,11 @@ class Interpretation:
     counter that never goes back.  The atoms present when ``watermark``
     returned ``b`` are exactly those numbered below ``b``, and the atoms
     added between two calls share one number, so numbering costs no memory
-    per atom.  (The number was once kept per atom and dropped as unused;
-    bounded plan runs read it now.)  ``discard_terms`` deletes atoms in
-    place, leaves the others in their order and the counter where it is,
-    so every index list stays sorted by number.  ``matching.Plan`` reads
-    the two index dictionaries, through their ``get`` methods bound once
-    here, and the numbers directly.
+    per atom.  ``discard_terms`` deletes atoms in place, leaves the others
+    in their order and the counter where it is, so every index list stays
+    sorted by number.  ``matching.Plan`` reads the two index dictionaries,
+    through their ``get`` methods bound once here, and the numbers
+    directly.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):

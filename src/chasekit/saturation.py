@@ -57,7 +57,8 @@ saturating when none is missing or one has a predicate no rule derives.  The
 search then re-runs the full report on the last failed candidate only, so
 a negative verdict still carries every condition, both counts and the
 first counterexample, exactly as if each candidate had been checked in
-full.
+full.  The label check skips each E-edge into a vertex whose in-edges in
+the component carry one label (``beta_of`` 1), as no such edge can clash.
 """
 
 from __future__ import annotations
@@ -244,10 +245,6 @@ class _Component:
             edge = missing.args[0]
             raise ValueError(f"{edge} is not an edge of the component") from None
 
-    def acyclic(self, removed) -> bool:
-        """Does every cycle pass through a ``removed`` edge?"""
-        return self._walks(removed, ()) is not None
-
     def _walks(self, removed, starts) -> Optional[list]:
         """Kahn elimination without the ``removed`` edges, counting walks
         as it goes: entry v of the result is the number of walks from a
@@ -349,10 +346,6 @@ class CheckReport:
     counterexample: Optional[str]
     base_paths_checked: int
     step_pairs_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return all(self.conditions)
 
 
 class _Fragment:
@@ -465,7 +458,8 @@ def _condition_checks(program: Program, scc: SccAnalysis, component: int,
     yield 0, None if bound is not None else "cycle survives edge removal"
     by_target: dict = {}
     for e in e_set:
-        by_target.setdefault(e.dst, set()).add(e.label)
+        if scc.beta_of[e.dst] > 1:
+            by_target.setdefault(e.dst, set()).add(e.label)
     bad = next((v for v, ls in by_target.items() if len(ls) > 1), None)
     yield 1, None if bad is None else (f"edges into {bad.name} carry labels "
                                        f"{sorted(l.name for l in by_target[bad])}")

@@ -166,9 +166,6 @@ class TreeChaseRun:
         self.profile.inner_steps.append(0)
         self._observe()
 
-    def holds(self, q: BCQ) -> bool:
-        return evaluate_bcq(self.interp, q)
-
     def snapshot(self) -> tuple:
         """The state that ``restore`` brings back: facts, stack, step counts."""
         return (self.interp.copy(), [set(layer) for layer in self.stack],
@@ -361,17 +358,6 @@ class _GuidedReplayer:
         self.check_homomorphism(self.run.added)
 
 
-def _producers(steps: list, atoms: list) -> list:
-    """The index of the step that added each of ``atoms``, None for an atom
-    no step added (a database atom); a step adds only atoms that are new."""
-    producer = dict.fromkeys(atoms)
-    for step in steps:
-        for atom in step.added:
-            if atom in producer:
-                producer[atom] = step.index
-    return [producer[atom] for atom in atoms]
-
-
 def tree_chase_guided(program: Program, database: Database, q: BCQ,
                       info: ArboreousInfo, chase_cap: int = 100_000) -> GuidedResult:
     """Answer ``q`` by replaying task-tree schedules inside the bounded run.
@@ -402,7 +388,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
     grounds = [substitute(atom, theta) for atom in q.atoms]
     builder = TaskTreeBuilder(trace, build_term_tree(trace, info))
     schedules = [[] if producer is None else builder.schedule(1, producer)
-                 for producer in _producers(trace.steps, grounds)]
+                 for producer in trace.producers(grounds)]
     del trace, builder
     m_bound = max((len(s) for s in schedules), default=0)
     for ground, schedule in zip(grounds, schedules):
@@ -412,7 +398,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
         if live_image not in replayer.run.interp:
             raise ReplayDivergence(f"query atom {ground} not rebuilt")
         replayer.run.break_iteration()
-    verdict = replayer.run.holds(q)
+    verdict = evaluate_bcq(replayer.run.interp, q)
     if not verdict:
         raise ReplayDivergence("replay lost a derived query match")
     return GuidedResult(True, replayer.run.profile, m_bound,
@@ -478,7 +464,7 @@ def tree_chase_search(program: Program, database: Database, q: BCQ,
     for spent in itertools.count(1):
         if spent > node_budget:
             return finish("inconclusive", node_budget, False)
-        if run.holds(q):
+        if evaluate_bcq(run.interp, q):
             return finish("true", spent, False)
         if k < len(q):
             frames.append([moves(k, j), None])

@@ -318,7 +318,7 @@ def _feedback(scc, ci, e_set):
     from chasekit.saturation import _Component
     keys = {(e.src, e.label, e.dst) for e in e_set}
     rest = [e for e in scc.intra_edges[ci] if (e.src, e.label, e.dst) not in keys]
-    return _Component(scc.components[ci], rest).acyclic(())
+    return _Component(scc.components[ci], rest)._walks((), ()) is not None
 
 
 def test_criterion_9_counter_total_order(cache):

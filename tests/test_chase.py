@@ -187,8 +187,8 @@ def test_trace_identity(name, strategy):
         validate_trace(inst.program, trace)
         for step in trace.steps:
             for atom in step.added:
-                assert trace.producer_of(atom) == step.index
-        assert all(trace.producer_of(atom) is None for atom in inst.database)
+                assert trace.producers([atom]) == [step.index]
+        assert all(trace.producers([atom]) == [None] for atom in inst.database)
 
 
 # (instance, strategy) -> sha256 of ``json.dumps(trace.to_dict())``: the
@@ -357,7 +357,7 @@ def test_the_chase_runs_the_datalog_plans_that_saturate_runs(monkeypatch):
     inst = gen_sets(3)
     program = inst.program
     indexed = {start for pred in program.signature
-               for start, *_rest in program.datalog_index.by_body_pred[pred]}
+               for start, *_rest in program.datalog_index[pred]}
     ran: list = []
     original = Plan.entry
 

@@ -1,8 +1,10 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import random
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -221,6 +223,53 @@ def test_examples_write_all_formats(tmp_path):
     assert (tmp_path / "sets.tgd").exists()
     assert (tmp_path / "sets.facts").exists()
     assert (tmp_path / "sets.query").exists()
+
+
+# the flags of ``examples`` with a value that every instance taking them
+# accepts, and the flags each instance takes
+_EXAMPLE_FLAGS = {"--levels": ["1"], "--n": ["1"], "--no-props": [],
+                  "--quantifiers": ["ea"], "--clauses": ["1,2;-1,-2"]}
+_TAKES = {"dexp": ("--levels", "--no-props"), "dexp-nonterm": (), "sets": ("--n",),
+          "sets-nonterm": (), "qbf": ("--quantifiers", "--clauses"),
+          "counter": ("--levels",)}
+
+
+@pytest.mark.parametrize("name, flags", [
+    (name, flags) for name, takes in _TAKES.items()
+    for k in range(len(takes) + 1) for flags in itertools.combinations(takes, k)])
+def test_examples_writes_every_accepted_combination(tmp_path, capsys, name, flags):
+    argv = [arg for flag in flags for arg in (flag, *_EXAMPLE_FLAGS[flag])]
+    assert main(["examples", name, *argv, "--out", str(tmp_path / "ex")]) == 0
+    assert {f"{name}.tgd", f"{name}.facts"} <= {p.name for p in (tmp_path / "ex").iterdir()}
+
+
+@pytest.mark.parametrize("name, flag, also", [
+    ("dexp", "--n", []), ("sets-nonterm", "--levels", []), ("sets", "--levels", []),
+    ("dexp", "--n", ["--levels", "2"]), ("qbf", "--no-props", ["--quantifiers", "ea"])] + [
+    (name, flag, []) for name, takes in _TAKES.items()
+    for flag in _EXAMPLE_FLAGS if flag not in takes])
+def test_examples_rejects_a_flag_its_instance_does_not_take(tmp_path, capsys,
+                                                            name, flag, also):
+    out = tmp_path / "ex"
+    argv = ["examples", name, flag, *_EXAMPLE_FLAGS[flag], *also, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and flag in err
+    assert not out.exists()
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each ``chasekit`` line of the README's "Command line" block exits 0
+    when run in order, as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.strip() for line in block.splitlines()
+             if line.startswith("    chasekit ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_graph_subcommand(dexp_files, capsys):

@@ -173,6 +173,35 @@ def test_check_e_saturating_condition2_failure():
     assert report.conditions[1] is False
 
 
+def test_shared_label_counterexample_pinned_on_sets_nonterm_loops():
+    program = gen_sets_nonterm().program
+    scc = scc_analysis(build_ledgraph(program))
+    report = check_e_saturating(program, scc, 0, scc.intra_edges[0])
+    assert report.conditions == (True, False, True, True)
+    assert report.counterexample == "edges into V carry labels ['S', 'X']"
+    assert (report.base_paths_checked, report.step_pairs_checked) == (0, 0)
+
+
+def test_shared_label_counterexample_names_the_first_clashing_target():
+    # a hand-made component: T1's in-edges carry X and Y, T2's W and U, and
+    # R's and S's one label each; E leaves out S -(Y)-> T1, so E's edges
+    # into T1 share X, E's edges into T2 do not, and the rest is acyclic
+    r, s, t1, t2, *labels = [Variable(i, name) for i, name in enumerate(
+        ["R", "S", "T1", "T2", "Rl", "Ql", "X", "Y", "W", "U"], start=1)]
+    rl, ql, x, y, w, u = labels
+    e_set = (DepEdge(t1, rl, r), DepEdge(r, ql, s), DepEdge(s, x, t1),
+             DepEdge(t2, x, t1), DepEdge(t1, w, t2), DepEdge(s, u, t2))
+    edges = e_set + (DepEdge(s, y, t1),)
+    vertices = (r, s, t1, t2)
+    scc = types.SimpleNamespace(
+        components=[frozenset(vertices)], intra_edges=[edges],
+        beta_of={v: len({e.label for e in edges if e.dst == v}) for v in vertices})
+    assert [scc.beta_of[v] for v in vertices] == [1, 1, 2, 2]
+    report = check_e_saturating(gen_sets_nonterm().program, scc, 0, e_set)
+    assert report.conditions == (True, False, True, True)
+    assert report.counterexample == "edges into T2 carry labels ['U', 'W']"
+
+
 def test_check_e_saturating_condition1_failure(dexp):
     program, graph, scc = dexp
     report = check_e_saturating(program, scc, 0, ())
@@ -253,8 +282,8 @@ def test_acyclicity_check_is_iterative_on_long_paths():
     vs = [Variable(i, f"V{i}") for i in range(3000)]
     label = Variable(10_000, "Y")
     path = [DepEdge(a, label, b) for a, b in zip(vs, vs[1:])]
-    assert _Component(vs, path).acyclic(())
-    assert not _Component(vs, path + [DepEdge(vs[-1], label, vs[0])]).acyclic(())
+    assert _Component(vs, path)._walks((), ()) is not None
+    assert _Component(vs, path + [DepEdge(vs[-1], label, vs[0])])._walks((), ()) is None
 
 
 def _ring(n):
@@ -323,7 +352,7 @@ def test_candidate_walks_agree_with_a_naive_search():
                 itertools.combinations(edges, k) for k in range(1, 4)):
             removed = comp.removed(e_set)
             acyclic = _naive_acyclic(vertices, [e for e in edges if e not in e_set])
-            assert comp.acyclic(removed) == acyclic
+            assert (comp._walks(removed, ()) is not None) == acyclic
             if not acyclic:
                 assert comp.ebar_bound(e_set, removed, 10_000) is None
                 with pytest.raises(ValueError, match="cyclic"):
