@@ -26,6 +26,21 @@ plan's entry (``matching.Plan.entry``), made on the first lookup of the
 seed's predicate, which ``saturate`` calls for each worklist fact of that
 predicate and the seed's arity.
 
+With a goal, ``saturate`` is goal-directed, as the predicate-level part of
+magic sets is (Bancilhon, Maier, Sagiv and Ullman, 1986).  The *cone* of
+the missing goal atoms is the set of predicates reachable backwards from
+theirs along the rules' head-to-body edges.  A fact over a cone predicate
+is derived only by a rule with a head atom in the cone, whose body
+predicates are then all in the cone too; so only those rules run, each
+whole, only the input facts over cone predicates are seeded, and every
+fact over a cone predicate in the fixpoint is still reached.  The seeds go
+farthest first, by their predicate's breadth-first distance from the goal
+predicates inside the cone (stable among equal distances), and derived
+facts follow first in, first out: the facts that start the longest
+derivations are taken before the goal's own predicates, so the stop below
+tends to come sooner.  Order only moves the stop, never the closure.
+A ``Cone`` is built once per set of goal predicates and kept on the index.
+
 ``entails`` decides whether the rules entail a universally quantified
 implication ``body -> head`` by saturating the body as it is and testing
 membership of the head: the canonical-database test (Chandra and Merlin,
@@ -37,8 +52,10 @@ Saturation only adds facts, and each fact it adds has the head predicate
 of some rule.  So a head already inside the body is entailed without
 saturating; a missing head atom whose predicate no rule derives is not
 entailed, again without saturating (with no rules this covers every
-missing atom); and the fixpoint can stop at the first moment every missing
-head atom has been derived, since later rounds cannot take a fact away.
+missing atom); nor is one when no body atom's predicate is in the cone of
+the missing atoms, since no rule that could derive them can fire; and the
+fixpoint can stop at the first moment every missing head atom has been
+derived, since later rounds cannot take a fact away.
 """
 
 from __future__ import annotations
@@ -52,6 +69,47 @@ def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
     return rules if isinstance(rules, DatalogIndex) else DatalogIndex(rules)
 
 
+class Cone(dict):
+    """The part of ``index`` that can derive a fact over ``goal_preds``.
+
+    ``distance`` maps each cone predicate to its breadth-first distance
+    from the goal predicates along head-to-body edges, the goal predicates
+    at 0.  ``cone[pred]`` lists the entries of ``index[pred]`` whose rule
+    has a head atom in the cone, and is empty for a predicate outside it.
+    A cone reads the index only while it is built, so it holds no
+    reference back to it.
+    """
+
+    def __init__(self, index: DatalogIndex, goal_preds: Iterable[str]):
+        super().__init__()
+        distance = self.distance = dict.fromkeys(goal_preds, 0)
+        layer = list(distance)
+        while layer:
+            outer = []
+            for pred in layer:
+                for body_pred in index.body_preds.get(pred, ()):
+                    if body_pred not in distance:
+                        distance[body_pred] = distance[pred] + 1
+                        outer.append(body_pred)
+            layer = outer
+        for pred in distance:
+            self[pred] = [entry for entry in index[pred]
+                          if any(p in distance for p, _ in entry[3])]
+
+    def __missing__(self, pred: str) -> tuple:
+        return ()
+
+
+def cone(index: DatalogIndex, goal: Iterable[Atom]) -> Cone:
+    """The cone of the predicates of ``goal``, built on first use and kept
+    in ``index.cones``."""
+    preds = frozenset(a.pred for a in goal)
+    found = index.cones.get(preds)
+    if found is None:
+        found = index.cones[preds] = Cone(index, preds)
+    return found
+
+
 def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
              goal: Iterable[Atom] = ()) -> Interpretation:
     """Least fixpoint of ``rules`` over ``facts``, any iterable of atoms
@@ -62,7 +120,11 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     ``rules`` is a prebuilt index or any iterable of rules, indexed here.
     With a nonempty ``goal`` the fixpoint stops as soon as every goal atom
     is a fact, so the result is part of the fixpoint and holds the goal
-    exactly when the whole fixpoint does.
+    exactly when the whole fixpoint does.  It then runs only the rules of
+    the missing goal atoms' cone and seeds only the input facts over cone
+    predicates, farthest from the goal first (see the module docstring).
+    Without a goal every rule runs on every fact, and the result is the
+    whole fixpoint.
     """
     index = _indexed(rules)
     result = Interpretation()
@@ -71,16 +133,23 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
         insert(fact)
     goal = set(goal)
     missing = {a for a in goal if a not in result}
-    if goal and not missing:
+    if not goal:
+        entries = index
+        worklist = list(result)
+    elif not missing:
         return result
+    else:
+        entries = cone(index, missing)
+        distance = entries.distance
+        worklist = sorted((f for f in result if f.pred in distance),
+                          key=lambda f: distance[f.pred], reverse=True)
     pget = result._pget
     aget = result._aget
-    worklist = list(result)
-    while worklist:
-        fact = worklist.pop()
+    # first in, first out: the loop reaches the facts appended while it runs
+    for fact in worklist:
         arity = len(fact.args)
         seed = (fact,)
-        for start, width, n, head in index[fact.pred]:
+        for start, width, n, head in entries[fact.pred]:
             if n != arity:
                 continue
             # collected first: adding while the plan walks would extend the
@@ -105,10 +174,12 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
 
     ``rules`` is a prebuilt index or any iterable of rules; an existential
     rule raises ValueError on every call.  The body is saturated as given,
-    its variables standing for themselves.  A head variable that is not in
-    the body occurs in no fact of the fixpoint, so no head atom holding one
-    is entailed, as the implication with that variable also universally
-    quantified requires.
+    its variables standing for themselves, towards the head atoms missing
+    from it: only the rules of their cone run, on the body atoms over cone
+    predicates, and with no such body atom the answer is False without
+    saturating.  A head variable that is not in the body occurs in no fact
+    of the fixpoint, so no head atom holding one is entailed, as the
+    implication with that variable also universally quantified requires.
     """
     index = _indexed(rules)
     body = tuple(body)
@@ -117,6 +188,9 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     verdict = early_verdict(index, missing)
     if verdict is not None:
         return verdict
+    distance = cone(index, missing).distance
+    if not any(a.pred in distance for a in body):
+        return False
     closure = saturate(index, body, missing)
     return all(a in closure for a in missing)
 
@@ -128,6 +202,6 @@ def early_verdict(index: DatalogIndex, missing: list) -> Optional[bool]:
     the fixpoint can tell."""
     if not missing:
         return True
-    if any(a.pred not in index.head_preds for a in missing):
+    if any(a.pred not in index.body_preds for a in missing):
         return False
     return None

@@ -280,21 +280,25 @@ class DatalogIndex(dict):
     and the rule's ``head_slots``.  The entries are made on the first
     lookup of ``pred``, so a plan is compiled only once a fact of its
     seed's predicate comes up.  ``seeded`` keeps the plans alive, since
-    their compiled functions hold them only weakly.  ``head_preds`` holds
-    every predicate that some rule derives.
+    their compiled functions hold them only weakly.  ``body_preds[pred]``
+    holds the body predicates of the rules that derive ``pred``, in rule
+    order, so its keys are the predicates that some rule derives.
+    ``cones`` caches ``datalog.Cone``s by their goal predicates.
     """
 
     def __init__(self, rules: Iterable[Tgd]):
         super().__init__()
         self.seeded: dict = {}
-        head_preds = set()
+        self.body_preds: dict = {}
+        self.cones: dict = {}
         for rule in rules:
             if rule.existentials:
                 raise ValueError(f"rule {rule.rule_id} has existential variables")
             for atom, plan in rule.seeded_plans:
                 self.seeded.setdefault(atom.pred, []).append((atom, plan, rule.head_slots))
-            head_preds.update(h.pred for h in rule.head)
-        self.head_preds = frozenset(head_preds)
+            for h in rule.head:
+                self.body_preds.setdefault(h.pred, {}).update(
+                    dict.fromkeys(a.pred for a in rule.body))
 
     def __missing__(self, pred: str) -> list:
         entries = self[pred] = [(*plan.entry(), len(atom.args), head)

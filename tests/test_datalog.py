@@ -329,3 +329,177 @@ def test_a_constant_cannot_name_a_frozen_variable():
         x = Variable(1, "X")
         assert not entails(p.rules, [Atom("p", (x,))], [Atom("q", (x,))])
         assert not naive_entails(p.rules, [Atom("p", (x,))], [Atom("q", (x,))])
+
+
+# -- goal-directed saturation: the cone -------------------------------------
+
+@st.composite
+def _cone_case(draw):
+    """Copies of one drawn family of rules over p, q and r, each under its
+    own predicate prefix and with its own variables; bridging rules from
+    one copy's predicates to another's; multi-head rules whose two head
+    atoms lie in different copies where there are two, so a goal in one
+    copy takes one head atom into its cone and leaves the other out; and
+    facts over every copy."""
+    from chasekit.model import Tgd
+    copies = [f"c{i}_" for i in range(draw(st.integers(1, 3)))]
+    ids = itertools.count(3000)
+    rule_ids = itertools.count(1)
+    indices = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def rule(body, head):
+        """A rule over fresh variables from ``(pred, index pair)`` atoms;
+        a head index the body lacks falls back to the body's first."""
+        vs = {}
+        body = tuple(Atom(p, tuple(vs.setdefault(i, Variable(next(ids), f"V{i}")) for i in ij))
+                     for p, ij in body)
+        head = tuple(Atom(p, tuple(vs.get(i, body[0].args[0]) for i in ij)) for p, ij in head)
+        return Tgd(next(rule_ids), body, head)
+
+    def spec_atom(prefixes):
+        return st.tuples(st.sampled_from(prefixes), st.sampled_from(_preds), indices).map(
+            lambda t: (t[0] + t[1], t[2]))
+
+    family = draw(st.lists(st.tuples(st.lists(spec_atom([""]), min_size=1, max_size=2),
+                                     spec_atom([""])), min_size=1, max_size=3))
+    rules = [rule([(c + p, ij) for p, ij in body], [(c + head[0], head[1])])
+             for c in copies for body, head in family]
+    for _ in range(draw(st.integers(0, 2))):       # bridging rules
+        src, dst = draw(st.sampled_from(copies)), draw(st.sampled_from(copies))
+        rules.append(rule(draw(st.lists(spec_atom([src]), min_size=1, max_size=2)),
+                          [draw(spec_atom([dst]))]))
+    for _ in range(draw(st.integers(0, 2))):       # multi-head rules
+        inside, outside = draw(st.permutations(copies))[:2] if len(copies) > 1 else copies * 2
+        rules.append(rule(draw(st.lists(spec_atom(copies), min_size=1, max_size=2)),
+                          [draw(spec_atom([inside])), draw(spec_atom([outside]))]))
+    rules = draw(st.permutations(rules))
+    preds = [c + p for c in copies for p in _preds]
+    facts = Interpretation(
+        Atom(draw(st.sampled_from(preds)),
+             (draw(st.sampled_from(_consts)), draw(st.sampled_from(_consts))))
+        for _ in range(draw(st.integers(1, 8))))
+    return rules, facts, preds
+
+
+def _rule_sets(rules):
+    """The same rules as a list, an index and a program's index; the two
+    indexes are kept across calls, so their cones are reused."""
+    return (rules, DatalogIndex(rules), Program(rules).datalog_index)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cone_case(), st.data())
+def test_goal_directed_saturate_agrees_with_naive_oracle(case, data):
+    rules, facts, preds = case
+    full = naive_materialize(rules, set(facts))
+    atoms = st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from(preds),
+                      st.sampled_from(_consts), st.sampled_from(_consts))
+    derived = sorted(full - set(facts), key=str)
+    if derived:
+        atoms = st.sampled_from(derived) | atoms
+    goals = data.draw(st.lists(st.lists(atoms, min_size=1, max_size=3), min_size=1, max_size=4))
+    for rule_set in _rule_sets(rules):
+        for goal in goals:
+            part = set(saturate(rule_set, facts, goal))
+            assert set(facts) <= part <= full
+            assert (set(goal) <= part) == (set(goal) <= full)
+        # the cones built on an index leave its own entries whole
+        assert set(saturate(rule_set, facts)) == full
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cone_case(), st.data())
+def test_goal_directed_entails_agrees_with_naive_oracle(case, data):
+    rules, facts, preds = case
+    lift = {c: data.draw(st.sampled_from([c] + _vars)) for c in _consts}
+    body = [Atom(a.pred, tuple(lift[t] for t in a.args)) for a in facts]
+    terms = st.sampled_from([t for a in body for t in a.args] + [Variable(999, "W")])
+    atoms = st.builds(lambda p, s, t: Atom(p, (s, t)), st.sampled_from(preds), terms, terms)
+    derived = sorted(naive_materialize(rules, body) - set(body), key=str)
+    if derived:
+        atoms = st.sampled_from(derived) | st.sampled_from(derived) | atoms
+    heads = data.draw(st.lists(st.lists(atoms, min_size=1, max_size=2), min_size=1, max_size=4))
+    for rule_set in _rule_sets(rules):
+        for head in heads:
+            assert entails(rule_set, body, head) == naive_entails(rules, body, head)
+
+
+def _recording(index: DatalogIndex, entered: list) -> DatalogIndex:
+    """``index`` with each seeded plan's entry wrapped to record the head
+    predicates of its rule when a run enters it."""
+    for pred in list(index.seeded):
+        index[pred] = [(lambda *a, _s=start, _h=tuple(p for p, _ in head):
+                        entered.append(_h) or _s(*a), width, n, head)
+                       for start, width, n, head in index[pred]]
+    return index
+
+
+def test_goal_directed_saturate_enters_no_plan_outside_the_cone():
+    # the cone of c is {c, b, a}: rule 3 derives d from a, and rule 4 reads
+    # e, which the two-headed rule 5 derives beside the cone's b
+    p = parse_program("a(X) -> b(X) . b(X) -> c(X) . a(X) -> d(X) . "
+                      "e(X) -> c2(X) . a(X) -> e(X), b(X) .")
+    facts = parse_facts("a(1) .")
+    entered: list = []
+    out = saturate(_recording(DatalogIndex(p.rules), entered), facts,
+                   [Atom("c", (_c("1"),))])
+    assert set(entered) == {("b",), ("c",), ("e", "b")}
+    # the two-headed rule is kept whole: its atom outside the cone is a fact
+    assert Atom("e", (_c("1"),)) in out and Atom("d", (_c("1"),)) not in out
+    # without a goal every plan runs
+    entered.clear()
+    saturate(_recording(DatalogIndex(p.rules), entered), facts)
+    assert set(entered) == {("b",), ("c",), ("d",), ("c2",), ("e", "b")}
+
+
+def test_entails_with_no_body_fact_in_the_cone_does_not_saturate(monkeypatch):
+    import chasekit.datalog
+
+    def refuse(*args):
+        raise AssertionError("saturated")
+
+    p = parse_program("b(X) -> c(X) . a(X) -> d(X) .")
+    x = Variable(1, "X")
+    body, head = [Atom("a", (x,)), Atom("d", (x,))], [Atom("c", (x,))]
+    monkeypatch.setattr(chasekit.datalog, "saturate", refuse)
+    assert not entails(p.rules, body, head)
+    assert not naive_entails(p.rules, body, head)
+    # a body fact in the cone takes the call on to the fixpoint
+    with pytest.raises(AssertionError, match="saturated"):
+        entails(p.rules, body + [Atom("b", (x,))], head)
+
+
+def _analyzer_programs():
+    """Every corpus program, the k-stage sets chain for k up to 3, and a
+    union of three corpus programs, each under its own predicate prefix,
+    as the analyze-union benchmark builds its unions."""
+    import re
+    from chasekit.corpus import CORPUS_NAMES, instance_from_name
+    from test_ranks import sets_chain
+    programs = [instance_from_name(name).program for name in CORPUS_NAMES]
+    programs += [sets_chain(k, 1)[0] for k in (1, 2, 3)]
+    texts = [instance_from_name(name).program.to_text() for name in ("dexp", "counter", "sets")]
+    programs.append(parse_program("".join(re.sub(r"\b([a-z][A-Za-z0-9]*)\(", rf"u{i}y\1(", text)
+                                          for i, text in enumerate(texts))))
+    return programs
+
+
+def test_entails_agrees_with_naive_oracle_under_analyzer_traffic(monkeypatch):
+    # every entailment the certificate search asks, checked as it is asked
+    import chasekit.saturation
+    from chasekit.analysis import analyze
+    verdicts: list = []
+    for program in _analyzer_programs():
+        def checked(index, body, head, program=program):
+            assert index is program.datalog_index
+            body, head = tuple(body), tuple(head)
+            verdict = entails(index, body, head)
+            assert verdict == naive_entails(program.datalog_rules(), body, head)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(chasekit.saturation, "entails", checked)
+        analyze(program)
+    # the search decides a failing base check before it reaches entails,
+    # so the 33 calls that reach it are all entailed
+    assert len(verdicts) == 33 and all(verdicts)
