@@ -23,8 +23,9 @@ A program's Datalog part is indexed once, on first use, by the
 ``Program.datalog_index`` property; both functions take that index or any
 rule iterable, which they index on the fly.  The index holds each seeded
 plan's entry (``matching.Plan.entry``), made on the first lookup of the
-seed's predicate, which ``saturate`` calls for each worklist fact of that
-predicate and the seed's arity.
+seed's predicate: by ``saturate``, for a worklist fact of that predicate
+and the seed's arity, or by building a ``Cone`` that holds the
+predicate.
 
 With a goal, ``saturate`` is goal-directed, as the predicate-level part of
 magic sets is (Bancilhon, Maier, Sagiv and Ullman, 1986).  The *cone* of
@@ -33,12 +34,9 @@ theirs along the rules' head-to-body edges.  A fact over a cone predicate
 is derived only by a rule with a head atom in the cone, whose body
 predicates are then all in the cone too; so only those rules run, each
 whole, only the input facts over cone predicates are seeded, and every
-fact over a cone predicate in the fixpoint is still reached.  The seeds go
-farthest first, by their predicate's breadth-first distance from the goal
-predicates inside the cone (stable among equal distances), and derived
-facts follow first in, first out: the facts that start the longest
-derivations are taken before the goal's own predicates, so the stop below
-tends to come sooner.  Order only moves the stop, never the closure.
+fact over a cone predicate in the fixpoint is still reached.  The seeds are
+taken in input order and derived facts after them, first in, first out;
+order only moves the stop at the goal, never the closure.
 A ``Cone`` is built once per set of goal predicates and kept on the index.
 
 ``entails`` decides whether the rules entail a universally quantified
@@ -52,10 +50,9 @@ Saturation only adds facts, and each fact it adds has the head predicate
 of some rule.  So a head already inside the body is entailed without
 saturating; a missing head atom whose predicate no rule derives is not
 entailed, again without saturating (with no rules this covers every
-missing atom); nor is one when no body atom's predicate is in the cone of
-the missing atoms, since no rule that could derive them can fire; and the
-fixpoint can stop at the first moment every missing head atom has been
-derived, since later rounds cannot take a fact away.
+missing atom); and the fixpoint can stop at the first moment every
+missing head atom has been derived, since later rounds cannot take a fact
+away.
 """
 
 from __future__ import annotations
@@ -72,29 +69,26 @@ def _indexed(rules: Union[DatalogIndex, Iterable[Tgd]]) -> DatalogIndex:
 class Cone(dict):
     """The part of ``index`` that can derive a fact over ``goal_preds``.
 
-    ``distance`` maps each cone predicate to its breadth-first distance
-    from the goal predicates along head-to-body edges, the goal predicates
-    at 0.  ``cone[pred]`` lists the entries of ``index[pred]`` whose rule
-    has a head atom in the cone, and is empty for a predicate outside it.
+    Its keys are the cone's predicates: the goal predicates and those
+    reachable backwards from them along head-to-body edges.
+    ``cone[pred]`` lists the entries of ``index[pred]`` whose rule has a
+    head atom in the cone, and is empty for a predicate outside it.
     A cone reads the index only while it is built, so it holds no
     reference back to it.
     """
 
     def __init__(self, index: DatalogIndex, goal_preds: Iterable[str]):
         super().__init__()
-        distance = self.distance = dict.fromkeys(goal_preds, 0)
-        layer = list(distance)
-        while layer:
-            outer = []
-            for pred in layer:
-                for body_pred in index.body_preds.get(pred, ()):
-                    if body_pred not in distance:
-                        distance[body_pred] = distance[pred] + 1
-                        outer.append(body_pred)
-            layer = outer
-        for pred in distance:
+        preds = set(goal_preds)
+        stack = list(preds)
+        while stack:
+            for body_pred in index.body_preds.get(stack.pop(), ()):
+                if body_pred not in preds:
+                    preds.add(body_pred)
+                    stack.append(body_pred)
+        for pred in preds:
             self[pred] = [entry for entry in index[pred]
-                          if any(p in distance for p, _ in entry[3])]
+                          if any(p in preds for p, _ in entry[3])]
 
     def __missing__(self, pred: str) -> tuple:
         return ()
@@ -122,7 +116,7 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
     is a fact, so the result is part of the fixpoint and holds the goal
     exactly when the whole fixpoint does.  It then runs only the rules of
     the missing goal atoms' cone and seeds only the input facts over cone
-    predicates, farthest from the goal first (see the module docstring).
+    predicates, in input order (see the module docstring).
     Without a goal every rule runs on every fact, and the result is the
     whole fixpoint.
     """
@@ -140,9 +134,7 @@ def saturate(rules: Union[DatalogIndex, Iterable[Tgd]], facts: Iterable[Atom],
         return result
     else:
         entries = cone(index, missing)
-        distance = entries.distance
-        worklist = sorted((f for f in result if f.pred in distance),
-                          key=lambda f: distance[f.pred], reverse=True)
+        worklist = [f for f in result if f.pred in entries]
     pget = result._pget
     aget = result._aget
     # first in, first out: the loop reaches the facts appended while it runs
@@ -176,8 +168,8 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     rule raises ValueError on every call.  The body is saturated as given,
     its variables standing for themselves, towards the head atoms missing
     from it: only the rules of their cone run, on the body atoms over cone
-    predicates, and with no such body atom the answer is False without
-    saturating.  A head variable that is not in the body occurs in no fact
+    predicates, so with no such body atom no plan runs and the answer is
+    False.  A head variable that is not in the body occurs in no fact
     of the fixpoint, so no head atom holding one is entailed, as the
     implication with that variable also universally quantified requires.
     """
@@ -188,9 +180,6 @@ def entails(rules: Union[DatalogIndex, Iterable[Tgd]], body: Iterable[Atom],
     verdict = early_verdict(index, missing)
     if verdict is not None:
         return verdict
-    distance = cone(index, missing).distance
-    if not any(a.pred in distance for a in body):
-        return False
     closure = saturate(index, body, missing)
     return all(a in closure for a in missing)
 

@@ -278,8 +278,10 @@ class DatalogIndex(dict):
     body atom with the predicate ``pred``, in rule order: the entry of the
     rule's plan seeded with that atom (``Plan.entry``), the atom's arity
     and the rule's ``head_slots``.  The entries are made on the first
-    lookup of ``pred``, so a plan is compiled only once a fact of its
-    seed's predicate comes up.  ``seeded`` keeps the plans alive, since
+    lookup of ``pred``: by a fact of that predicate, or by building a
+    ``datalog.Cone`` that holds ``pred``, which compiles the plans of every
+    rule with a body atom over ``pred`` even if no such fact comes up.
+    ``seeded`` keeps the plans alive, since
     their compiled functions hold them only weakly.  ``body_preds[pred]``
     holds the body predicates of the rules that derive ``pred``, in rule
     order, so its keys are the predicates that some rule derives.
