@@ -34,8 +34,9 @@ A step is a rule and the values of its match over the slots of the
 rule's ``body_plan``, the form in which the chase records it and
 ``unsatisfied_matches`` lists it.  The driver that chooses a step checks
 it, and ``TreeChaseRun.apply`` only executes: the guided replay checks
-each translated step against the rule's ``body_slots`` and ``head_plan``,
-and the search applies only the unsatisfied matches it has just listed.
+each reference step, in the reference's own terms and nulls, against the
+rule's ``body_slots`` and ``head_plan``, and the search applies only the
+unsatisfied matches it has just listed.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from typing import Iterable, Optional
 from .arboreal import ArboreousInfo, InvariantViolation, TermTree, build_term_tree
 from .chase import ChaseTrace, Deterministic, chase
 from .matching import bcq_match, evaluate_bcq, head_satisfied, unsatisfied_matches
-from .model import (Atom, BCQ, Constant, Database, Null,
-                    Program, Term, Tgd, Variable, substitute)
+from .model import Atom, BCQ, Database, Null, Program, Tgd, Variable, substitute
 
 
-# runner nulls are numbered from here, apart from the reference chase's nulls
+# the search's nulls are numbered from here; the guided replay uses the
+# reference chase's own nulls
 _NULL_NAMESPACE = 1_000_000_000
 # tasks one TaskTreeBuilder may schedule before it gives up
 _TASK_NODE_CAP = 500_000
@@ -125,16 +126,17 @@ class TreeChaseRun:
 
     # -- transitions ----------------------------------------------------------
 
-    def apply(self, rule: Tgd, values: tuple) -> tuple:
+    def apply(self, rule: Tgd, values: tuple, fresh: Optional[tuple] = None) -> tuple:
         """Execute one rule application at the match ``values``, over the
-        slots of ``rule.body_plan``; returns the fresh nulls, in the order
-        of ``rule.existentials``.
+        slots of ``rule.body_plan``, with the nulls ``fresh`` for
+        ``rule.existentials``, in their order; without them, the run's own
+        counter numbers new nulls.  Returns the nulls it used.
 
         Precondition, not checked here: the match embeds the body and does
-        not satisfy the head.  The fact set changes in place: the facts that
-        mention a popped term go, the head facts that are new come last.
-        ``popped`` and ``added`` then hold the terms and facts this step
-        removed and added.
+        not satisfy the head, and no null of ``fresh`` is live.  The fact
+        set changes in place: the facts that mention a popped term go, the
+        head facts that are new come last.  ``popped`` and ``added`` then
+        hold the terms and facts this step removed and added.
         """
         frontier_terms = set(values[:len(rule.frontier)])
         self.popped = []
@@ -142,11 +144,12 @@ class TreeChaseRun:
             self.popped.extend(self.stack.pop())
         if self.popped:
             self.interp.discard_terms(self.popped)
-        fresh = []
-        for v in rule.existentials:
-            nid = next(self.null_counter)
-            fresh.append(Null(nid, f"m{nid}_{v.name}"))
-        fresh = tuple(fresh)
+        if fresh is None:
+            fresh = []
+            for v in rule.existentials:
+                nid = next(self.null_counter)
+                fresh.append(Null(nid, f"m{nid}_{v.name}"))
+            fresh = tuple(fresh)
         if self.v_ehat & set(rule.existentials):
             self.stack.append(set(fresh))
         else:
@@ -271,29 +274,24 @@ class GuidedResult:
 
 
 class _GuidedReplayer:
-    """Replays reference steps in the runner and checks, after each one, that
-    ``tau`` (runner null -> reference null, identity elsewhere) is injective
-    on the live terms and maps every fact into the reference chase.  Of the
-    reference it holds the trace's ``steps`` and the model's ``facts``, any
-    container of its atoms.
+    """Replays reference steps in the runner, in the reference's own terms:
+    a step holds its ``values`` as they are and creates its own
+    ``created_nulls``, so the run's facts stay a subset of the reference
+    model.  Of the reference it holds the trace's ``steps`` and the
+    model's ``facts``, any container of its atoms.
 
-    Both checks look only at what the step added.  ``tau`` gains entries
-    for fresh nulls and loses those of popped nulls, which never come back,
-    and with them go the facts that mention them.  The reference is fixed,
-    so a live fact that mapped into the reference once still does, and two
-    live terms that had distinct images still have them.  Hence only the
-    added facts need the homomorphism check, and only the new nulls the
-    injectivity check, against ``inv``: the inverse of ``tau`` on the live
-    terms, which gains the new nulls and loses the popped terms.  So
-    ``tau`` holds the live nulls only.  ``check_homomorphism()`` and
-    ``inverse_on_live()`` are the full checks, over the whole state.
+    Two checks keep that so.  No null of a step may be live when the step
+    is applied, and every fact it adds must be a reference fact.  Pops only
+    remove facts, so only the added ones need the check;
+    ``check_homomorphism()`` is the full check, over the whole state.
 
-    A step whose translated body does not embed is a divergence, one whose
-    head holds is skipped.  Replay is not held to Datalog-first: it
-    interleaves rebuilds of sibling branches, so pending existential-free
-    matches can appear at moments the reference chase never saw, and
-    applying them would prune the very path the schedule is building.
-    Soundness and the space bound do not depend on that order.
+    A body value that is no longer live occurs in no live fact, so a step
+    whose body does not embed is a divergence, one whose head holds is
+    skipped.  Replay is not held to Datalog-first: it interleaves rebuilds
+    of sibling branches, so pending existential-free matches can appear at
+    moments the reference chase never saw, and applying them would prune
+    the very path the schedule is building.  Soundness and the space bound
+    do not depend on that order.
     """
 
     def __init__(self, program: Program, steps: list, facts,
@@ -302,59 +300,30 @@ class _GuidedReplayer:
         self.steps = steps
         self.facts = facts
         self.run = TreeChaseRun(program, database, info.v_ehat)
-        self.tau: dict = {}          # runner null -> chase null
         self.skipped = 0
         self.replayed = 0
         self.check_homomorphism()
-        self.inv = self.inverse_on_live()    # chase term -> live runner term
-
-    def to_chase(self, t: Term) -> Term:
-        return self.tau.get(t, t)
-
-    def inverse_on_live(self) -> dict:
-        """The inverse of the map on all live terms, built afresh."""
-        inv: dict = {}
-        for t in self.run.live_terms():
-            self._admit(inv, t)
-        return inv
-
-    def _admit(self, inv: dict, t: Term) -> None:
-        image = self.to_chase(t)
-        if image in inv:
-            raise InvariantViolation(
-                f"map to the reference chase is not injective on live terms "
-                f"({image} has two preimages)")
-        inv[image] = t
 
     def check_homomorphism(self, facts: Optional[Iterable[Atom]] = None) -> None:
-        """Every fact, or every one of ``facts``, maps into the reference."""
+        """Every fact, or every one of ``facts``, is a reference fact."""
         ref = self.facts
         for atom in self.run.interp if facts is None else facts:
-            image = Atom(atom.pred, tuple(self.to_chase(t) for t in atom.args))
-            if image not in ref:
-                raise InvariantViolation(f"{atom} maps outside the reference chase")
+            if atom not in ref:
+                raise InvariantViolation(f"{atom} is outside the reference chase")
 
     def replay_step(self, step_index: int) -> None:
         step = self.steps[step_index - 1]
         rule = self.program.rule(step.rule_id)
-        try:
-            values = tuple([image if isinstance(image, Constant) else self.inv[image]
-                            for image in step.values])
-        except KeyError as missing:
-            raise ReplayDivergence(f"step {step_index}: body term {missing.args[0]} "
-                                   f"has no live preimage") from None
+        values = step.values
         if any((pred, args(values)) not in self.run.interp for pred, args in rule.body_slots):
-            raise ReplayDivergence(f"step {step_index}: body atom missing after translation")
+            raise ReplayDivergence(f"step {step_index}: body atom missing")
         if head_satisfied(self.run.interp, rule.head_plan, values):
             self.skipped += 1
             return
-        fresh = self.run.apply(rule, values)
+        if any(n in layer for layer in self.run.stack for n in step.created_nulls):
+            raise InvariantViolation(f"step {step_index} re-creates a live null")
+        self.run.apply(rule, values, step.created_nulls)
         self.replayed += 1
-        for t in self.run.popped:
-            del self.inv[self.tau.pop(t, t)]
-        for n, image in zip(fresh, step.created_nulls):
-            self.tau[n] = image
-            self._admit(self.inv, n)
         self.check_homomorphism(self.run.added)
 
 
@@ -394,8 +363,7 @@ def tree_chase_guided(program: Program, database: Database, q: BCQ,
     for ground, schedule in zip(grounds, schedules):
         for step_index in schedule:
             replayer.replay_step(step_index)
-        live_image = Atom(ground.pred, tuple(replayer.inv.get(t, t) for t in ground.args))
-        if live_image not in replayer.run.interp:
+        if ground not in replayer.run.interp:
             raise ReplayDivergence(f"query atom {ground} not rebuilt")
         replayer.run.break_iteration()
     verdict = evaluate_bcq(replayer.run.interp, q)

@@ -12,8 +12,8 @@ from chasekit.arboreal import InvariantViolation, build_term_tree, check_arboreo
 from chasekit.chase import ChaseResult, ChaseStep, ChaseTrace, Deterministic, chase
 from chasekit.corpus import QbfFormula, gen_qbf, gen_sets, qbf_truth
 from chasekit.depgraph import build_ledgraph, compute_rank, scc_analysis
-from chasekit.matching import evaluate_bcq
-from chasekit.model import (Constant, Interpretation, Null, parse_facts, parse_program,
+from chasekit.matching import evaluate_bcq, head_satisfied, unsatisfied_matches
+from chasekit.model import (Atom, Interpretation, Null, parse_facts, parse_program,
                             parse_query, substitute)
 from chasekit.saturation import find_saturating_certificate
 from chasekit.treechase import (TaskTreeBuilder, TreeChaseRun, _GuidedReplayer,
@@ -423,18 +423,18 @@ def _qbf_guided(formula):
 
 
 def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
-    """After every replayed step the full checks pass, the kept inverse map
-    equals one built afresh, and the fact set, in order and in its indexes,
-    equals a from-scratch filter of the old facts and the head facts over
-    the live terms."""
+    """After every replayed step every live fact is a reference fact, the
+    stack's layers are disjoint, and the fact set, in order and in its
+    indexes, equals a from-scratch filter of the old facts and the head
+    facts over the live terms."""
     applied = []
     seen = {"steps": 0, "pops": 0}
     original_apply = TreeChaseRun.apply
     original_replay = _GuidedReplayer.replay_step
 
-    def apply(self, rule, values):
+    def apply(self, rule, values, fresh=None):
         before = list(self.interp)
-        fresh = original_apply(self, rule, values)
+        fresh = original_apply(self, rule, values, fresh)
         extension = dict(zip(rule.step_variables, values + fresh))
         applied.append((before, [substitute(a, extension) for a in rule.head]))
         return fresh
@@ -442,10 +442,10 @@ def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
     def replay_step(self, step_index):
         applied.clear()
         original_replay(self, step_index)
-        self.check_homomorphism()
-        assert self.inv == self.inverse_on_live()
         run = self.run
+        assert all(atom in self.facts for atom in run.interp)
         live = run.live_terms()
+        assert sum(map(len, run.stack)) == len(live)
         assert set(run.interp.terms()) <= live
         if applied:
             ((before, head),) = applied
@@ -466,106 +466,120 @@ def test_incremental_replay_agrees_with_the_full_checks(monkeypatch):
     assert seen["steps"] > 100 and seen["pops"] > 10
 
 
-def test_replay_maps_only_live_nulls(monkeypatch):
-    """A popped null never comes back, so the replay forgets its image
-    with it: after every step ``tau`` maps live runner nulls only."""
-    original = _GuidedReplayer.replay_step
-    largest = []
-
-    def replay_step(self, step_index):
-        original(self, step_index)
-        live = {t for t in self.run.live_terms() if isinstance(t, Null)}
-        assert self.tau.keys() <= live
-        largest[-1] = max(largest[-1], len(self.tau))
-
-    monkeypatch.setattr(_GuidedReplayer, "replay_step", replay_step)
-    for n in (6, 7, 8):
-        largest.append(0)
-        assert _qbf_guided(_alternating(n)).entailed
-    assert 0 < largest[0] <= 6 and 0 < largest[1] <= 7 and 0 < largest[2] <= 8
-
-
-class _CorruptOnce(dict):
-    """A tau map that stores one chosen wrong image for a new null."""
-
-    def __init__(self, wrong_image):
-        super().__init__()
-        self.wrong_image = wrong_image
-        self.done = False
-
-    def __setitem__(self, null, image):
-        wrong = None if self.done else self.wrong_image(self)
-        if wrong is not None:
-            self.done = True
-            image = wrong
-        super().__setitem__(null, image)
-
-
-def _replay_with_tau(monkeypatch, wrong_image):
-    original_init = _GuidedReplayer.__init__
-
-    def init(self, *args):
-        original_init(self, *args)
-        self.tau = _CorruptOnce(lambda tau: wrong_image(self))
-
-    monkeypatch.setattr(_GuidedReplayer, "__init__", init)
-    with pytest.raises(InvariantViolation) as caught:
-        _qbf_guided(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3))))
-    return str(caught.value)
-
-
-def test_incremental_check_catches_a_new_fact_outside_the_reference(monkeypatch):
-    message = _replay_with_tau(monkeypatch, lambda replayer: Null(-1, "outside"))
-    assert "maps outside the reference chase" in message
-
-
-def test_incremental_check_catches_two_live_terms_with_one_image(monkeypatch):
-    def image_of_a_live_null(replayer):
-        return next((image for image, t in replayer.inv.items()
-                     if isinstance(t, Null)), None)
-
-    message = _replay_with_tau(monkeypatch, image_of_a_live_null)
-    assert "not injective" in message
-
-
-def _replay_corrupted(monkeypatch, corrupt):
-    """Answer a QBF query while ``corrupt(replayer, step)`` spoils the
-    first replayed step that has a null among its values, just before it
-    is replayed; returns the divergence it raises."""
+def _replay_corrupted(monkeypatch, corrupt, error):
+    """Answer a QBF query while ``corrupt(replayer, step)`` may spoil each
+    scheduled step just before it is replayed, until it first returns
+    true; returns the message of the ``error`` that the replay raises."""
     original = _GuidedReplayer.replay_step
     done = []
 
     def replay_step(self, step_index):
         step = self.steps[step_index - 1]
-        if not done and any(isinstance(t, Null) for t in step.values):
+        if not done and corrupt(self, step):
             done.append(step_index)
-            corrupt(self, step)
         return original(self, step_index)
 
     monkeypatch.setattr(_GuidedReplayer, "replay_step", replay_step)
-    with pytest.raises(treechase.ReplayDivergence) as caught:
+    with pytest.raises(error) as caught:
         _qbf_guided(QbfFormula("aea", ((1, 2), (-1, -2), (3, -3))))
     assert done
     return str(caught.value)
 
 
+def _applies(replayer, step):
+    """Whether the replay applies ``step`` rather than skip it."""
+    rule = replayer.program.rule(step.rule_id)
+    return not head_satisfied(replayer.run.interp, rule.head_plan, step.values)
+
+
+def test_incremental_check_catches_a_new_fact_outside_the_reference(monkeypatch):
+    """The reference loses a fact that the next applied step adds."""
+    def drop_an_added_fact(replayer, step):
+        if not _applies(replayer, step):
+            return False
+        dropped = next(a for a in step.new_facts if a not in replayer.run.interp)
+        replayer.facts = set(replayer.facts) - {dropped}
+        return True
+
+    message = _replay_corrupted(monkeypatch, drop_an_added_fact, InvariantViolation)
+    assert "is outside the reference chase" in message
+
+
+def test_incremental_check_catches_a_recreated_live_null(monkeypatch):
+    """An applied step's first null is swapped for one that is live."""
+    def create_a_live_null(replayer, step):
+        live = [t for layer in replayer.run.stack for t in layer if isinstance(t, Null)]
+        if not (live and step.created_nulls and _applies(replayer, step)):
+            return False
+        step.created_nulls = (live[0],) + step.created_nulls[1:]
+        return True
+
+    message = _replay_corrupted(monkeypatch, create_a_live_null, InvariantViolation)
+    assert "re-creates a live null" in message
+
+
 def test_replay_rejects_a_body_term_without_a_live_preimage(monkeypatch):
-    def unknown_null(replayer, step):
-        step.values = tuple(Null(-1, "nowhere") if isinstance(t, Null) else t
-                            for t in step.values)
+    """The nulls of a step's match are swapped for a reference null that
+    is no longer live, so no live fact holds them."""
+    def stale_null(replayer, step):
+        if not any(isinstance(t, Null) for t in step.values):
+            return False
+        live = replayer.run.live_terms()
+        stale = next(t for a in replayer.facts for t in a.args
+                     if isinstance(t, Null) and t not in live)
+        step.values = tuple(stale if isinstance(t, Null) else t for t in step.values)
+        return True
 
-    message = _replay_corrupted(monkeypatch, unknown_null)
-    assert "body term nowhere has no live preimage" in message
+    message = _replay_corrupted(monkeypatch, stale_null, treechase.ReplayDivergence)
+    assert "body atom missing" in message
 
 
-def test_replay_rejects_a_body_atom_missing_after_translation(monkeypatch):
-    def wrong_preimage(replayer, step):
-        for t in step.values:
-            if isinstance(t, Null):
-                replayer.inv[t] = Constant("nowhere")
+def test_replay_rejects_a_body_atom_missing_from_the_run(monkeypatch):
+    """A body fact over a null of the step is taken out of the run."""
+    def remove_a_body_fact(replayer, step):
+        rule = replayer.program.rule(step.rule_id)
+        body = [Atom(pred, args(step.values)) for pred, args in rule.body_slots]
+        removed = next((a for a in body if any(isinstance(t, Null) for t in a.args)), None)
+        if removed is None:
+            return False
+        replayer.run.interp = Interpretation(a for a in replayer.run.interp if a != removed)
+        return True
 
-    message = _replay_corrupted(monkeypatch, wrong_preimage)
-    assert "body atom missing after translation" in message
+    message = _replay_corrupted(monkeypatch, remove_a_body_fact, treechase.ReplayDivergence)
+    assert "body atom missing" in message
+
+
+def test_apply_with_given_nulls_is_apply_up_to_their_names():
+    """Two runs take the same steps, one naming the new nulls itself and
+    one given names for them: facts, stack and profile agree up to the
+    renaming of the nulls.  sets(1) has one step; sets(2) also pops."""
+    pops = 0
+    for n in (1, 2):
+        inst = gen_sets(n)
+        info = arboreous_info(inst.program)
+        counted = TreeChaseRun(inst.program, inst.database, info.v_ehat)
+        given = TreeChaseRun(inst.program, inst.database, info.v_ehat)
+        names = {}
+
+        def renamed(terms):
+            return tuple(names.get(t, t) for t in terms)
+
+        for _ in range(20):
+            choices = list(unsatisfied_matches(counted.interp, inst.program.rules))
+            if not choices:
+                break
+            rule, values = choices[-1]
+            nulls = tuple(Null(len(names) + i, f"g{len(names) + i}")
+                          for i in range(len(rule.existentials)))
+            fresh = counted.apply(rule, values)
+            assert given.apply(rule, renamed(values), nulls) == nulls
+            names.update(zip(fresh, nulls))
+            assert [Atom(a.pred, renamed(a.args)) for a in counted.interp] == list(given.interp)
+            assert [set(renamed(layer)) for layer in counted.stack] == given.stack
+            assert counted.profile == given.profile
+            pops += bool(given.popped)
+        assert names
+    assert pops
 
 
 # -- no recursion on the query path --------------------------------------------
